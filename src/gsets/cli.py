@@ -31,7 +31,10 @@ from .simulate import SimConfig, simulate_rounds
 
 
 def _read_file(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _read_source(value: str) -> str:

@@ -10,7 +10,8 @@ respond monotonically to growing targets and growing attribute sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .chains import GradedFamily, validate_graded
 from .errors import DomainError
@@ -112,36 +113,110 @@ def _attrs_in_table_order(table: InformationTable, attrs: Iterable[str]) -> tupl
     return tuple(a for a in table.attributes if a in wanted)
 
 
-def _objects_in_table(table: InformationTable, target: Iterable[str]) -> frozenset[str]:
-    target = frozenset(target)
-    for obj in target:
-        if obj not in table._obj_pos:
-            raise DomainError(f"unknown object: {obj}")
-    return target
+def _target_rows(table: InformationTable, target: Iterable[str]) -> frozenset[int]:
+    """Row positions of the target objects, rejecting an object not in the table."""
+    try:
+        return frozenset(map(table._obj_pos.__getitem__, frozenset(target)))
+    except KeyError as exc:
+        raise DomainError(f"unknown object: {exc.args[0]}") from None
+
+
+def _split(table: InformationTable, blocks: list[list[int]], names: tuple[str, ...]) -> list[list[int]]:
+    """Split blocks of row positions by the rows' values on `names`.
+
+    Each sub-block keeps its rows in table order.  Singleton blocks cannot
+    split and are passed through unread.
+    """
+    if not names:
+        return blocks
+    signature = itemgetter(*(table._attr_pos[a] for a in names))
+    rows = table.rows
+    out: list[list[int]] = []
+    for block in blocks:
+        if len(block) == 1:
+            out.append(block)
+            continue
+        groups: dict = {}
+        for i in block:
+            key = signature(rows[i])
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [i]
+            else:
+                group.append(i)
+        out.extend(groups.values())
+    return out
+
+
+def _whole(table: InformationTable) -> list[list[int]]:
+    """Every row position in one block (no block for a table without rows)."""
+    return [list(range(len(table.objects)))] if table.objects else []
+
+
+def _blocks(table: InformationTable, attrs: Iterable[str]) -> list[list[int]]:
+    """Indiscernibility classes of `attrs` as blocks of row positions, built from scratch."""
+    return _split(table, _whole(table), _attrs_in_table_order(table, attrs))
+
+
+def _chain_blocks(table: InformationTable, chain: GradedFamily) -> Iterator[list[list[int]]]:
+    """Indiscernibility classes of each chain level, smallest attribute set first.
+
+    Level k+1 splits the blocks of level k on the attributes it adds, so a
+    chain reads each cell of its largest attribute set at most once rather
+    than once per level.
+    """
+    blocks = _whole(table)
+    before: frozenset = frozenset()
+    for level in chain.levels:
+        names = _attrs_in_table_order(table, level)
+        blocks = _split(table, blocks, tuple(a for a in names if a not in before))
+        before = level
+        yield blocks
+
+
+def _partition(table: InformationTable, blocks: list[list[int]]) -> Partition:
+    objects = table.objects
+    return Partition(objects, (map(objects.__getitem__, block) for block in blocks))
+
+
+def _block_scan(table: InformationTable, blocks: list[list[int]], target: frozenset[int]) -> ApproximationPair:
+    """The one approximation kernel: blocks meeting the target make up the
+    upper approximation, and those inside it the lower."""
+    lower: list[int] = []
+    upper: list[int] = []
+    for block in blocks:
+        if target.isdisjoint(block):
+            continue
+        upper.extend(block)
+        if target.issuperset(block):
+            lower.extend(block)
+    objects = table.objects
+    return ApproximationPair(
+        frozenset(map(objects.__getitem__, lower)), frozenset(map(objects.__getitem__, upper))
+    )
 
 
 def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) -> Partition:
     """Group objects that agree on every attribute in `attrs`.
 
     An empty attribute set discerns nothing and yields the one-block
-    partition.
+    partition.  The partition is built from scratch, which makes it the
+    reference that the incremental chain levels must agree with.
     """
-    names = _attrs_in_table_order(table, attrs)
-    columns = tuple(table._attr_pos[a] for a in names)
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for obj, row in zip(table.objects, table.rows):
-        signature = tuple(row[j] for j in columns)
-        groups.setdefault(signature, []).append(obj)
-    return Partition(table.objects, groups.values())
+    return _partition(table, _blocks(table, attrs))
 
 
 def granular_from_chain(table: InformationTable, chain: GradedFamily) -> GranularSet:
     """Indiscernibility partitions of a nested attribute chain, finest first.
 
-    Larger attribute sets discern at least as much, so the partitions are
-    refinement-ordered; that is asserted via validation rather than forced.
+    Each level's partition is built by splitting the blocks of the level
+    before it in the chain on the attributes the level adds, so the chain
+    reads each cell at most once rather than once per level.  Larger
+    attribute sets discern at least as much, so the partitions are
+    refinement-ordered; that is still asserted by `validate_granular`, which
+    checks each adjacent pair once, rather than forced.
     """
-    parts = [indiscernibility_partition(table, level) for level in chain.levels]
+    parts = [_partition(table, blocks) for blocks in _chain_blocks(table, chain)]
     try:
         return validate_granular(parts, coarsest_first=True)
     except DomainError as exc:
@@ -152,30 +227,18 @@ def granular_from_chain(table: InformationTable, chain: GradedFamily) -> Granula
 
 def lower_approx(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> frozenset[str]:
     """Union of the indiscernibility blocks fully contained in the target."""
-    target = _objects_in_table(table, target)
-    part = indiscernibility_partition(table, attrs)
-    return frozenset(x for block in part.blocks if target.issuperset(block) for x in block)
+    return approximation_pair(table, attrs, target).lower
 
 
 def upper_approx(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> frozenset[str]:
     """Union of the indiscernibility blocks that intersect the target."""
-    target = _objects_in_table(table, target)
-    part = indiscernibility_partition(table, attrs)
-    return frozenset(x for block in part.blocks if any(y in target for y in block) for x in block)
+    return approximation_pair(table, attrs, target).upper
 
 
 def approximation_pair(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> ApproximationPair:
     """Lower and upper approximations computed from one shared partition."""
-    target = _objects_in_table(table, target)
-    part = indiscernibility_partition(table, attrs)
-    lower: list[str] = []
-    upper: list[str] = []
-    for block in part.blocks:
-        if target.issuperset(block):
-            lower.extend(block)
-        if any(y in target for y in block):
-            upper.extend(block)
-    return ApproximationPair(frozenset(lower), frozenset(upper))
+    rows = _target_rows(table, target)
+    return _block_scan(table, _blocks(table, attrs), rows)
 
 
 def graded_approximations(
@@ -183,14 +246,15 @@ def graded_approximations(
 ) -> tuple[GradedFamily, GradedFamily]:
     """Approximate every level of a nested target chain.
 
-    Both output chains are themselves nested; that claim is asserted by
-    validating them as graded families.
+    The indiscernibility classes of `attrs` are built once and block-scanned
+    for every level.  Each level's pair is checked (lower inside upper), and
+    both output chains are asserted to nest by validating them as graded
+    families.
     """
-    attr_names = _attrs_in_table_order(table, attrs)
-    lowers = [lower_approx(table, attr_names, level) for level in targets.levels]
-    uppers = [upper_approx(table, attr_names, level) for level in targets.levels]
+    blocks = _blocks(table, attrs)
+    pairs = [_block_scan(table, blocks, _target_rows(table, level)) for level in targets.levels]
     try:
-        return validate_graded(lowers), validate_graded(uppers)
+        return validate_graded(p.lower for p in pairs), validate_graded(p.upper for p in pairs)
     except DomainError as exc:
         raise AssertionError("approximations of a nested target chain must nest") from exc
 
@@ -201,12 +265,14 @@ def sensitivity_profile(
     """How approximation quality responds as the attribute set grows.
 
     One record per chain level, in chain order (smallest attribute set
-    first).
+    first).  The levels' indiscernibility classes are built incrementally
+    along the chain, as in `granular_from_chain`, and each level gets one
+    block scan whose pair is checked (lower inside upper).
     """
-    target = _objects_in_table(table, target)
+    rows = _target_rows(table, target)
     records = []
-    for i, attrs in enumerate(chain.levels):
-        pair = approximation_pair(table, attrs, target)
+    for i, (attrs, blocks) in enumerate(zip(chain.levels, _chain_blocks(table, chain))):
+        pair = _block_scan(table, blocks, rows)
         lower_size, upper_size = len(pair.lower), len(pair.upper)
         accuracy = lower_size / upper_size if upper_size else 1.0
         records.append(

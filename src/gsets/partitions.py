@@ -20,38 +20,42 @@ class Partition:
     source data; blocks are normalised to that order (elements within a block
     by universe position, blocks by the position of their first element),
     which makes serialisation deterministic.  Equality and hashing ignore the
-    ordering and compare universes and blocks as sets.
+    ordering and compare the blocks as sets.
+
+    Construction validates its input (no duplicate universe element, no
+    empty, overlapping or foreign block, full cover) and builds one frozenset
+    per block, shared by every element of that block in the element-to-block
+    index, so time and memory are linear in the universe size.
     """
 
     __slots__ = ("universe", "blocks", "_block_index")
 
     def __init__(self, universe: Iterable[Hashable], blocks: Iterable[Iterable[Hashable]]):
         universe = tuple(universe)
-        position: dict = {}
+        members = set(universe)
+        if len(members) != len(universe):
+            seen: set = set()
+            duplicate = next(x for x in universe if x in seen or seen.add(x))
+            raise DomainError(f"duplicate element in universe: {duplicate!r}")
+        sets = [frozenset(raw) for raw in blocks]
+        index = {x: block for block in sets for x in block}
+        # nonempty, pairwise disjoint (no element indexed twice), inside the
+        # universe and as many elements as the universe: an exact cover
+        if not (all(sets) and len(index) == sum(map(len, sets)) == len(universe) and members.issuperset(index)):
+            _reject_blocks(universe, members, sets)
+        # one scan of the universe lists each block's elements in universe
+        # order, and the blocks in the order of their first element
+        grouped: dict[frozenset, list] = {}
         for x in universe:
-            if x in position:
-                raise DomainError(f"duplicate element in universe: {x!r}")
-            position[x] = len(position)
-        assigned: set = set()
-        normalized = []
-        for raw in blocks:
-            members = set(raw)
-            if not members:
-                raise DomainError("empty block")
-            for x in members:
-                if x not in position:
-                    raise DomainError(f"block element {x!r} is not in the universe")
-                if x in assigned:
-                    raise DomainError(f"element {x!r} appears in more than one block")
-                assigned.add(x)
-            normalized.append(tuple(sorted(members, key=position.__getitem__)))
-        if len(assigned) != len(universe):
-            missing = next(x for x in universe if x not in assigned)
-            raise DomainError(f"blocks do not cover the universe: {missing!r} unassigned")
-        normalized.sort(key=lambda block: position[block[0]])
+            block = index[x]
+            in_order = grouped.get(block)
+            if in_order is None:
+                grouped[block] = [x]
+            else:
+                in_order.append(x)
         self.universe = universe
-        self.blocks = tuple(normalized)
-        self._block_index = {x: frozenset(block) for block in self.blocks for x in block}
+        self.blocks = tuple(map(tuple, grouped.values()))
+        self._block_index = index
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[Hashable]]) -> Partition:
@@ -65,35 +69,62 @@ class Partition:
         except KeyError:
             raise DomainError(f"element {x!r} is not in the universe") from None
 
+    def _block_set(self) -> frozenset[frozenset]:
+        # the blocks determine the universe (their union), so they alone
+        # decide equality
+        return frozenset(self._block_index.values())
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return (
-            frozenset(self.universe) == frozenset(other.universe)
-            and frozenset(self._block_index.values()) == frozenset(other._block_index.values())
-        )
+        return self._block_set() == other._block_set()
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.universe), frozenset(self._block_index.values())))
+        return hash(self._block_set())
 
     def __repr__(self) -> str:
         return f"Partition({[list(block) for block in self.blocks]!r})"
 
 
+def _reject_blocks(universe: tuple, members: set, blocks: list[frozenset]) -> None:
+    """Raise for the first defect, in block order, that keeps `blocks` from partitioning `universe`."""
+    assigned: set = set()
+    for block in blocks:
+        if not block:
+            raise DomainError("empty block")
+        for x in block:
+            if x not in members:
+                raise DomainError(f"block element {x!r} is not in the universe")
+            if x in assigned:
+                raise DomainError(f"element {x!r} appears in more than one block")
+            assigned.add(x)
+    missing = next(x for x in universe if x not in assigned)
+    raise DomainError(f"blocks do not cover the universe: {missing!r} unassigned")
+
+
 def refines(finer: Partition, coarser: Partition) -> bool:
     """True when every block of `finer` lies inside one block of `coarser`."""
-    if frozenset(finer.universe) != frozenset(coarser.universe):
+    target = coarser._block_index
+    if finer._block_index.keys() != target.keys():
         raise DomainError("universe mismatch")
-    for block in finer.blocks:
-        target = coarser.block_of(block[0])
-        if any(x not in target for x in block[1:]):
-            return False
-    return True
+    return all(target[block[0]].issuperset(block) for block in finer.blocks)
+
+
+class _NotRefinement(DomainError):
+    """Adjacent levels, finest first, that are not refinement-related."""
+
+    def __init__(self, pairs: list[int]):
+        super().__init__(f"levels {pairs[0]} and {pairs[0] + 1} are not refinement-related")
+        self.pairs = pairs
 
 
 @dataclass(frozen=True)
 class GranularSet:
-    """Partitions of one universe ordered finest first, adjacent levels refinement-related."""
+    """Partitions of one universe ordered finest first, adjacent levels refinement-related.
+
+    Construction checks each adjacent pair once with `refines`, which also
+    checks that the pair shares one universe.
+    """
 
     levels: tuple[Partition, ...]
 
@@ -102,13 +133,9 @@ class GranularSet:
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise DomainError("granular set needs at least one level")
-        base = frozenset(levels[0].universe)
-        for i, part in enumerate(levels[1:], start=1):
-            if frozenset(part.universe) != base:
-                raise DomainError(f"universe mismatch at level {i}")
-        for i in range(len(levels) - 1):
-            if not refines(levels[i], levels[i + 1]):
-                raise DomainError(f"levels {i} and {i + 1} are not refinement-related")
+        pairs = [i for i in range(len(levels) - 1) if not refines(levels[i], levels[i + 1])]
+        if pairs:
+            raise _NotRefinement(pairs)
 
     @property
     def universe(self) -> tuple:
@@ -121,15 +148,17 @@ class GranularSet:
 def validate_granular(partitions: Sequence[Partition], coarsest_first: bool = False) -> GranularSet:
     """Build a GranularSet, normalising to finest-first storage.
 
-    Adjacency is checked in the order the partitions were given, so a failure
-    reports the offending input pair by index.
+    The refinement check is the one `GranularSet` runs; a failure reports
+    the first offending pair in the order the partitions were given, by
+    input index.
     """
     parts = list(partitions)
     if not parts:
         raise DomainError("no partitions")
-    for i in range(len(parts) - 1):
-        finer, coarser = (parts[i + 1], parts[i]) if coarsest_first else (parts[i], parts[i + 1])
-        if not refines(finer, coarser):
-            raise DomainError(f"partitions {i} and {i + 1} are not refinement-related")
     ordered = tuple(reversed(parts)) if coarsest_first else tuple(parts)
-    return GranularSet(ordered)
+    try:
+        return GranularSet(ordered)
+    except _NotRefinement as exc:
+        # stored pair j is input pair len(parts) - 2 - j when the input is coarsest first
+        i = len(parts) - 2 - exc.pairs[-1] if coarsest_first else exc.pairs[0]
+        raise DomainError(f"partitions {i} and {i + 1} are not refinement-related") from None

@@ -90,10 +90,12 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
             offset = config.fault_offset_min * (1.0 + rng.random())
             center = config.truth + side * offset
             interval = Interval(center - u, center + v)
-            assert not interval.contains_point(config.truth)
+            if interval.contains_point(config.truth):
+                raise DomainError(f"round {round_index}: faulty sensor {i} contains the truth after float rounding")
         else:
             interval = Interval(config.truth - u, config.truth + v)
-            assert interval.contains_point(config.truth)
+            if not interval.contains_point(config.truth):
+                raise DomainError(f"round {round_index}: correct sensor {i} misses the truth")
         intervals.append(interval)
     fused = graded_fusion(intervals, 0, config.num_sensors - 1)
     containment = tuple(

@@ -266,6 +266,33 @@ class TestSimulate:
         )
         assert code == 1 and "at least one round" in err
 
+    def test_fault_geometry_lost_to_rounding_is_domain_error(self, capsys):
+        # at 1e20 a float step is 16384, so the faulty centre rounds back onto the truth
+        code, out, err = run_cli(
+            capsys, "simulate", "--sensors", "3", "--faulty", "1", "--rounds", "1", "--truth", "1e20"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: round 0: faulty sensor") and err.count("\n") == 1
+        assert "contains the truth" in err
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuse", "--input", "{bad}", "--faults", "0"],
+            ["partition", "--table", "{bad}", "--attrs", "P1"],
+            ["granulate", "--table", "{table}", "--chain", "{bad}"],
+        ],
+    )
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path, table_csv, argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"lo,hi\n\xff\xfe,1\n")
+        argv = [a.format(bad=bad, table=table_csv) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: not UTF-8 text (byte 6)\n"
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -302,6 +329,17 @@ class TestProcessDeterminism:
         b = _run_process(argv, "424242")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_simulate_fault_check_survives_optimized_mode(self):
+        # the fault geometry check must not be an assert, which -O strips
+        argv = ["simulate", "--sensors", "3", "--faulty", "1", "--rounds", "1", "--truth", "1e20"]
+        env = dict(os.environ, PYTHONOPTIMIZE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gsets", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_simulate_bytes_stable_across_hash_seeds(self):
         argv = ["simulate", "--sensors", "5", "--faulty", "1", "--rounds", "2", "--seed", "3"]

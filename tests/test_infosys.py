@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsets import (
     DomainError,
@@ -263,3 +266,77 @@ class TestSensitivityProfile:
         records = sensitivity_profile(table, chain, target)
         accuracies = [r.accuracy for r in records]
         assert all(b >= a - 1e-12 for a, b in zip(accuracies, accuracies[1:]))
+
+
+def _signature_oracle(table, attrs):
+    # brute-force grouping, written from the definition
+    groups: dict = {}
+    for obj in table.objects:
+        groups.setdefault(tuple(table.value(obj, a) for a in sorted(attrs)), []).append(obj)
+    return Partition(table.objects, groups.values())
+
+
+def _seeded_case(n=2000, cards=(2, 3, 4, 5) * 3, target_levels=4):
+    rng = random.Random(2000)
+    attributes = tuple(f"A{j}" for j in range(len(cards)))
+    objects = tuple(f"o{i}" for i in range(n))
+    rows = tuple(tuple(str(rng.randrange(c)) for c in cards) for _ in range(n))
+    table = InformationTable(objects, attributes, rows)
+    chain = [list(attributes[: k + 1]) for k in range(len(attributes))]
+    target = [o for o, row in zip(objects, rows) if (row[1] == "0") != (rng.random() < 0.01)]
+    targets = [[o for o in target if int(table.value(o, "A2")) <= k] for k in range(target_levels)]
+    return table, chain, target, targets
+
+
+def _check_chain_levels(table, chain_levels):
+    g = granular_from_chain(table, validate_graded(chain_levels))
+    # stored finest first, so reversed chain order
+    for level, incremental in zip(chain_levels, reversed(g.levels)):
+        reference = indiscernibility_partition(table, level)
+        assert reference == _signature_oracle(table, level)
+        assert incremental == reference
+        assert incremental.blocks == reference.blocks
+
+
+def _check_graded(table, attrs, targets):
+    lowers, uppers = graded_approximations(table, attrs, validate_graded(targets))
+    for level, low, up in zip(targets, lowers.levels, uppers.levels):
+        pair = approximation_pair(table, attrs, level)
+        assert (low, up) == (pair.lower, pair.upper)
+
+
+def _check_sensitivity(table, chain_levels, target):
+    records = sensitivity_profile(table, validate_graded(chain_levels), target)
+    assert len(records) == len(chain_levels)
+    for i, (attrs, r) in enumerate(zip(chain_levels, records)):
+        pair = approximation_pair(table, attrs, target)
+        assert (r.level_index, r.attribute_count) == (i, len(set(attrs)))
+        assert (r.lower_size, r.upper_size) == (len(pair.lower), len(pair.upper))
+
+
+class TestIncrementalChainsMatchReference:
+    """Chain levels are split incrementally; each must equal the from-scratch result."""
+
+    @given(table_with_attr_chain())
+    @settings(max_examples=200)
+    def test_chain_levels_equal_indiscernibility_partitions(self, case):
+        table, chain_levels = case
+        _check_chain_levels(table, chain_levels)
+
+    @given(table_with_target_chain())
+    @settings(max_examples=200)
+    def test_graded_approximations_equal_pairs_level_by_level(self, case):
+        _check_graded(*case)
+
+    @given(table_with_attr_chain(), st.data())
+    @settings(max_examples=200)
+    def test_sensitivity_equals_pairs_level_by_level(self, case, data):
+        table, chain_levels = case
+        target = data.draw(st.lists(st.sampled_from(table.objects), unique=True))
+        _check_sensitivity(table, chain_levels, target)
+
+    def test_seeded_2000_by_12(self):
+        table, chain, target, targets = _seeded_case()
+        _check_chain_levels(table, chain)
+        _check_graded(table, ["A1", "A2", "A3"], targets)
+        _check_sensitivity(table, chain, target)

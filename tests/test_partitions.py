@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +63,24 @@ class TestPartitionConstruction:
     def test_inequality_on_different_blocks(self):
         assert part(["a", "b"], ["c"]) != part(["a"], ["b", "c"])
 
+    def test_block_of_shares_one_set_per_block(self):
+        p = part(["a", "b", "c"], ["d"])
+        assert p.block_of("a") is p.block_of("b") is p.block_of("c")
+
+    def test_one_block_peak_memory_is_linear(self):
+        # A frozenset per element instead of per block makes a one-block
+        # partition quadratic (about 130 KB per element at n = 2000), so the
+        # small size fails fast before the large one could exhaust memory.
+        for n in (2000, 20000):
+            universe = [f"x{i}" for i in range(n)]
+            tracemalloc.start()
+            try:
+                Partition(universe, [universe])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1024 * n, f"n={n}: {peak / n:.0f} bytes per element"
+
 
 class TestRefines:
     def test_singletons_refine_everything(self):
@@ -114,6 +134,20 @@ class TestValidateGranular:
     def test_non_refinement_pair_reported_by_index(self):
         with pytest.raises(DomainError, match=r"partitions \(0, 1\)|partitions 0 and 1"):
             validate_granular([part(["1", "2"], ["3"]), part(["1", "3"], ["2"])])
+
+    @pytest.mark.parametrize("coarsest_first", [False, True])
+    def test_first_bad_pair_in_input_order_is_reported(self, coarsest_first):
+        fine = part(["1"], ["2"], ["3"])
+        coarse = part(["1", "2"], ["3"])
+        cross = part(["1", "3"], ["2"])
+        # input pairs 1 and 2 both fail; pair 0 is a refinement in input order
+        parts = [coarse, fine, cross, coarse] if coarsest_first else [fine, coarse, cross, fine]
+        with pytest.raises(DomainError, match="partitions 1 and 2 are not refinement-related"):
+            validate_granular(parts, coarsest_first=coarsest_first)
+
+    def test_universe_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="universe mismatch"):
+            validate_granular([part(["1"], ["2"]), part(["1", "3"])])
 
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError, match="no partitions"):

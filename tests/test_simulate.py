@@ -91,6 +91,11 @@ class TestSimulateRound:
         with pytest.raises(DomainError, match="nonnegative"):
             simulate_round(config(), -1)
 
+    def test_faulty_interval_rounded_onto_truth_rejected(self):
+        # at truth 1e20 a displacement of a few units is below one float step
+        with pytest.raises(DomainError, match="faulty sensor .* contains the truth"):
+            simulate_round(config(truth=1e20), 0)
+
     def test_single_sensor_round(self):
         out = simulate_round(config(num_sensors=1, num_faulty=0), 0)
         assert out.truth_containment == (True,)
