@@ -276,6 +276,45 @@ class TestSimulate:
         assert "contains the truth" in err
 
 
+GOLDEN_CASES = {
+    "fuse": ["fuse", "--input", "{intervals}", "--faults", "1"],
+    "graded": ["graded", "--input", "{intervals}", "--fmin", "0", "--fmax", "2"],
+    "random": [
+        "random", "--input", "{intervals}", "--dist", '{{"0":0.5,"1":0.3,"2":0.2}}',
+        "--sample", "5", "--seed", "3",
+    ],
+    "partition": ["partition", "--table", "{table}", "--attrs", "P1,P2"],
+    "granulate": ["granulate", "--table", "{table}", "--chain", "{chain}"],
+    "approx": ["approx", "--table", "{table}", "--attrs", "P1,P2,P3,P4,P5", "--target", "O1,O2,O3"],
+    "graded-approx": [
+        "graded-approx", "--table", "{table}", "--attrs", "P1,P2,P3,P4,P5",
+        "--targets", '[["O1"],["O1","O2"],["O1","O2","O3"]]',
+    ],
+    "sensitivity": [
+        "sensitivity", "--table", "{table}", "--chain", "{chain}", "--target", "O1,O2,O3",
+    ],
+    # a non-integral truth takes the float branch of the config's real rendering
+    "simulate": [
+        "simulate", "--sensors", "6", "--faulty", "2", "--rounds", "3", "--seed", "11",
+        "--truth", "0.1",
+    ],
+}
+
+
+class TestGoldenBytes:
+    """Exact stdout of every subcommand on the fixtures, byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_stdout_matches_golden(self, capsys, fixtures_dir, intervals_csv, table_csv, chain_json, case):
+        argv = [
+            a.format(intervals=intervals_csv, table=table_csv, chain=chain_json)
+            for a in GOLDEN_CASES[case]
+        ]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.encode("utf-8") == (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
+
+
 class TestUndecodableInput:
     @pytest.mark.parametrize(
         "argv",
