@@ -6,7 +6,7 @@ set families nested by inclusion, and partitions nested by refinement.
 Everything here is deterministic and value-semantic.
 """
 
-from .chains import GradedFamily, is_rough_family, validate_graded
+from .chains import GradedFamily, is_rough_family
 from .errors import DomainError, ParseError
 from .infosys import (
     ApproximationPair,
@@ -71,6 +71,5 @@ __all__ = [
     "simulate_round",
     "simulate_rounds",
     "upper_approx",
-    "validate_graded",
     "validate_granular",
 ]

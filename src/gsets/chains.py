@@ -8,7 +8,6 @@ are legal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DomainError
 
@@ -33,11 +32,6 @@ class GradedFamily:
 
     def __len__(self) -> int:
         return len(self.levels)
-
-
-def validate_graded(levels: Iterable[Iterable]) -> GradedFamily:
-    """Build a GradedFamily, rejecting the first non-nested adjacent pair."""
-    return GradedFamily(tuple(frozenset(level) for level in levels))
 
 
 def is_rough_family(family: GradedFamily) -> bool:

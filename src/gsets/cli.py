@@ -88,7 +88,7 @@ def _cmd_partition(args: argparse.Namespace):
 
 def _cmd_granulate(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
-    chain = formats.parse_chain(_read_source(args.chain))
+    chain = formats.parse_graded_family(_read_source(args.chain))
     doc = formats.granular_set_doc(granular_from_chain(table, chain))
     doc["granular"] = True
     return doc
@@ -115,7 +115,7 @@ def _cmd_graded_approx(args: argparse.Namespace):
 
 def _cmd_sensitivity(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
-    chain = formats.parse_chain(_read_source(args.chain))
+    chain = formats.parse_graded_family(_read_source(args.chain))
     target = _split_names(args.target, "target list")
     return formats.sensitivity_profile_doc(sensitivity_profile(table, chain, target))
 
@@ -131,28 +131,7 @@ def _cmd_simulate(args: argparse.Namespace):
         fault_offset_min=args.offset,
         seed=args.seed,
     )
-    rounds = []
-    for i, outcome in enumerate(simulate_rounds(config, args.rounds)):
-        rounds.append(
-            {
-                "round": i,
-                "faulty": sorted(outcome.faulty_indices),
-                "intervals": formats.intervals_doc(outcome.intervals),
-                "fused": formats.graded_intervals_doc(outcome.fused),
-                "contains_truth": list(outcome.truth_containment),
-            }
-        )
-    return {
-        "config": {
-            "sensors": config.num_sensors,
-            "truth": formats._real(config.truth),
-            "halfwidth": formats._real(config.correct_halfwidth_max),
-            "faulty": config.num_faulty,
-            "offset": formats._real(config.fault_offset_min),
-            "seed": config.seed,
-        },
-        "rounds": rounds,
-    }
+    return formats.simulation_doc(config, simulate_rounds(config, args.rounds))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,17 +212,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         doc = args.handler(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(formats.dumps_canonical(doc))
     return 0
-
-
-run = main

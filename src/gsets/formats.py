@@ -12,21 +12,27 @@ The CSV dialect is deliberately strict: comma separated, no quoting,
 tokens must be nonempty and carry no surrounding whitespace.  Anything
 else is rejected with a 1-based location.
 
-Output is canonical JSON: keys sorted, no insignificant whitespace,
-blocks and objects ordered by the partition's universe order (or
-lexicographically where no universe context exists), integral reals
+Output
+------
+Each value kind X has one document builder ``X_doc`` that returns plain
+JSON data, and ``dumps_canonical`` is the only encoder.  Every kind but
+the simulation report also has one parser ``parse_X``, and
+``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
+Canonical JSON has its keys sorted and no insignificant whitespace;
+blocks and objects are ordered by the partition's universe order (or
+lexicographically where no universe context exists), integral reals are
 rendered as integers and all other reals in shortest round-trip form,
-and the empty fused result rendered as ``null``.  Parsing a canonical
-document returns a value equal to the one serialised.
+and the empty fused result is rendered as ``null``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Iterable, Sequence
 
-from .chains import GradedFamily, validate_graded
+from .chains import GradedFamily
 from .errors import ParseError
 from .infosys import ApproximationPair, InformationTable, SensitivityRecord
 from .intervals import (
@@ -37,6 +43,7 @@ from .intervals import (
     IntervalDistribution,
 )
 from .partitions import GranularSet, Partition, validate_granular
+from .simulate import SimConfig, SimOutcome
 
 _INT_RENDER_LIMIT = 2**53
 
@@ -58,14 +65,16 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, where: str) -> float:
-    if not _is_number(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
@@ -92,78 +101,75 @@ def _csv_real(field: str, where: str) -> float:
     return value
 
 
+def _names(value, where: str) -> list[str]:
+    """The one name-string-array check, for graded levels, partition blocks,
+    approximation sets and object sets."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"{where}: expected an array of name strings")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # intervals
+
+
+def _interval(pair: Sequence, where: str, number=_number) -> Interval:
+    """The one ``[lo, hi]`` reader, for CSV rows, JSON items and fused results.
+
+    The caller has checked that `pair` has two entries, since the message
+    for a wrong shape depends on the source.
+    """
+    lo = number(pair[0], where)
+    hi = number(pair[1], where)
+    if lo > hi:
+        raise ParseError(f"{where}: lower endpoint exceeds upper endpoint")
+    return Interval(lo, hi)
+
+
+def _is_pair(data) -> bool:
+    return isinstance(data, list) and len(data) == 2
 
 
 def parse_intervals(text: str, fmt: str = "csv") -> list[Interval]:
     """Read interval measurements from CSV (header ``lo,hi``) or JSON."""
     if fmt == "csv":
-        return _parse_intervals_csv(text)
+        lines = text.splitlines()
+        if not lines or lines[0] != "lo,hi":
+            raise ParseError("line 1: header must be 'lo,hi'")
+        out = []
+        for n, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ParseError(f"line {n}: expected 2 fields, got {len(fields)}")
+            out.append(_interval(fields, f"line {n}", _csv_real))
+        return out
     if fmt == "json":
-        return _parse_intervals_json(text)
+        data = _load_json(text)
+        if not isinstance(data, list):
+            raise ParseError("top-level value must be an array of [lo, hi] pairs")
+        out = []
+        for i, item in enumerate(data, start=1):
+            if not _is_pair(item):
+                raise ParseError(f"item {i}: expected [lo, hi]")
+            out.append(_interval(item, f"item {i}"))
+        return out
     raise ParseError(f"unknown interval format: {fmt!r}")
-
-
-def _parse_intervals_csv(text: str) -> list[Interval]:
-    lines = text.splitlines()
-    if not lines or lines[0] != "lo,hi":
-        raise ParseError("line 1: header must be 'lo,hi'")
-    out = []
-    for n, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ParseError(f"line {n}: expected 2 fields, got {len(fields)}")
-        lo = _csv_real(fields[0], f"line {n}")
-        hi = _csv_real(fields[1], f"line {n}")
-        if lo > hi:
-            raise ParseError(f"line {n}: lower endpoint exceeds upper endpoint")
-        out.append(Interval(lo, hi))
-    return out
-
-
-def _parse_intervals_json(text: str) -> list[Interval]:
-    data = _load_json(text)
-    if not isinstance(data, list):
-        raise ParseError("top-level value must be an array of [lo, hi] pairs")
-    out = []
-    for i, item in enumerate(data, start=1):
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ParseError(f"item {i}: expected [lo, hi]")
-        lo = _number(item[0], f"item {i}")
-        hi = _number(item[1], f"item {i}")
-        if lo > hi:
-            raise ParseError(f"item {i}: lower endpoint exceeds upper endpoint")
-        out.append(Interval(lo, hi))
-    return out
 
 
 def intervals_doc(intervals: Iterable[Interval]) -> list:
     return [[_real(iv.lo), _real(iv.hi)] for iv in intervals]
 
 
-def serialize_intervals(intervals: Iterable[Interval]) -> str:
-    return dumps_canonical(intervals_doc(intervals))
-
-
 def fusion_result_doc(result: FusionResult):
     return None if result is None else [_real(result.lo), _real(result.hi)]
-
-
-def serialize_fusion_result(result: FusionResult) -> str:
-    return dumps_canonical(fusion_result_doc(result))
 
 
 def _fusion_result_from(data, where: str) -> FusionResult:
     if data is None:
         return None
-    if not (isinstance(data, list) and len(data) == 2):
+    if not _is_pair(data):
         raise ParseError(f"{where}: expected null or [lo, hi]")
-    lo = _number(data[0], where)
-    hi = _number(data[1], where)
-    if lo > hi:
-        raise ParseError(f"{where}: lower endpoint exceeds upper endpoint")
-    return Interval(lo, hi)
+    return _interval(data, where)
 
 
 def parse_fusion_result(text: str) -> FusionResult:
@@ -177,23 +183,18 @@ def graded_intervals_doc(graded: GradedIntervals) -> dict:
     }
 
 
-def serialize_graded_intervals(graded: GradedIntervals) -> str:
-    return dumps_canonical(graded_intervals_doc(graded))
-
-
 def parse_graded_intervals(text: str) -> GradedIntervals:
     data = _load_json(text)
     if not isinstance(data, dict) or set(data) != {"f_min", "levels"}:
         raise ParseError("expected an object with keys 'f_min' and 'levels'")
-    f_min = data["f_min"]
-    if not isinstance(f_min, int) or isinstance(f_min, bool):
+    if not _is_int(data["f_min"]):
         raise ParseError("'f_min' must be an integer")
     if not isinstance(data["levels"], list):
         raise ParseError("'levels' must be an array")
     levels = tuple(
         _fusion_result_from(item, f"level {i}") for i, item in enumerate(data["levels"], start=1)
     )
-    return GradedIntervals(f_min, levels)
+    return GradedIntervals(data["f_min"], levels)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +203,6 @@ def parse_graded_intervals(text: str) -> GradedIntervals:
 
 def fault_distribution_doc(dist: FaultDistribution) -> dict:
     return {str(f): _real(p) for f, p in dist.support}
-
-
-def serialize_fault_distribution(dist: FaultDistribution) -> str:
-    return dumps_canonical(fault_distribution_doc(dist))
 
 
 def parse_fault_distribution(text: str) -> FaultDistribution:
@@ -226,10 +223,6 @@ def interval_distribution_doc(dist: IntervalDistribution) -> dict:
             {"p": _real(p), "result": fusion_result_doc(result)} for result, p in dist.atoms
         ]
     }
-
-
-def serialize_interval_distribution(dist: IntervalDistribution) -> str:
-    return dumps_canonical(interval_distribution_doc(dist))
 
 
 def parse_interval_distribution(text: str) -> IntervalDistribution:
@@ -289,28 +282,16 @@ def parse_table(text: str) -> InformationTable:
 
 
 def parse_graded_family(text: str) -> GradedFamily:
-    """Read a nested chain encoded as a JSON array of arrays of names."""
+    """Read a nested chain, such as an attribute chain, encoded as a JSON
+    array of arrays of names."""
     data = _load_json(text)
     if not isinstance(data, list) or not data:
         raise ParseError("expected a nonempty array of arrays of names")
-    levels = []
-    for i, level in enumerate(data, start=1):
-        if not isinstance(level, list) or not all(isinstance(x, str) for x in level):
-            raise ParseError(f"level {i}: expected an array of name strings")
-        levels.append(frozenset(level))
-    return validate_graded(levels)
+    return GradedFamily([_names(level, f"level {i}") for i, level in enumerate(data, start=1)])
 
 
-def parse_chain(text: str) -> GradedFamily:
-    """Read an attribute chain; same wire format as any graded family."""
-    return parse_graded_family(text)
-
-
-def _ordered_ids(ids: Iterable[str], order: Sequence[str] | None) -> list[str]:
-    ids = list(ids)
-    for x in ids:
-        if not isinstance(x, str):
-            raise ParseError(f"identifier {x!r} is not a string")
+def object_set_doc(ids: Iterable[str], order: Sequence[str] | None = None) -> list[str]:
+    ids = _names(list(ids), "object set")
     if order is None:
         return sorted(ids)
     position = {x: i for i, x in enumerate(order)}
@@ -321,17 +302,9 @@ def _ordered_ids(ids: Iterable[str], order: Sequence[str] | None) -> list[str]:
         raise ParseError(f"identifier {missing!r} is not in the supplied order") from None
 
 
-def object_set_doc(ids: Iterable[str], order: Sequence[str] | None = None) -> list[str]:
-    return _ordered_ids(ids, order)
-
-
 def graded_family_doc(family: GradedFamily, order: Sequence[str] | None = None) -> list:
     # same wire shape parse_graded_family reads: an array of arrays of names
     return [object_set_doc(level, order) for level in family.levels]
-
-
-def serialize_graded_family(family: GradedFamily, order: Sequence[str] | None = None) -> str:
-    return dumps_canonical(graded_family_doc(family, order))
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +312,16 @@ def serialize_graded_family(family: GradedFamily, order: Sequence[str] | None = 
 
 
 def partition_doc(partition: Partition) -> dict:
-    blocks = [list(block) for block in partition.blocks]
-    for block in blocks:
-        for x in block:
-            if not isinstance(x, str):
-                raise ParseError(f"object id {x!r} is not a string")
-    return {"blocks": blocks}
-
-
-def serialize_partition(partition: Partition) -> str:
-    return dumps_canonical(partition_doc(partition))
+    return {"blocks": [_names(list(block), "partition block") for block in partition.blocks]}
 
 
 def _partition_from(data, where: str) -> Partition:
     if not isinstance(data, dict) or set(data) != {"blocks"} or not isinstance(data["blocks"], list):
         raise ParseError(f"{where}: expected an object with a 'blocks' array")
-    blocks = []
-    for i, block in enumerate(data["blocks"], start=1):
-        if not isinstance(block, list) or not all(isinstance(x, str) for x in block):
-            raise ParseError(f"{where}: block {i} must be an array of object id strings")
-        blocks.append(block)
-    return Partition.from_blocks(blocks)
+    blocks = data["blocks"]
+    return Partition.from_blocks(
+        [_names(block, f"{where}: block {i}") for i, block in enumerate(blocks, start=1)]
+    )
 
 
 def parse_partition(text: str) -> Partition:
@@ -368,10 +330,6 @@ def parse_partition(text: str) -> Partition:
 
 def granular_set_doc(granular: GranularSet) -> dict:
     return {"levels": [partition_doc(level) for level in granular.levels]}
-
-
-def serialize_granular_set(granular: GranularSet) -> str:
-    return dumps_canonical(granular_set_doc(granular))
 
 
 def parse_granular_set(text: str) -> GranularSet:
@@ -395,49 +353,24 @@ def approximation_pair_doc(pair: ApproximationPair, order: Sequence[str] | None 
     }
 
 
-def serialize_approximation_pair(pair: ApproximationPair, order: Sequence[str] | None = None) -> str:
-    return dumps_canonical(approximation_pair_doc(pair, order))
-
-
 def parse_approximation_pair(text: str) -> ApproximationPair:
     data = _load_json(text)
     if not isinstance(data, dict) or set(data) != {"lower", "upper"}:
         raise ParseError("expected an object with keys 'lower' and 'upper'")
-    sets = {}
-    for key in ("lower", "upper"):
-        ids = data[key]
-        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
-            raise ParseError(f"'{key}' must be an array of object id strings")
-        sets[key] = frozenset(ids)
-    return ApproximationPair(sets["lower"], sets["upper"])
+    return ApproximationPair(
+        frozenset(_names(data["lower"], "'lower'")), frozenset(_names(data["upper"], "'upper'"))
+    )
 
 
-_SENSITIVITY_FIELDS = (
-    "accuracy",
-    "attribute_count",
-    "boundary_size",
-    "level_index",
-    "lower_size",
-    "upper_size",
-)
+# every field is an integer but the accuracy, a real
+_SENSITIVITY_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(SensitivityRecord)))
 
 
 def sensitivity_profile_doc(records: Iterable[SensitivityRecord]) -> list[dict]:
     return [
-        {
-            "accuracy": _real(r.accuracy),
-            "attribute_count": r.attribute_count,
-            "boundary_size": r.boundary_size,
-            "level_index": r.level_index,
-            "lower_size": r.lower_size,
-            "upper_size": r.upper_size,
-        }
+        {**{key: getattr(r, key) for key in _SENSITIVITY_FIELDS}, "accuracy": _real(r.accuracy)}
         for r in records
     ]
-
-
-def serialize_sensitivity_profile(records: Iterable[SensitivityRecord]) -> str:
-    return dumps_canonical(sensitivity_profile_doc(records))
 
 
 def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
@@ -450,18 +383,36 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
         if not isinstance(item, dict) or set(item) != set(_SENSITIVITY_FIELDS):
             raise ParseError(f"{where}: expected keys {', '.join(_SENSITIVITY_FIELDS)}")
         for key in _SENSITIVITY_FIELDS:
-            if key == "accuracy":
-                continue
-            if not isinstance(item[key], int) or isinstance(item[key], bool):
+            if key != "accuracy" and not _is_int(item[key]):
                 raise ParseError(f"{where}: '{key}' must be an integer")
-        records.append(
-            SensitivityRecord(
-                level_index=item["level_index"],
-                attribute_count=item["attribute_count"],
-                lower_size=item["lower_size"],
-                upper_size=item["upper_size"],
-                boundary_size=item["boundary_size"],
-                accuracy=_number(item["accuracy"], where),
-            )
-        )
+        records.append(SensitivityRecord(**{**item, "accuracy": _number(item["accuracy"], where)}))
     return records
+
+
+# ---------------------------------------------------------------------------
+# simulation reports
+
+
+def simulation_doc(config: SimConfig, outcomes: Iterable[SimOutcome]) -> dict:
+    """The simulator's report: its configuration, then each round's sensors,
+    fused chain and per-budget truth containment."""
+    return {
+        "config": {
+            "sensors": config.num_sensors,
+            "truth": _real(config.truth),
+            "halfwidth": _real(config.correct_halfwidth_max),
+            "faulty": config.num_faulty,
+            "offset": _real(config.fault_offset_min),
+            "seed": config.seed,
+        },
+        "rounds": [
+            {
+                "round": i,
+                "faulty": sorted(outcome.faulty_indices),
+                "intervals": intervals_doc(outcome.intervals),
+                "fused": graded_intervals_doc(outcome.fused),
+                "contains_truth": list(outcome.truth_containment),
+            }
+            for i, outcome in enumerate(outcomes)
+        ],
+    }

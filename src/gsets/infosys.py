@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .chains import GradedFamily, validate_graded
+from .chains import GradedFamily
 from .errors import DomainError
 from .partitions import GranularSet, Partition, validate_granular
 
@@ -213,16 +213,11 @@ def granular_from_chain(table: InformationTable, chain: GradedFamily) -> Granula
     before it in the chain on the attributes the level adds, so the chain
     reads each cell at most once rather than once per level.  Larger
     attribute sets discern at least as much, so the partitions are
-    refinement-ordered; that is still asserted by `validate_granular`, which
-    checks each adjacent pair once, rather than forced.
+    refinement-ordered; that is still checked by `validate_granular`, which
+    checks each adjacent pair once and raises `DomainError` on a failure.
     """
     parts = [_partition(table, blocks) for blocks in _chain_blocks(table, chain)]
-    try:
-        return validate_granular(parts, coarsest_first=True)
-    except DomainError as exc:
-        raise AssertionError(
-            "partitions of a nested attribute chain must be refinement-ordered"
-        ) from exc
+    return validate_granular(parts, coarsest_first=True)
 
 
 def lower_approx(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> frozenset[str]:
@@ -248,15 +243,12 @@ def graded_approximations(
 
     The indiscernibility classes of `attrs` are built once and block-scanned
     for every level.  Each level's pair is checked (lower inside upper), and
-    both output chains are asserted to nest by validating them as graded
-    families.
+    both output chains are checked to nest as graded families, raising
+    `DomainError` on a failure.
     """
     blocks = _blocks(table, attrs)
     pairs = [_block_scan(table, blocks, _target_rows(table, level)) for level in targets.levels]
-    try:
-        return validate_graded(p.lower for p in pairs), validate_graded(p.upper for p in pairs)
-    except DomainError as exc:
-        raise AssertionError("approximations of a nested target chain must nest") from exc
+    return GradedFamily([p.lower for p in pairs]), GradedFamily([p.upper for p in pairs])
 
 
 def sensitivity_profile(

@@ -21,6 +21,7 @@ import acceptance_report
 from gsets import (
     ApproximationPair,
     FaultDistribution,
+    GradedFamily,
     Interval,
     Partition,
     fuse,
@@ -30,11 +31,18 @@ from gsets import (
     indiscernibility_partition,
     random_graded,
     sample,
-    validate_graded,
     validate_granular,
 )
 from gsets.formats import (
+    approximation_pair_doc,
     dumps_canonical,
+    fault_distribution_doc,
+    fusion_result_doc,
+    graded_family_doc,
+    graded_intervals_doc,
+    granular_set_doc,
+    interval_distribution_doc,
+    intervals_doc,
     parse_approximation_pair,
     parse_fault_distribution,
     parse_fusion_result,
@@ -46,16 +54,8 @@ from gsets.formats import (
     parse_partition,
     parse_sensitivity_profile,
     parse_table,
-    serialize_approximation_pair,
-    serialize_fault_distribution,
-    serialize_fusion_result,
-    serialize_graded_family,
-    serialize_graded_intervals,
-    serialize_granular_set,
-    serialize_interval_distribution,
-    serialize_intervals,
-    serialize_partition,
-    serialize_sensitivity_profile,
+    partition_doc,
+    sensitivity_profile_doc,
 )
 from gsets.infosys import InformationTable, sensitivity_profile
 
@@ -186,7 +186,7 @@ def test_criterion_1_table_reproduction():
 @criterion(2, "chain granulation yields the expected tower, finest C5 to coarsest C1", 1.0)
 def test_criterion_2_granular_fixture():
     table = load_sample_table()
-    g = granular_from_chain(table, validate_graded(CHAIN_LEVELS))
+    g = granular_from_chain(table, GradedFamily(CHAIN_LEVELS))
     assert len(g) == 5
     assert block_set(g.levels[0]) == expected_block_set(EXPECTED_C5)
     assert block_set(g.levels[-1]) == expected_block_set(EXPECTED_C1)
@@ -262,7 +262,7 @@ def test_criterion_6_granulation_property():
     for _ in range(1000):
         table = rand_table(rng)
         chain = rand_nested_chain(rng, table.attributes)
-        g = granular_from_chain(table, validate_graded(chain))
+        g = granular_from_chain(table, GradedFamily(chain))
         assert len(g) == len(chain)
         for finer, coarser in zip(g.levels, g.levels[1:]):
             assert oracle_refines(finer.blocks, coarser.blocks)
@@ -275,7 +275,7 @@ def test_criterion_7_graded_approximations():
         table = rand_table(rng)
         attrs = [a for a in table.attributes if rng.random() < 0.5]
         targets = rand_nested_chain(rng, table.objects)
-        lowers, uppers = graded_approximations(table, attrs, validate_graded(targets))
+        lowers, uppers = graded_approximations(table, attrs, GradedFamily(targets))
         for a, b in zip(lowers.levels, lowers.levels[1:]):
             assert a <= b
         for a, b in zip(uppers.levels, uppers.levels[1:]):
@@ -309,24 +309,25 @@ def test_criterion_9_round_trips():
 
     for _ in range(500):
         items = rand_intervals(rng, max_len=8)
-        assert parse_intervals(serialize_intervals(items), "json") == items
+        assert parse_intervals(dumps_canonical(intervals_doc(items)), "json") == items
 
         result = None if rng.random() < 0.3 else rand_interval(rng)
-        assert parse_fusion_result(serialize_fusion_result(result)) == result
+        assert parse_fusion_result(dumps_canonical(fusion_result_doc(result))) == result
 
         f_hi = rng.randint(0, len(items) - 1)
         f_lo = rng.randint(0, f_hi)
         g = graded_fusion(items, f_lo, f_hi)
-        assert parse_graded_intervals(serialize_graded_intervals(g)) == g
+        assert parse_graded_intervals(dumps_canonical(graded_intervals_doc(g))) == g
 
         support = rng.sample(range(len(items)), rng.randint(1, len(items)))
         weights = [rng.random() + 0.1 for _ in support]
         total = sum(weights)
         fd = FaultDistribution(tuple((f, w / total) for f, w in zip(support, weights)))
-        assert parse_fault_distribution(serialize_fault_distribution(fd)) == fd
+        assert parse_fault_distribution(dumps_canonical(fault_distribution_doc(fd))) == fd
 
         idist = random_graded(items, fd)
-        assert parse_interval_distribution(serialize_interval_distribution(idist)) == idist
+        text = dumps_canonical(interval_distribution_doc(idist))
+        assert parse_interval_distribution(text) == idist
 
         universe = [f"e{i}" for i in range(rng.randint(1, 8))]
         labels = [rng.randrange(3) for _ in universe]
@@ -334,7 +335,7 @@ def test_criterion_9_round_trips():
         for x, lab in zip(universe, labels):
             blocks.setdefault(lab, []).append(x)
         part = Partition(universe, list(blocks.values()))
-        assert parse_partition(serialize_partition(part)) == part
+        assert parse_partition(dumps_canonical(partition_doc(part))) == part
 
         # coarsen step by step: each level merges two blocks of the previous
         levels = [part]
@@ -345,21 +346,22 @@ def test_criterion_9_round_trips():
             merged.append(prev[i] + prev[j])
             levels.append(Partition(universe, merged))
         granular = validate_granular(levels)
-        assert parse_granular_set(serialize_granular_set(granular)) == granular
+        assert parse_granular_set(dumps_canonical(granular_set_doc(granular))) == granular
 
-        family = validate_graded(rand_nested_chain(rng, tuple(universe)))
-        assert parse_graded_family(serialize_graded_family(family)) == family
+        family = GradedFamily(rand_nested_chain(rng, tuple(universe)))
+        assert parse_graded_family(dumps_canonical(graded_family_doc(family))) == family
 
         upper = frozenset(x for x in universe if rng.random() < 0.6)
         lower = frozenset(x for x in upper if rng.random() < 0.6)
         pair = ApproximationPair(lower, upper)
-        assert parse_approximation_pair(serialize_approximation_pair(pair)) == pair
+        assert parse_approximation_pair(dumps_canonical(approximation_pair_doc(pair))) == pair
 
         table = rand_table(rng, max_objects=6, max_attrs=4)
-        chain = validate_graded(rand_nested_chain(rng, table.attributes))
+        chain = GradedFamily(rand_nested_chain(rng, table.attributes))
         target = [o for o in table.objects if rng.random() < 0.5]
         profile = sensitivity_profile(table, chain, target)
-        assert parse_sensitivity_profile(serialize_sensitivity_profile(profile)) == profile
+        text = dumps_canonical(sensitivity_profile_doc(profile))
+        assert parse_sensitivity_profile(text) == profile
 
     # byte-identical CLI runs on the repository fixtures
     commands = [

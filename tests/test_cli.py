@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gsets import infosys
 from gsets.cli import main
 
 CHAIN = '[["P1"],["P1","P2"],["P1","P2","P3"],["P1","P2","P3","P4"],["P1","P2","P3","P4","P5"]]'
@@ -331,6 +332,57 @@ class TestUndecodableInput:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {bad}: not UTF-8 text (byte 6)\n"
+
+
+DEEP_ARRAY = "[" * 100000
+DEEP_OBJECT = '{"a":' * 100000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the decoder's recursion limit is unparseable input."""
+
+    @pytest.mark.parametrize(
+        "argv, deep",
+        [
+            (["granulate", "--table", "@table", "--chain", "@inline"], DEEP_ARRAY),
+            (
+                ["graded-approx", "--table", "@table", "--attrs", "P1", "--targets", "@inline"],
+                DEEP_ARRAY,
+            ),
+            (["random", "--input", "@intervals", "--dist", "@file"], DEEP_OBJECT),
+            (["fuse", "--input", "@file", "--format", "json", "--faults", "0"], DEEP_ARRAY),
+        ],
+        ids=["chain", "targets", "dist", "input"],
+    )
+    def test_exits_2_with_one_error_line(
+        self, capsys, tmp_path, intervals_csv, table_csv, argv, deep
+    ):
+        deep_file = tmp_path / "deep.json"
+        deep_file.write_text(deep)
+        values = {
+            "@table": table_csv, "@intervals": intervals_csv,
+            "@inline": deep, "@file": str(deep_file),
+        }
+        code, out, err = run_cli(capsys, *(values.get(a, a) for a in argv))
+        assert code == 2 and out == ""
+        assert err == "error: invalid JSON: arrays or objects nested too deeply\n"
+
+
+class TestComputeInvariantFailure:
+    def test_granulate_levels_that_do_not_refine_exit_1(
+        self, capsys, monkeypatch, table_csv, chain_json
+    ):
+        def crossing_levels(table, chain):
+            # {O1,O2}|rest and {O1}|rest: neither partition refines the other
+            n = len(table.objects)
+            for i in range(len(chain.levels)):
+                yield [[0, 1], list(range(2, n))] if i % 2 else [[0], list(range(1, n))]
+
+        monkeypatch.setattr(infosys, "_chain_blocks", crossing_levels)
+        code, out, err = run_cli(capsys, "granulate", "--table", table_csv, "--chain", chain_json)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not refinement-related" in err
 
 
 class TestUsage:

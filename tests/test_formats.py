@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from gsets import (
     ApproximationPair,
     DomainError,
     FaultDistribution,
+    GradedFamily,
     Interval,
     ParseError,
     Partition,
@@ -15,13 +17,18 @@ from gsets import (
     granular_from_chain,
     random_graded,
     sensitivity_profile,
-    validate_graded,
 )
 from gsets.formats import (
     approximation_pair_doc,
     dumps_canonical,
+    fault_distribution_doc,
+    fusion_result_doc,
+    graded_family_doc,
+    graded_intervals_doc,
+    granular_set_doc,
+    interval_distribution_doc,
+    intervals_doc,
     parse_approximation_pair,
-    parse_chain,
     parse_fault_distribution,
     parse_fusion_result,
     parse_graded_family,
@@ -32,16 +39,8 @@ from gsets.formats import (
     parse_partition,
     parse_sensitivity_profile,
     parse_table,
-    serialize_approximation_pair,
-    serialize_fault_distribution,
-    serialize_fusion_result,
-    serialize_graded_family,
-    serialize_graded_intervals,
-    serialize_granular_set,
-    serialize_interval_distribution,
-    serialize_intervals,
-    serialize_partition,
-    serialize_sensitivity_profile,
+    partition_doc,
+    sensitivity_profile_doc,
 )
 from strategies import intervals, table_with_attr_chain, tables
 
@@ -151,24 +150,24 @@ class TestParseTable:
 
 class TestParseChain:
     def test_two_level_chain(self):
-        chain = parse_chain('[["P_1"],["P_1","P_2"]]')
+        chain = parse_graded_family('[["P_1"],["P_1","P_2"]]')
         assert chain.levels == (frozenset({"P_1"}), frozenset({"P_1", "P_2"}))
 
     def test_non_nested_rejected(self):
         with pytest.raises(DomainError, match="not nested"):
-            parse_chain('[["P_1"],["P_2"]]')
+            parse_graded_family('[["P_1"],["P_2"]]')
 
     def test_single_empty_level_is_valid(self):
-        chain = parse_chain("[[]]")
+        chain = parse_graded_family("[[]]")
         assert chain.levels == (frozenset(),)
 
     def test_non_string_names_rejected(self):
         with pytest.raises(ParseError, match="name strings"):
-            parse_chain("[[1]]")
+            parse_graded_family("[[1]]")
 
     def test_empty_array_rejected(self):
         with pytest.raises(ParseError, match="nonempty"):
-            parse_chain("[]")
+            parse_graded_family("[]")
 
 
 class TestParseFaultDistribution:
@@ -192,45 +191,47 @@ class TestParseFaultDistribution:
 class TestCanonicalForm:
     def test_partition_example(self):
         p = Partition.from_blocks([["O1", "O2"], ["O3"]])
-        assert serialize_partition(p) == '{"blocks":[["O1","O2"],["O3"]]}'
+        assert dumps_canonical(partition_doc(p)) == '{"blocks":[["O1","O2"],["O3"]]}'
 
     def test_empty_level_renders_as_null(self):
         g = graded_fusion([Interval(0, 1), Interval(5, 6)], 0, 1)
-        assert serialize_graded_intervals(g) == '{"f_min":0,"levels":[null,[0,6]]}'
+        assert dumps_canonical(graded_intervals_doc(g)) == '{"f_min":0,"levels":[null,[0,6]]}'
 
     def test_distribution_atoms_sorted_by_endpoints(self):
         d = random_graded(FIX, FaultDistribution.from_dict({0: 0.5, 1: 0.3, 2: 0.2}))
-        text = serialize_interval_distribution(d)
+        text = dumps_canonical(interval_distribution_doc(d))
         assert text.index("[0,12]") < text.index("[2,10]") < text.index("[4,8]")
 
     def test_integral_reals_render_as_integers(self):
-        assert serialize_intervals([Interval(4.0, 8.5)]) == "[[4,8.5]]"
+        assert dumps_canonical(intervals_doc([Interval(4.0, 8.5)])) == "[[4,8.5]]"
 
     def test_block_presentation_order_does_not_matter(self):
         universe = ["O1", "O2", "O3"]
         a = Partition(universe, [["O3"], ["O1", "O2"]])
         b = Partition(universe, [["O2", "O1"], ["O3"]])
-        assert serialize_partition(a) == serialize_partition(b)
+        assert dumps_canonical(partition_doc(a)) == dumps_canonical(partition_doc(b))
 
     def test_object_sets_follow_supplied_order(self):
         pair = ApproximationPair(frozenset({"O10", "O2"}), frozenset({"O10", "O2", "O9"}))
         order = [f"O{i}" for i in range(1, 11)]
-        assert serialize_approximation_pair(pair, order) == (
+        assert dumps_canonical(approximation_pair_doc(pair, order)) == (
             '{"lower":["O2","O10"],"upper":["O2","O9","O10"]}'
         )
 
     def test_object_sets_fall_back_to_lexicographic(self):
         pair = ApproximationPair(frozenset({"b", "a"}), frozenset({"b", "a", "c"}))
-        assert serialize_approximation_pair(pair) == '{"lower":["a","b"],"upper":["a","b","c"]}'
+        assert dumps_canonical(approximation_pair_doc(pair)) == (
+            '{"lower":["a","b"],"upper":["a","b","c"]}'
+        )
 
     def test_unknown_id_in_supplied_order_rejected(self):
         pair = ApproximationPair(frozenset({"zz"}), frozenset({"zz"}))
         with pytest.raises(ParseError, match="not in the supplied order"):
-            serialize_approximation_pair(pair, ["O1"])
+            dumps_canonical(approximation_pair_doc(pair, ["O1"]))
 
     def test_no_insignificant_whitespace_and_sorted_keys(self):
         g = graded_fusion(FIX, 0, 1)
-        text = serialize_graded_intervals(g)
+        text = dumps_canonical(graded_intervals_doc(g))
         assert " " not in text
         doc = json.loads(text)
         assert list(doc) == sorted(doc)
@@ -239,55 +240,56 @@ class TestCanonicalForm:
 class TestRoundTrips:
     def test_fusion_result(self):
         for result in (None, Interval(2, 10), Interval(-1.5, 3.25)):
-            assert parse_fusion_result(serialize_fusion_result(result)) == result
+            assert parse_fusion_result(dumps_canonical(fusion_result_doc(result))) == result
 
     def test_graded_intervals(self):
         g = graded_fusion(FIX, 0, 2)
-        assert parse_graded_intervals(serialize_graded_intervals(g)) == g
+        assert parse_graded_intervals(dumps_canonical(graded_intervals_doc(g))) == g
 
     def test_interval_distribution(self):
         d = random_graded(FIX, FaultDistribution.from_dict({0: 0.25, 2: 0.75}))
-        assert parse_interval_distribution(serialize_interval_distribution(d)) == d
+        assert parse_interval_distribution(dumps_canonical(interval_distribution_doc(d))) == d
 
     def test_fault_distribution(self):
         d = FaultDistribution.from_dict({0: 0.5, 3: 0.5})
-        assert parse_fault_distribution(serialize_fault_distribution(d)) == d
+        assert parse_fault_distribution(dumps_canonical(fault_distribution_doc(d))) == d
 
     def test_partition(self):
         p = Partition.from_blocks([["O1", "O3"], ["O2"]])
-        assert parse_partition(serialize_partition(p)) == p
+        assert parse_partition(dumps_canonical(partition_doc(p))) == p
 
     def test_granular_set(self, sample_table, sample_chain_levels):
-        g = granular_from_chain(sample_table, validate_graded(sample_chain_levels))
-        assert parse_granular_set(serialize_granular_set(g)) == g
+        g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
+        assert parse_granular_set(dumps_canonical(granular_set_doc(g))) == g
 
     def test_graded_family(self):
-        family = validate_graded([{"b"}, {"a", "b"}])
-        assert parse_graded_family(serialize_graded_family(family)) == family
+        family = GradedFamily([{"b"}, {"a", "b"}])
+        assert parse_graded_family(dumps_canonical(graded_family_doc(family))) == family
 
     def test_approximation_pair(self):
         pair = ApproximationPair(frozenset({"x"}), frozenset({"x", "y"}))
-        assert parse_approximation_pair(serialize_approximation_pair(pair)) == pair
+        assert parse_approximation_pair(dumps_canonical(approximation_pair_doc(pair))) == pair
 
     def test_sensitivity_profile(self, sample_table, sample_chain_levels):
-        chain = validate_graded(sample_chain_levels)
+        chain = GradedFamily(sample_chain_levels)
         records = sensitivity_profile(sample_table, chain, ["O1", "O2", "O3"])
-        assert parse_sensitivity_profile(serialize_sensitivity_profile(records)) == records
+        text = dumps_canonical(sensitivity_profile_doc(records))
+        assert parse_sensitivity_profile(text) == records
 
     def test_intervals_via_json(self):
         items = [Interval(0, 10), Interval(2, 8), Interval(2, 8)]
-        assert parse_intervals(serialize_intervals(items), "json") == items
+        assert parse_intervals(dumps_canonical(intervals_doc(items)), "json") == items
 
     def test_serialized_bytes_are_stable_under_reparse(self, sample_table, sample_chain_levels):
-        g = granular_from_chain(sample_table, validate_graded(sample_chain_levels))
-        text = serialize_granular_set(g)
-        assert serialize_granular_set(parse_granular_set(text)) == text
+        g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
+        text = dumps_canonical(granular_set_doc(g))
+        assert dumps_canonical(granular_set_doc(parse_granular_set(text))) == text
 
     @given(intervals())
     @settings(max_examples=100)
     def test_random_graded_chains(self, items):
         g = graded_fusion(items, 0, len(items) - 1)
-        assert parse_graded_intervals(serialize_graded_intervals(g)) == g
+        assert parse_graded_intervals(dumps_canonical(graded_intervals_doc(g))) == g
 
     @given(tables())
     @settings(max_examples=100)
@@ -295,17 +297,40 @@ class TestRoundTrips:
         from gsets import indiscernibility_partition
 
         p = indiscernibility_partition(table, table.attributes[:1])
-        assert parse_partition(serialize_partition(p)) == p
+        assert parse_partition(dumps_canonical(partition_doc(p))) == p
 
     @given(table_with_attr_chain())
     @settings(max_examples=100)
     def test_random_granular_sets(self, case):
         table, chain_levels = case
-        g = granular_from_chain(table, validate_graded(chain_levels))
-        assert parse_granular_set(serialize_granular_set(g)) == g
+        g = granular_from_chain(table, GradedFamily(chain_levels))
+        assert parse_granular_set(dumps_canonical(granular_set_doc(g))) == g
 
 
 class TestParseRejections:
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_intervals, "lo,hi\n5,1\n", "line 2: lower endpoint exceeds upper endpoint"),
+            (parse_intervals, "lo,hi\n5\n", "line 2: expected 2 fields, got 1"),
+            (
+                partial(parse_intervals, fmt="json"), "[[5,1]]",
+                "item 1: lower endpoint exceeds upper endpoint",
+            ),
+            (partial(parse_intervals, fmt="json"), "[[5]]", "item 1: expected [lo, hi]"),
+            (parse_fusion_result, "[5,1]", "value: lower endpoint exceeds upper endpoint"),
+            (parse_fusion_result, "[5]", "value: expected null or [lo, hi]"),
+            (
+                parse_graded_intervals, '{"f_min":0,"levels":[true]}',
+                "level 1: expected null or [lo, hi]",
+            ),
+        ],
+    )
+    def test_interval_messages_name_the_source(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_graded_intervals_requires_exact_keys(self):
         with pytest.raises(ParseError, match="f_min"):
             parse_graded_intervals('{"levels":[]}')
@@ -328,7 +353,7 @@ class TestParseRejections:
 
     def test_sensitivity_profile_field_types(self):
         record = SensitivityRecord(0, 1, 2, 4, 2, 0.5)
-        doc = json.loads(serialize_sensitivity_profile([record]))
+        doc = json.loads(dumps_canonical(sensitivity_profile_doc([record])))
         doc[0]["lower_size"] = "2"
         with pytest.raises(ParseError, match="integer"):
             parse_sensitivity_profile(dumps_canonical(doc))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gsets import (
     DomainError,
+    GradedFamily,
     InformationTable,
     Partition,
     approximation_pair,
@@ -16,7 +17,6 @@ from gsets import (
     refines,
     sensitivity_profile,
     upper_approx,
-    validate_graded,
 )
 from strategies import table_with_attr_chain, table_with_target_chain, tables
 
@@ -99,7 +99,7 @@ class TestGranularFromChain:
     def test_sample_chain_produces_expected_tower(
         self, sample_table, sample_chain_levels, expected_classes
     ):
-        chain = validate_graded(sample_chain_levels)
+        chain = GradedFamily(sample_chain_levels)
         g = granular_from_chain(sample_table, chain)
         expected = [
             expected_classes["C5"],
@@ -111,11 +111,11 @@ class TestGranularFromChain:
         assert list(g.levels) == expected
 
     def test_single_level_chain(self, sample_table, expected_classes):
-        g = granular_from_chain(sample_table, validate_graded([["P1"]]))
+        g = granular_from_chain(sample_table, GradedFamily([["P1"]]))
         assert list(g.levels) == [expected_classes["C1"]]
 
     def test_chain_starting_empty(self, sample_table, expected_classes):
-        g = granular_from_chain(sample_table, validate_graded([[], ["P1"]]))
+        g = granular_from_chain(sample_table, GradedFamily([[], ["P1"]]))
         assert list(g.levels) == [
             expected_classes["C1"],
             Partition.from_blocks([ALL]),
@@ -125,7 +125,7 @@ class TestGranularFromChain:
     @settings(max_examples=200)
     def test_nested_chains_always_granulate(self, case):
         table, chain_levels = case
-        g = granular_from_chain(table, validate_graded(chain_levels))
+        g = granular_from_chain(table, GradedFamily(chain_levels))
         assert len(g) == len(chain_levels)
 
     @given(tables())
@@ -205,19 +205,19 @@ class TestApproximations:
 
 class TestGradedApproximations:
     def test_two_level_fixture(self, sample_table):
-        targets = validate_graded([["O1"], ["O1", "O2"]])
+        targets = GradedFamily([["O1"], ["O1", "O2"]])
         lowers, uppers = graded_approximations(sample_table, PE, targets)
         assert lowers.levels == (frozenset(), frozenset({"O1", "O2"}))
         assert uppers.levels == (frozenset({"O1", "O2"}), frozenset({"O1", "O2"}))
 
     def test_constant_targets_give_constant_chains(self, sample_table):
-        targets = validate_graded([["O1", "O2"], ["O1", "O2"]])
+        targets = GradedFamily([["O1", "O2"], ["O1", "O2"]])
         lowers, uppers = graded_approximations(sample_table, PE, targets)
         assert lowers.levels[0] == lowers.levels[1]
         assert uppers.levels[0] == uppers.levels[1]
 
     def test_empty_to_full_targets(self, sample_table):
-        targets = validate_graded([[], ALL])
+        targets = GradedFamily([[], ALL])
         lowers, uppers = graded_approximations(sample_table, PE, targets)
         assert lowers.levels == (frozenset(), frozenset(ALL))
         assert uppers.levels == (frozenset(), frozenset(ALL))
@@ -226,13 +226,13 @@ class TestGradedApproximations:
     @settings(max_examples=200)
     def test_output_chains_always_validate(self, case):
         table, attrs, targets = case
-        lowers, uppers = graded_approximations(table, attrs, validate_graded(targets))
+        lowers, uppers = graded_approximations(table, attrs, GradedFamily(targets))
         assert len(lowers) == len(targets) and len(uppers) == len(targets)
 
 
 class TestSensitivityProfile:
     def test_sample_profile_sizes(self, sample_table, sample_chain_levels):
-        chain = validate_graded(sample_chain_levels)
+        chain = GradedFamily(sample_chain_levels)
         records = sensitivity_profile(sample_table, chain, ["O1", "O2", "O3"])
         assert [r.attribute_count for r in records] == [1, 2, 3, 4, 5]
         assert records[0].lower_size == 2 and records[0].upper_size == 7
@@ -242,18 +242,18 @@ class TestSensitivityProfile:
         assert upper_sizes == sorted(upper_sizes, reverse=True)
 
     def test_full_target_has_accuracy_one(self, sample_table, sample_chain_levels):
-        chain = validate_graded(sample_chain_levels)
+        chain = GradedFamily(sample_chain_levels)
         for r in sensitivity_profile(sample_table, chain, ALL):
             assert r.accuracy == 1.0 and r.boundary_size == 0
 
     def test_empty_target_uses_empty_upper_convention(self, sample_table, sample_chain_levels):
-        chain = validate_graded(sample_chain_levels)
+        chain = GradedFamily(sample_chain_levels)
         for r in sensitivity_profile(sample_table, chain, []):
             assert r.lower_size == 0 and r.upper_size == 0
             assert r.accuracy == 1.0
 
     def test_level_indices_run_in_chain_order(self, sample_table, sample_chain_levels):
-        chain = validate_graded(sample_chain_levels)
+        chain = GradedFamily(sample_chain_levels)
         records = sensitivity_profile(sample_table, chain, ["O4"])
         assert [r.level_index for r in records] == [0, 1, 2, 3, 4]
 
@@ -262,7 +262,7 @@ class TestSensitivityProfile:
     def test_accuracy_is_monotone_along_the_chain(self, case):
         table, chain_levels = case
         target = table.objects[: len(table.objects) // 2]
-        chain = validate_graded(chain_levels)
+        chain = GradedFamily(chain_levels)
         records = sensitivity_profile(table, chain, target)
         accuracies = [r.accuracy for r in records]
         assert all(b >= a - 1e-12 for a, b in zip(accuracies, accuracies[1:]))
@@ -289,7 +289,7 @@ def _seeded_case(n=2000, cards=(2, 3, 4, 5) * 3, target_levels=4):
 
 
 def _check_chain_levels(table, chain_levels):
-    g = granular_from_chain(table, validate_graded(chain_levels))
+    g = granular_from_chain(table, GradedFamily(chain_levels))
     # stored finest first, so reversed chain order
     for level, incremental in zip(chain_levels, reversed(g.levels)):
         reference = indiscernibility_partition(table, level)
@@ -299,14 +299,14 @@ def _check_chain_levels(table, chain_levels):
 
 
 def _check_graded(table, attrs, targets):
-    lowers, uppers = graded_approximations(table, attrs, validate_graded(targets))
+    lowers, uppers = graded_approximations(table, attrs, GradedFamily(targets))
     for level, low, up in zip(targets, lowers.levels, uppers.levels):
         pair = approximation_pair(table, attrs, level)
         assert (low, up) == (pair.lower, pair.upper)
 
 
 def _check_sensitivity(table, chain_levels, target):
-    records = sensitivity_profile(table, validate_graded(chain_levels), target)
+    records = sensitivity_profile(table, GradedFamily(chain_levels), target)
     assert len(records) == len(chain_levels)
     for i, (attrs, r) in enumerate(zip(chain_levels, records)):
         pair = approximation_pair(table, attrs, target)
