@@ -26,7 +26,7 @@ from .infosys import (
     indiscernibility_partition,
     sensitivity_profile,
 )
-from .intervals import fuse, graded_fusion, random_graded, sample
+from .intervals import MAX_SEED, fuse, graded_fusion, random_graded, sample
 from .simulate import SimConfig, simulate_rounds
 
 
@@ -67,13 +67,19 @@ def _cmd_graded(args: argparse.Namespace):
 
 
 def _cmd_random(args: argparse.Namespace):
+    if args.sample is not None:
+        if args.sample < 1:
+            raise DomainError("need at least one sample")
+        if not 0 <= args.seed <= MAX_SEED - (args.sample - 1):
+            raise DomainError(
+                f"--seed through --seed + --sample - 1 must lie in 0..{MAX_SEED}"
+                f" (got {args.seed}..{args.seed + args.sample - 1})"
+            )
     intervals = formats.parse_intervals(_read_file(args.input), args.format)
     dist = formats.parse_fault_distribution(_read_source(args.dist))
     result = random_graded(intervals, dist)
     doc = formats.interval_distribution_doc(result)
     if args.sample is not None:
-        if args.sample < 1:
-            raise DomainError("need at least one sample")
         doc["samples"] = [
             formats.fusion_result_doc(sample(result, args.seed + i)) for i in range(args.sample)
         ]

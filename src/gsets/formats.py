@@ -211,7 +211,7 @@ def parse_fault_distribution(text: str) -> FaultDistribution:
         raise ParseError("expected a nonempty object mapping fault counts to probabilities")
     support = []
     for key, value in data.items():
-        if not key.isdigit():
+        if not (key.isascii() and key.isdigit()):
             raise ParseError(f"fault count {key!r} is not a nonnegative integer")
         support.append((int(key), _number(value, f"fault count {key}")))
     return FaultDistribution(tuple(support))

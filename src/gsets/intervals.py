@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DomainError
 
@@ -148,6 +148,24 @@ class IntervalDistribution:
         object.__setattr__(self, "atoms", atoms)
 
 
+def _order_statistics(intervals: Iterable[Interval]) -> tuple[int, Callable[[int], FusionResult]]:
+    """The one fusion kernel: sort the endpoints once; return (n, reader of level f)."""
+    items = list(intervals)
+    if not items:
+        raise DomainError("no measurements")
+    lows = sorted((iv.lo for iv in items), reverse=True)
+    highs = sorted(iv.hi for iv in items)
+
+    def level(f: int) -> FusionResult:
+        if f < 0:
+            raise DomainError("fault count must be nonnegative")
+        if f >= len(items):
+            raise DomainError("fault count exceeds measurement count")
+        return Interval(lows[f], highs[f]) if lows[f] <= highs[f] else None
+
+    return len(items), level
+
+
 def fuse(intervals: Iterable[Interval], f: int) -> FusionResult:
     """Fuse measurement intervals, tolerating up to f faulty ones.
 
@@ -155,30 +173,20 @@ def fuse(intervals: Iterable[Interval], f: int) -> FusionResult:
     endpoint the (f+1)-th smallest upper bound; an inverted pair yields the
     empty result.  Invariant under permutation of the input.
     """
-    items = list(intervals)
-    if not items:
-        raise DomainError("no measurements")
-    if f < 0:
-        raise DomainError("fault count must be nonnegative")
-    if f >= len(items):
-        raise DomainError("fault count exceeds measurement count")
-    c = sorted((iv.lo for iv in items), reverse=True)[f]
-    d = sorted(iv.hi for iv in items)[f]
-    return Interval(c, d) if c <= d else None
+    _, level = _order_statistics(intervals)
+    return level(f)
 
 
 def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> GradedIntervals:
-    """Fuse once per fault budget in f_min..f_max.
+    """Fuse at every fault budget in f_min..f_max, off one pair of endpoint sorts.
 
     The levels are nested by the fusion rule itself; the GradedIntervals
     constructor re-asserts the chain condition.
     """
-    items = list(intervals)
-    if not items:
-        raise DomainError("no measurements")
-    if not 0 <= f_min <= f_max <= len(items) - 1:
+    n, level = _order_statistics(intervals)
+    if not 0 <= f_min <= f_max <= n - 1:
         raise DomainError("invalid fault range")
-    return GradedIntervals(f_min, tuple(fuse(items, f) for f in range(f_min, f_max + 1)))
+    return GradedIntervals(f_min, tuple(map(level, range(f_min, f_max + 1))))
 
 
 def as_rough_pair(graded: GradedIntervals) -> tuple[FusionResult, FusionResult]:
@@ -191,19 +199,11 @@ def as_rough_pair(graded: GradedIntervals) -> tuple[FusionResult, FusionResult]:
 def random_graded(intervals: Iterable[Interval], dist: FaultDistribution) -> IntervalDistribution:
     """Push a fault-count distribution through the fusion rule.
 
-    Fault counts that fuse to the same result have their probabilities
-    pooled into one atom.
+    Every result is read off one pair of endpoint sorts; the IntervalDistribution
+    constructor pools fault counts that fuse to the same result into one atom.
     """
-    items = list(intervals)
-    if not items:
-        raise DomainError("no measurements")
-    pooled: dict[FusionResult, float] = {}
-    for f, p in dist.support:
-        if f >= len(items):
-            raise DomainError("fault count exceeds measurement count")
-        result = fuse(items, f)
-        pooled[result] = pooled.get(result, 0.0) + p
-    return IntervalDistribution(tuple(pooled.items()))
+    _, level = _order_statistics(intervals)
+    return IntervalDistribution(tuple((level(f), p) for f, p in dist.support))
 
 
 def sample(dist: IntervalDistribution, seed: int) -> FusionResult:

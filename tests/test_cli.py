@@ -129,6 +129,32 @@ class TestRandom:
         )
         assert code == 1 and "at least one sample" in err
 
+    @pytest.mark.parametrize("key", ["\u00b2", "\u0661"], ids=["superscript-2", "arabic-indic-1"])
+    def test_non_ascii_digit_key_is_usage_error(self, capsys, intervals_csv, key):
+        # both pass str.isdigit, but neither is an ASCII decimal integer
+        code, out, err = run_cli(
+            capsys, "random", "--input", intervals_csv, "--dist", json.dumps({key: 1.0})
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_seed_range_past_64_bits_is_domain_error(self, capsys, intervals_csv):
+        code, out, err = run_cli(
+            capsys, "random", "--input", intervals_csv, "--dist", '{"0":1.0}',
+            "--seed", str(2**64 - 2), "--sample", "3",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --seed through --seed + --sample - 1 must lie in")
+        assert err.count("\n") == 1
+
+    def test_seed_range_ending_at_64_bit_maximum(self, capsys, intervals_csv):
+        code, out, err = run_cli(
+            capsys, "random", "--input", intervals_csv, "--dist", '{"0":1.0}',
+            "--seed", str(2**64 - 3), "--sample", "3",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["samples"] == [[4, 8]] * 3
+
 
 class TestPartition:
     def test_single_attribute(self, capsys, table_csv):

@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and experiment claims hold as written."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -23,3 +24,19 @@ def test_readme_quick_start_runs(monkeypatch):
     pair = namespace["pair"]
     assert pair.lower == {"O1", "O2"}
     assert pair.upper == {"O1", "O2", "O3", "O7", "O10"}
+
+
+def test_fusion_experiment_reaches_full_containment_at_the_fault_count(capsys):
+    # README: the containment rate reaches 1.0 exactly at the injected fault count
+    path = ROOT / "scripts" / "fusion_experiment.py"
+    spec = importlib.util.spec_from_file_location("fusion_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--sensors", "9", "--faulty", "3", "--rounds", "200", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sensors=9 faulty=3 rounds=200 seed=7"
+    contain = {int(row.split()[0]): row.split()[1] for row in lines[2:]}
+    assert sorted(contain) == list(range(9))
+    assert all(contain[f] == "1.000" for f in range(3, 9))
+    assert all(float(contain[f]) < 1.0 for f in range(3))
+    assert lines[2 + 3].endswith("<- guarantee kicks in")

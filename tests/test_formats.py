@@ -179,6 +179,14 @@ class TestParseFaultDistribution:
         with pytest.raises(ParseError, match="nonnegative integer"):
             parse_fault_distribution('{"-1":1.0}')
 
+    @pytest.mark.parametrize(
+        "key", ["\u00b2", "\u0661", "\uff11"], ids=["superscript-2", "arabic-indic-1", "fullwidth-1"]
+    )
+    def test_non_ascii_digit_key_rejected(self, key):
+        # str.isdigit accepts these; fault counts are ASCII decimal integers
+        with pytest.raises(ParseError, match="nonnegative integer"):
+            parse_fault_distribution(json.dumps({key: 1.0}))
+
     def test_bad_mass_is_a_domain_error(self):
         with pytest.raises(DomainError, match="sum"):
             parse_fault_distribution('{"0":0.5,"1":0.6}')

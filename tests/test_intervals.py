@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsets import intervals as intervals_module
 from gsets import (
     DomainError,
     FaultDistribution,
@@ -315,3 +316,77 @@ def test_nesting_on_adversarial_seeded_lists():
         chain = graded_fusion(items, 0, len(items) - 1)
         for inner, outer in zip(chain.levels, chain.levels[1:]):
             assert fused_subset(inner, outer)
+
+
+def _endpoint_sorts(monkeypatch, call) -> list[int]:
+    """The length of every list of floats `call` sorts inside the intervals module."""
+    seen = []
+
+    def counting_sorted(iterable, **kwargs):
+        values = list(iterable)
+        if values and all(type(v) is float for v in values):
+            seen.append(len(values))
+        return sorted(values, **kwargs)
+
+    monkeypatch.setattr(intervals_module, "sorted", counting_sorted, raising=False)
+    call()
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+@pytest.mark.parametrize("entry", ["fuse", "graded_fusion", "random_graded"])
+def test_each_entry_point_sorts_the_endpoints_once(monkeypatch, entry, n):
+    rng = random.Random(n)
+    items = [Interval(a, a + rng.random()) for a in (rng.uniform(-5, 5) for _ in range(n))]
+    weights = [rng.random() + 0.05 for _ in range(n)]
+    every_budget = FaultDistribution(tuple((f, w / sum(weights)) for f, w in enumerate(weights)))
+    call = {
+        "fuse": lambda: fuse(items, n // 2),
+        "graded_fusion": lambda: graded_fusion(items, 0, n - 1),
+        "random_graded": lambda: random_graded(items, every_budget),
+    }[entry]
+    # one descending sort of the lower endpoints, one ascending of the upper
+    assert _endpoint_sorts(monkeypatch, call) == [n, n]
+
+
+def test_large_seeded_chain_matches_counting_characterization():
+    rng = random.Random(20261018)
+    items = []
+    for _ in range(1200):
+        # endpoints on a grid of quarters, so some of them tie
+        a, b = sorted((rng.randint(-2000, 2000) / 4, rng.randint(-2000, 2000) / 4))
+        items.append(Interval(a, b))
+    n = len(items)
+    lows = [iv.lo for iv in items]
+    highs = [iv.hi for iv in items]
+
+    # Counted, not sorted: c is the (f+1)-th largest lower endpoint and d
+    # the (f+1)-th smallest upper endpoint.
+    def is_left_end(c, f):
+        return sum(lo > c for lo in lows) <= f < sum(lo >= c for lo in lows)
+
+    def is_right_end(d, f):
+        return sum(hi < d for hi in highs) <= f < sum(hi <= d for hi in highs)
+
+    chain = graded_fusion(items, 0, n - 1)
+    first = next(f for f, level in enumerate(chain.levels) if level is not None)
+    assert 0 < first < n - 1
+    for f in range(first, n):
+        level = chain.levels[f]
+        assert level is not None and is_left_end(level.lo, f) and is_right_end(level.hi, f), f
+    # c falls and d rises with f, so the levels below `first` are empty
+    # exactly when the one just below it is.
+    c = next(lo for lo in lows if is_left_end(lo, first - 1))
+    d = next(hi for hi in highs if is_right_end(hi, first - 1))
+    assert c > d
+    assert all(level is None for level in chain.levels[:first])
+    for inner, outer in zip(chain.levels, chain.levels[1:]):
+        assert fused_subset(inner, outer)
+
+    weights = [rng.random() + 0.05 for _ in range(n)]
+    dist = FaultDistribution(tuple((f, w / sum(weights)) for f, w in enumerate(weights)))
+    pooled: dict = {}
+    for f, p in dist.support:
+        result = fuse(items, f)
+        pooled[result] = pooled.get(result, 0.0) + p
+    assert random_graded(items, dist).atoms == IntervalDistribution(tuple(pooled.items())).atoms
