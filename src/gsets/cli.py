@@ -3,7 +3,8 @@
 Standard output carries exactly one canonical JSON document; diagnostics
 go to standard error as ``error: <reason>``.  Exit codes: 0 on success,
 1 when a precondition or invariant is violated (domain error), 2 when
-input cannot be parsed or the invocation itself is malformed.
+input cannot be parsed, the invocation itself is malformed, or standard
+output is closed by its reader before the document is written.
 
 Flags taking structured values (``--chain``, ``--targets``, ``--dist``)
 accept either a file path or inline JSON; an argument whose first
@@ -13,6 +14,7 @@ non-space character is ``[`` or ``{`` is read as inline JSON.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -56,16 +58,30 @@ def _split_names(value: str, what: str) -> list[str]:
     return names
 
 
+def _one_document(handler):
+    """A handler that builds one document, as the chunks of text ``main``
+    writes. The document is rendered after the handler has returned, so the
+    handler's inputs are freed first."""
+
+    def chunks(args: argparse.Namespace) -> list[str]:
+        return [formats.dumps_canonical(handler(args))]
+
+    return chunks
+
+
+@_one_document
 def _cmd_fuse(args: argparse.Namespace):
     intervals = formats.parse_intervals(_read_file(args.input), args.format)
     return formats.fusion_result_doc(fuse(intervals, args.faults))
 
 
+@_one_document
 def _cmd_graded(args: argparse.Namespace):
     intervals = formats.parse_intervals(_read_file(args.input), args.format)
     return formats.graded_intervals_doc(graded_fusion(intervals, args.fmin, args.fmax))
 
 
+@_one_document
 def _cmd_random(args: argparse.Namespace):
     if args.sample is not None:
         if args.sample < 1:
@@ -86,12 +102,14 @@ def _cmd_random(args: argparse.Namespace):
     return doc
 
 
+@_one_document
 def _cmd_partition(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     attrs = _split_names(args.attrs, "attribute list")
     return formats.partition_doc(indiscernibility_partition(table, attrs))
 
 
+@_one_document
 def _cmd_granulate(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     chain = formats.parse_graded_family(_read_source(args.chain))
@@ -100,6 +118,7 @@ def _cmd_granulate(args: argparse.Namespace):
     return doc
 
 
+@_one_document
 def _cmd_approx(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     attrs = _split_names(args.attrs, "attribute list")
@@ -108,6 +127,7 @@ def _cmd_approx(args: argparse.Namespace):
     return formats.approximation_pair_doc(pair, order=table.objects)
 
 
+@_one_document
 def _cmd_graded_approx(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     attrs = _split_names(args.attrs, "attribute list")
@@ -119,6 +139,7 @@ def _cmd_graded_approx(args: argparse.Namespace):
     }
 
 
+@_one_document
 def _cmd_sensitivity(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     chain = formats.parse_graded_family(_read_source(args.chain))
@@ -137,7 +158,8 @@ def _cmd_simulate(args: argparse.Namespace):
         fault_offset_min=args.offset,
         seed=args.seed,
     )
-    return formats.simulation_doc(config, simulate_rounds(config, args.rounds))
+    # every round runs before the first write, so a late round's error leaves stdout empty
+    return list(formats.simulation_chunks(config, simulate_rounds(config, args.rounds)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,6 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device once its reader has gone,
+    so the interpreter's final flush of what is still buffered cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -217,12 +247,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        doc = args.handler(args)
+        chunks = args.handler(args)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except (ParseError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(formats.dumps_canonical(doc))
     return 0

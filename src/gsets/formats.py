@@ -15,9 +15,11 @@ else is rejected with a 1-based location.
 Output
 ------
 Each value kind X has one document builder ``X_doc`` that returns plain
-JSON data, and ``dumps_canonical`` is the only encoder.  Every kind but
-the simulation report also has one parser ``parse_X``, and
-``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
+JSON data and one parser ``parse_X``, and ``dumps_canonical`` is the only
+encoder: ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to
+``v``.  The simulation report is written only, and not as one document:
+``simulation_chunks`` renders it one round at a time, each round through
+``dumps_canonical``, so the report is never held as a tree.
 Canonical JSON has its keys sorted and no insignificant whitespace;
 blocks and objects are ordered by the partition's universe order (or
 lexicographically where no universe context exists), integral reals are
@@ -30,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chains import GradedFamily
 from .errors import ParseError
@@ -67,6 +69,9 @@ def _load_json(text: str):
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:
+        # an integer past the interpreter's digit limit for str-to-int conversion
+        raise ParseError("invalid JSON: integer with too many digits") from None
 
 
 def _is_int(value) -> bool:
@@ -76,7 +81,10 @@ def _is_int(value) -> bool:
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: integer out of the range of a real") from None
     if not math.isfinite(value):
         raise ParseError(f"{where}: non-finite value")
     return value
@@ -213,7 +221,12 @@ def parse_fault_distribution(text: str) -> FaultDistribution:
     for key, value in data.items():
         if not (key.isascii() and key.isdigit()):
             raise ParseError(f"fault count {key!r} is not a nonnegative integer")
-        support.append((int(key), _number(value, f"fault count {key}")))
+        try:
+            count = int(key)
+        except ValueError:
+            # past the interpreter's digit limit for integer conversion
+            raise ParseError(f"fault count has too many digits ({len(key)})") from None
+        support.append((count, _number(value, f"fault count {key}")))
     return FaultDistribution(tuple(support))
 
 
@@ -265,13 +278,17 @@ def parse_table(text: str) -> InformationTable:
         fields = line.split(",")
         if len(fields) != len(header):
             raise ParseError(f"line {n}: expected {len(header)} fields, got {len(fields)}")
-        tokens = [_token(field, f"line {n}") for field in fields]
-        obj = tokens[0]
+        # a line with no whitespace and no empty field is all tokens; only
+        # another line needs the per-cell scan, which names its first defect
+        if "" in fields or line.split() != [line]:
+            for field in fields:
+                _token(field, f"line {n}")
+        obj = fields[0]
         if obj in seen_objects:
             raise ParseError(f"line {n}: duplicate object id {obj!r}")
         seen_objects.add(obj)
         objects.append(obj)
-        rows.append(tuple(tokens[1:]))
+        rows.append(tuple(fields[1:]))
     if not objects:
         raise ParseError("no objects")
     return InformationTable(tuple(objects), tuple(attributes), tuple(rows))
@@ -393,19 +410,27 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
 # simulation reports
 
 
-def simulation_doc(config: SimConfig, outcomes: Iterable[SimOutcome]) -> dict:
-    """The simulator's report: its configuration, then each round's sensors,
-    fused chain and per-budget truth containment."""
-    return {
-        "config": {
-            "sensors": config.num_sensors,
-            "truth": _real(config.truth),
-            "halfwidth": _real(config.correct_halfwidth_max),
-            "faulty": config.num_faulty,
-            "offset": _real(config.fault_offset_min),
-            "seed": config.seed,
-        },
-        "rounds": [
+def simulation_chunks(config: SimConfig, outcomes: Iterable[SimOutcome]) -> Iterator[str]:
+    """The simulator's report as canonical JSON text, one chunk per round:
+    its configuration, then each round's sensors, fused chain and per-budget
+    truth containment, rendered as soon as the round is drawn.
+
+    The chunks join to ``dumps_canonical`` of the whole report, whose two
+    keys ``config`` and ``rounds`` are already in sorted order.
+    """
+    config_doc = {
+        "sensors": config.num_sensors,
+        "truth": _real(config.truth),
+        "halfwidth": _real(config.correct_halfwidth_max),
+        "faulty": config.num_faulty,
+        "offset": _real(config.fault_offset_min),
+        "seed": config.seed,
+    }
+    yield '{"config":' + dumps_canonical(config_doc) + ',"rounds":['
+    for i, outcome in enumerate(outcomes):
+        if i:
+            yield ","
+        yield dumps_canonical(
             {
                 "round": i,
                 "faulty": sorted(outcome.faulty_indices),
@@ -413,6 +438,5 @@ def simulation_doc(config: SimConfig, outcomes: Iterable[SimOutcome]) -> dict:
                 "fused": graded_intervals_doc(outcome.fused),
                 "contains_truth": list(outcome.truth_containment),
             }
-            for i, outcome in enumerate(outcomes)
-        ],
-    }
+        )
+    yield "]}"

@@ -52,11 +52,11 @@ class InformationTable:
         try:
             i = self._obj_pos[obj]
         except KeyError:
-            raise DomainError(f"unknown object: {obj}") from None
+            raise DomainError(f"unknown object: {obj!r}") from None
         try:
             j = self._attr_pos[attr]
         except KeyError:
-            raise DomainError(f"unknown attribute: {attr}") from None
+            raise DomainError(f"unknown attribute: {attr!r}") from None
         return self.rows[i][j]
 
 
@@ -108,7 +108,7 @@ def _attrs_in_table_order(table: InformationTable, attrs: Iterable[str]) -> tupl
     wanted = set()
     for name in attrs:
         if name not in table._attr_pos:
-            raise DomainError(f"unknown attribute: {name}")
+            raise DomainError(f"unknown attribute: {name!r}")
         wanted.add(name)
     return tuple(a for a in table.attributes if a in wanted)
 
@@ -118,7 +118,7 @@ def _target_rows(table: InformationTable, target: Iterable[str]) -> frozenset[in
     try:
         return frozenset(map(table._obj_pos.__getitem__, frozenset(target)))
     except KeyError as exc:
-        raise DomainError(f"unknown object: {exc.args[0]}") from None
+        raise DomainError(f"unknown object: {exc.args[0]!r}") from None
 
 
 def _split(table: InformationTable, blocks: list[list[int]], names: tuple[str, ...]) -> list[list[int]]:

@@ -11,6 +11,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError
 from .intervals import MAX_SEED, GradedIntervals, Interval, graded_fusion
@@ -40,6 +41,8 @@ class SimConfig:
             raise DomainError("correct_halfwidth_max must be positive")
         if not self.fault_offset_min > 0:
             raise DomainError("fault_offset_min must be positive")
+        if not math.isfinite(self.fault_offset_min):
+            raise DomainError("fault_offset_min must be finite")
         if not 0 <= self.num_faulty < self.num_sensors:
             raise DomainError("num_faulty must be less than num_sensors")
         if not self.fault_offset_min > self.correct_halfwidth_max:
@@ -104,8 +107,13 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     return SimOutcome(tuple(intervals), faulty, fused, containment)
 
 
-def simulate_rounds(config: SimConfig, rounds: int) -> list[SimOutcome]:
-    """Run `rounds` independent rounds of the same configuration."""
+def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:
+    """Rounds 0 .. `rounds` - 1 of the same configuration, drawn lazily.
+
+    A negative count is rejected at once. Each round runs only when the
+    iterator reaches it, so a failing round raises there, and memory does
+    not grow with the count unless the caller keeps the rounds.
+    """
     if rounds < 0:
         raise DomainError("round count must be nonnegative")
-    return [simulate_round(config, k) for k in range(rounds)]
+    return (simulate_round(config, k) for k in range(rounds))

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsets import infosys
 from gsets.cli import main
+from gsets.formats import dumps_canonical
 
 CHAIN = '[["P1"],["P1","P2"],["P1","P2","P3"],["P1","P2","P3","P4"],["P1","P2","P3","P4","P5"]]'
 
@@ -302,6 +309,34 @@ class TestSimulate:
         assert err.startswith("error: round 0: faulty sensor") and err.count("\n") == 1
         assert "contains the truth" in err
 
+    def test_late_round_failure_leaves_stdout_empty(self, capsys):
+        # at 2**55 a float step is 8; rounds 0-4 keep their faulty sensors off the truth, round 5 does not
+        code, out, err = run_cli(
+            capsys, "simulate", "--sensors", "3", "--faulty", "1", "--rounds", "6", "--seed", "1",
+            "--truth", str(2**55),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: round 5: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sensors, faulty, rounds", [(9, 2, 2000), (31, 10, 800)])
+    def test_memory_is_bounded_by_the_output(self, tmp_path, sensors, faulty, rounds):
+        # the report is held only as its own text, never as outcomes or a document tree
+        argv = ["simulate", "--sensors", str(sensors), "--faulty", str(faulty), "--rounds", str(rounds)]
+        out_path = tmp_path / "report.json"
+        with out_path.open("w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            main(argv[:-1] + ["1"])  # fills the import and regex caches of a first call
+            out.seek(0)
+            out.truncate()
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = out_path.stat().st_size
+        assert code == 0 and size > 1_000_000
+        assert peak <= 1.25 * size + 512 * 1024
+
 
 GOLDEN_CASES = {
     "fuse": ["fuse", "--input", "{intervals}", "--faults", "1"],
@@ -458,9 +493,185 @@ class TestProcessDeterminism:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_reader_closing_early_is_one_error_line(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gsets", "simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()  # the report is far larger than the pipe, so the writer meets a closed pipe
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_simulate_bytes_stable_across_hash_seeds(self):
         argv = ["simulate", "--sensors", "5", "--faulty", "1", "--rounds", "2", "--seed", "3"]
         a = _run_process(argv, "101")
         b = _run_process(argv, "202")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzzed contents under well-formed argv
+
+
+def _mostly(valid, hostile):
+    """Draw from `valid` three times in four and from `hostile` otherwise, so
+    that both the success paths and the error paths are reached."""
+    return st.integers(0, 3).flatmap(lambda k: hostile if k == 0 else valid)
+
+
+NAMES = ["P1", "P2", "P3", "P4", "P5", "O1", "O2", "O3", "O7", "O10"]
+HOSTILE_INTS = st.one_of(
+    st.integers(-3, 12), st.sampled_from([-(2**64), -1, 2**63, 2**64 - 1, 2**64, 10**30])
+)
+HOSTILE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0]),
+)
+# integers past a real's range and past the interpreter's digit limit, which json.dumps cannot write
+LONG_INTEGERS = st.sampled_from([400, 5000]).map(lambda digits: "9" * digits)
+LONG_NUMBER_JSON = st.builds(
+    str.format, st.sampled_from(["[[{0},1]]", '{{"0":{0}}}', '{{"{0}":1}}', '[["{0}"],[{0}]]']), LONG_INTEGERS
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | st.sampled_from(NAMES),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+# inline JSON starts with [ or {, so it is never read as a path
+HOSTILE_JSON = st.one_of(
+    LONG_NUMBER_JSON,
+    st.lists(JSON_VALUES, max_size=5).map(json.dumps),
+    st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4).map(json.dumps),
+    st.lists(st.lists(st.sampled_from(NAMES), max_size=6), min_size=1, max_size=5).map(json.dumps),
+    st.dictionaries(
+        st.one_of(st.integers(-1, 4).map(str), st.text(max_size=3)),
+        st.one_of(st.floats(), st.integers(-2, 2)),
+        max_size=4,
+    ).map(json.dumps),
+)
+
+
+def _nested(names):
+    """Chains of growing prefixes of a shuffled name list, inline JSON."""
+    return st.tuples(
+        st.permutations(names), st.lists(st.integers(0, len(names)), min_size=1, max_size=5)
+    ).map(lambda p: json.dumps([p[0][:k] for k in sorted(p[1])]))
+
+
+ATTR_CHAINS = _nested(NAMES[:5])
+TARGET_CHAINS = _nested([f"O{i}" for i in range(1, 11)])
+DISTS = st.sampled_from(['{"0":1}', '{"0":0.5,"1":0.3,"2":0.2}', '{"1":0.25,"2":0.75}'])
+def _name_lists(names):
+    return _mostly(st.lists(st.sampled_from(names), max_size=6).map(",".join), st.text(max_size=12))
+
+
+ATTR_LISTS = _name_lists(NAMES[:5])
+OBJECT_LISTS = _name_lists(NAMES[5:])
+# numeric flags are passed as --flag=value, so a value such as -inf is never read as a flag
+SIM_FLAGS = {
+    "sensors": _mostly(st.integers(1, 40), st.sampled_from([-(2**64), -1, 0])),
+    "faulty": _mostly(st.integers(0, 6), HOSTILE_INTS),
+    "rounds": _mostly(st.integers(1, 5), st.sampled_from([-(2**64), -1, 0])),  # capped: run time
+    "seed": _mostly(st.integers(0, 99), HOSTILE_INTS),
+    "truth": _mostly(st.sampled_from([0.0, 0.1, 3.0, -7.25, 1e6]), HOSTILE_FLOATS).map(repr),
+    "halfwidth": _mostly(st.sampled_from([0.5, 1.0, 1.5]), HOSTILE_FLOATS).map(repr),
+    "offset": _mostly(st.sampled_from([2.5, 3.0, 10.0]), HOSTILE_FLOATS).map(repr),
+}
+
+
+def _edited(base: bytes):
+    """`base` with up to four random splices: delete a few bytes, insert random ones."""
+
+    def apply(edits):
+        data = base
+        for at, cut, insert in edits:
+            at %= len(data) + 1
+            data = data[:at] + insert + data[at + cut:]
+        return data
+
+    edit = st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), st.binary(max_size=4))
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def _contents(base: bytes):
+    """File contents: `base` as is, with random splices, or random bytes."""
+    return _mostly(st.just(base), st.one_of(_edited(base), st.binary(max_size=200)))
+
+
+class TestFuzzedContents:
+    """Each subcommand with its real flags: exit 0, 1 or 2, and either one
+    canonical document on stdout or one error line on stderr."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=600)
+    @given(data=st.data())
+    def test_exit_code_and_streams(self, workdir, fixtures_dir, data):
+        draw = data.draw
+
+        def file(name, base: bytes):
+            path = workdir / name
+            path.write_bytes(draw(_contents(base)))
+            return str(path)
+
+        def structured(flag, valid):
+            # inline JSON, good or hostile, or a file whose contents may be damaged
+            value = draw(_mostly(valid, HOSTILE_JSON))
+            return f"--{flag}={value if draw(st.booleans()) else file(flag, value.encode())}"
+
+        def interval_input():
+            fmt = draw(st.sampled_from(["csv", "json"]))
+            if fmt == "csv":
+                base = (fixtures_dir / "three_intervals.csv").read_bytes()
+            else:
+                base = draw(_mostly(st.just("[[0,10],[2,8],[4,12]]"), LONG_NUMBER_JSON)).encode()
+            return [f"--input={file('intervals', base)}", f"--format={fmt}"]
+
+        def table():
+            return f"--table={file('table.csv', (fixtures_dir / 'sample_table.csv').read_bytes())}"
+
+        def ints(*flags):
+            return [f"--{flag}={draw(_mostly(st.integers(0, 3), HOSTILE_INTS))}" for flag in flags]
+
+        command = draw(st.sampled_from(sorted(GOLDEN_CASES)))
+        if command == "fuse":
+            argv = [*interval_input(), *ints("faults")]
+        elif command == "graded":
+            argv = [*interval_input(), *ints("fmin", "fmax")]
+        elif command == "random":
+            argv = [*interval_input(), structured("dist", DISTS)]
+            if draw(st.booleans()):
+                # capped: a count past 2**64 is rejected before any sample is drawn, whatever the seed
+                argv += [f"--sample={draw(_mostly(st.integers(1, 20), st.sampled_from([-1, 0, 2**64 + 1])))}"]
+                argv += ints("seed")
+        elif command == "partition":
+            argv = [table(), f"--attrs={draw(ATTR_LISTS)}"]
+        elif command == "granulate":
+            argv = [table(), structured("chain", ATTR_CHAINS)]
+        elif command == "approx":
+            argv = [table(), f"--attrs={draw(ATTR_LISTS)}", f"--target={draw(OBJECT_LISTS)}"]
+        elif command == "graded-approx":
+            argv = [table(), f"--attrs={draw(ATTR_LISTS)}", structured("targets", TARGET_CHAINS)]
+        elif command == "sensitivity":
+            argv = [table(), structured("chain", ATTR_CHAINS), f"--target={draw(OBJECT_LISTS)}"]
+        else:
+            argv = [f"--{flag}={draw(values)}" for flag, values in SIM_FLAGS.items()]
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *argv])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+            assert out == dumps_canonical(json.loads(out)) + "\n"
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1

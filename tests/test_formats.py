@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsets import (
     ApproximationPair,
@@ -13,12 +14,15 @@ from gsets import (
     ParseError,
     Partition,
     SensitivityRecord,
+    SimConfig,
     graded_fusion,
     granular_from_chain,
     random_graded,
     sensitivity_profile,
+    simulate_rounds,
 )
 from gsets.formats import (
+    _token,
     approximation_pair_doc,
     dumps_canonical,
     fault_distribution_doc,
@@ -41,6 +45,7 @@ from gsets.formats import (
     parse_table,
     partition_doc,
     sensitivity_profile_doc,
+    simulation_chunks,
 )
 from strategies import intervals, table_with_attr_chain, tables
 
@@ -146,6 +151,47 @@ class TestParseTable:
     def test_empty_cell_rejected(self):
         with pytest.raises(ParseError, match="empty cell"):
             parse_table("object,P1\nO1,\n")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("O2,,1", "line 3: empty cell"),
+            ("O2,0,1 ", "line 3: token '1 ' has surrounding whitespace"),
+            ("O2,\t0,1", "line 3: token '\\t0' has surrounding whitespace"),
+            ("O2,0\u00a0,1", "line 3: token '0\\xa0' has surrounding whitespace"),
+            ("\u00a0O2,0,1", "line 3: token '\\xa0O2' has surrounding whitespace"),
+            # the first defect of the row is named, not the first kind of defect
+            ("O2, 0,", "line 3: token ' 0' has surrounding whitespace"),
+        ],
+        ids=["empty", "ascii-space", "tab", "nbsp-after", "nbsp-before", "first-defect"],
+    )
+    def test_cell_defect_message(self, row, message):
+        with pytest.raises(ParseError) as info:
+            parse_table(f"object,P1,P2\nO1,0,1\n{row}\n")
+        assert str(info.value) == message
+
+    def test_internal_whitespace_is_part_of_the_token(self):
+        table = parse_table("object,P1,P2\nO 1,a b,c\u00a0d\n")
+        assert table.objects == ("O 1",)
+        assert table.rows == (("a b", "c\u00a0d"),)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(st.sampled_from(["", "a", "b c", " a", "a ", "\u00a0", "x\u00a0y"]),
+                             min_size=2, max_size=2), min_size=1, max_size=6))
+    def test_matches_a_per_cell_scan(self, cells):
+        # reference: every cell of every row through the one token check, in order
+        lines = ["object,P1,P2"] + [",".join([f"O{i}", *row]) for i, row in enumerate(cells)]
+        text = "\n".join(lines) + "\n"
+        try:
+            for n, line in enumerate(lines[1:], start=2):
+                for field in line.split(","):
+                    _token(field, f"line {n}")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_table(text)
+            assert str(info.value) == str(exc)
+        else:
+            assert parse_table(text).rows == tuple(map(tuple, cells))
 
 
 class TestParseChain:
@@ -366,6 +412,52 @@ class TestParseRejections:
         with pytest.raises(ParseError, match="integer"):
             parse_sensitivity_profile(dumps_canonical(doc))
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (partial(parse_intervals, fmt="json"), "[[1e999999,2]]", "item 1: non-finite value"),
+            (
+                partial(parse_intervals, fmt="json"), "[[" + "9" * 400 + ",2]]",
+                "item 1: integer out of the range of a real",
+            ),
+            (parse_fault_distribution, '{"0":' + "9" * 400 + "}", "fault count 0: integer out of the range of a real"),
+            (parse_fault_distribution, '{"' + "9" * 5000 + '":1}', "fault count has too many digits (5000)"),
+            (parse_graded_family, "[[" + "9" * 5000 + "]]", "invalid JSON: integer with too many digits"),
+        ],
+        ids=["float-overflow", "int-overflow", "pmf-int-overflow", "long-count", "long-int"],
+    )
+    def test_numbers_past_a_real_or_the_digit_limit(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_invalid_lower_upper_pair_is_domain_error(self):
         with pytest.raises(DomainError, match="inside the upper"):
             parse_approximation_pair('{"lower":["a"],"upper":["b"]}')
+
+
+class TestSimulationChunks:
+    @pytest.mark.parametrize("rounds", [0, 1, 4])
+    # integral reals are rendered as integers
+    @pytest.mark.parametrize("truth, rendered", [(0.1, 0.1), (3.0, 3), (-1e6, -1000000)])
+    def test_chunks_join_to_the_canonical_report(self, rounds, truth, rendered):
+        config = SimConfig(5, truth, 1.5, 2, 2.5, 9)
+        report = {
+            "config": {
+                "sensors": 5, "truth": rendered, "halfwidth": 1.5, "faulty": 2, "offset": 2.5, "seed": 9,
+            },
+            "rounds": [
+                {
+                    "round": i,
+                    "faulty": sorted(out.faulty_indices),
+                    "intervals": intervals_doc(out.intervals),
+                    "fused": graded_intervals_doc(out.fused),
+                    "contains_truth": list(out.truth_containment),
+                }
+                for i, out in enumerate(simulate_rounds(config, rounds))
+            ],
+        }
+        chunks = list(simulation_chunks(config, simulate_rounds(config, rounds)))
+        assert "".join(chunks) == dumps_canonical(report)
+        # the configuration, each round with a separator between rounds, the close
+        assert len(chunks) == 1 + rounds + max(rounds - 1, 0) + 1

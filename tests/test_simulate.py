@@ -1,6 +1,6 @@
 import pytest
 
-from gsets import DomainError, SimConfig, fused_subset, simulate_round, simulate_rounds
+from gsets import DomainError, SimConfig, fused_subset, simulate, simulate_round, simulate_rounds
 
 BASE = dict(
     num_sensors=7,
@@ -32,6 +32,8 @@ class TestSimConfig:
             (dict(fault_offset_min=0.5), "exceed"),
             (dict(seed=-1), "64-bit"),
             (dict(seed=2**64), "64-bit"),
+            # with no faulty sensor an infinite offset is never drawn, but the report shows it
+            (dict(fault_offset_min=float("inf"), num_faulty=0), "finite"),
         ],
     )
     def test_invalid_configs(self, overrides, msg):
@@ -104,7 +106,7 @@ class TestSimulateRound:
 class TestSimulateRounds:
     def test_returns_requested_rounds(self):
         outs = simulate_rounds(config(), 5)
-        assert len(outs) == 5
+        assert len(list(outs)) == 5
 
     def test_rounds_are_individually_reproducible(self):
         outs = simulate_rounds(config(), 4)
@@ -114,6 +116,21 @@ class TestSimulateRounds:
     def test_negative_count_rejected(self):
         with pytest.raises(DomainError, match="nonnegative"):
             simulate_rounds(config(), -1)
+
+    def test_negative_count_rejected_before_any_round_runs(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "simulate_round", lambda cfg, k: drawn.append(k))
+        with pytest.raises(DomainError, match="round count must be nonnegative"):
+            simulate_rounds(config(), -1)
+        assert drawn == []
+
+    def test_rounds_are_drawn_as_the_iterator_reaches_them(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "simulate_round", lambda cfg, k: drawn.append(k) or k)
+        outs = simulate_rounds(config(), 3)
+        assert drawn == []
+        assert next(outs) == 0 and drawn == [0]
+        assert list(outs) == [1, 2] and drawn == [0, 1, 2]
 
 
 def test_containment_guarantee_over_many_seeded_rounds():
