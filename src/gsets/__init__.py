@@ -39,37 +39,12 @@ from .simulate import SimConfig, SimOutcome, simulate_round, simulate_rounds
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximationPair",
-    "DomainError",
-    "FaultDistribution",
-    "FusionResult",
-    "GradedFamily",
-    "GradedIntervals",
-    "GranularSet",
-    "InformationTable",
-    "Interval",
-    "IntervalDistribution",
-    "ParseError",
-    "Partition",
-    "SensitivityRecord",
-    "SimConfig",
-    "SimOutcome",
-    "approximation_pair",
-    "as_rough_pair",
-    "fuse",
-    "fused_subset",
-    "graded_approximations",
-    "graded_fusion",
-    "granular_from_chain",
-    "indiscernibility_partition",
-    "is_rough_family",
-    "lower_approx",
-    "random_graded",
-    "refines",
-    "sample",
-    "sensitivity_profile",
-    "simulate_round",
-    "simulate_rounds",
-    "upper_approx",
-    "validate_granular",
+    "GradedFamily", "is_rough_family",
+    "DomainError", "ParseError",
+    "ApproximationPair", "InformationTable", "SensitivityRecord", "approximation_pair", "graded_approximations",
+    "granular_from_chain", "indiscernibility_partition", "lower_approx", "sensitivity_profile", "upper_approx",
+    "FaultDistribution", "FusionResult", "GradedIntervals", "Interval", "IntervalDistribution", "as_rough_pair",
+    "fuse", "fused_subset", "graded_fusion", "random_graded", "sample",
+    "GranularSet", "Partition", "refines", "validate_granular",
+    "SimConfig", "SimOutcome", "simulate_round", "simulate_rounds",
 ]

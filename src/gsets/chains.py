@@ -7,20 +7,20 @@ are legal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
+from ._value import Value
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class GradedFamily:
+class GradedFamily(Value):
     """Chain of finite sets, smallest first, each level inside the next."""
 
-    levels: tuple[frozenset, ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self) -> None:
-        levels = tuple(frozenset(level) for level in self.levels)
-        object.__setattr__(self, "levels", levels)
+    def __init__(self, levels: Iterable[Iterable]) -> None:
+        levels = tuple(frozenset(level) for level in levels)
+        self._init(levels)
         if not levels:
             raise DomainError("graded family needs at least one level")
         for i in range(len(levels) - 1):

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import formats
 from .errors import DomainError, ParseError
@@ -28,7 +28,7 @@ from .infosys import (
     indiscernibility_partition,
     sensitivity_profile,
 )
-from .intervals import MAX_SEED, fuse, graded_fusion, random_graded, sample
+from .intervals import MAX_SEED, IntervalDistribution, fuse, graded_fusion, random_graded, sample
 from .simulate import SimConfig, simulate_rounds
 
 
@@ -81,7 +81,6 @@ def _cmd_graded(args: argparse.Namespace):
     return formats.graded_intervals_doc(graded_fusion(intervals, args.fmin, args.fmax))
 
 
-@_one_document
 def _cmd_random(args: argparse.Namespace):
     if args.sample is not None:
         if args.sample < 1:
@@ -91,15 +90,22 @@ def _cmd_random(args: argparse.Namespace):
                 f"--seed through --seed + --sample - 1 must lie in 0..{MAX_SEED}"
                 f" (got {args.seed}..{args.seed + args.sample - 1})"
             )
-    intervals = formats.parse_intervals(_read_file(args.input), args.format)
-    dist = formats.parse_fault_distribution(_read_source(args.dist))
-    result = random_graded(intervals, dist)
-    doc = formats.interval_distribution_doc(result)
-    if args.sample is not None:
-        doc["samples"] = [
-            formats.fusion_result_doc(sample(result, args.seed + i)) for i in range(args.sample)
-        ]
-    return doc
+    # the parsed intervals are a temporary, freed before anything is rendered
+    pushed = random_graded(
+        formats.parse_intervals(_read_file(args.input), args.format),
+        formats.parse_fault_distribution(_read_source(args.dist)),
+    )
+    text = formats.dumps_canonical(formats.interval_distribution_doc(pushed))
+    return [text] if args.sample is None else _sample_chunks(text, pushed, args.seed, args.sample)
+
+
+def _sample_chunks(text: str, pushed: IntervalDistribution, seed: int, count: int) -> Iterator[str]:
+    """`text` with `count` draws added under ``samples``, one draw per chunk: O(1) memory in `count`."""
+    rendered = {atom: formats.dumps_canonical(formats.fusion_result_doc(atom)) for atom, _ in pushed.atoms}
+    yield text[:-1] + ',"samples":['
+    for i in range(count):
+        yield ("," if i else "") + rendered[sample(pushed, seed + i)]
+    yield "]}"
 
 
 @_one_document

@@ -29,7 +29,6 @@ and the empty fused result is rendered as ``null``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from typing import Iterable, Iterator, Sequence
@@ -380,7 +379,7 @@ def parse_approximation_pair(text: str) -> ApproximationPair:
 
 
 # every field is an integer but the accuracy, a real
-_SENSITIVITY_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(SensitivityRecord)))
+_SENSITIVITY_FIELDS = tuple(sorted(SensitivityRecord.__slots__))
 
 
 def sensitivity_profile_doc(records: Iterable[SensitivityRecord]) -> list[dict]:

@@ -9,44 +9,48 @@ respond monotonically to growing targets and growing attribute sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+import itertools
+from operator import contains, itemgetter
 from typing import Iterable, Iterator
 
+from ._value import Value
 from .chains import GradedFamily
 from .errors import DomainError
 from .partitions import GranularSet, Partition, validate_granular
 
 
-@dataclass(frozen=True)
-class InformationTable:
+class InformationTable(Value):
     """Immutable objects-by-attributes table of categorical tokens."""
 
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    __slots__ = ("objects", "attributes", "rows", "_obj_pos", "_attr_pos")
 
-    def __post_init__(self) -> None:
-        objects = tuple(self.objects)
-        attributes = tuple(self.attributes)
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "rows", rows)
-        if len(set(objects)) != len(objects):
+    def __init__(self, objects: Iterable[str], attributes: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+        objects = tuple(objects)
+        attributes = tuple(attributes)
+        rows = tuple(map(tuple, rows))  # a tuple row is kept, not copied
+        obj_pos = {o: i for i, o in enumerate(objects)}
+        attr_pos = {a: j for j, a in enumerate(attributes)}
+        if len(obj_pos) != len(objects):
             raise DomainError("duplicate object id")
-        if len(set(attributes)) != len(attributes):
+        if len(attr_pos) != len(attributes):
             raise DomainError("duplicate attribute name")
         if len(rows) != len(objects):
             raise DomainError(f"expected {len(objects)} rows, got {len(rows)}")
-        for obj, row in zip(objects, rows):
-            if len(row) != len(attributes):
-                raise DomainError(f"row for {obj!r} has {len(row)} cells, expected {len(attributes)}")
-            for cell in row:
-                if not isinstance(cell, str) or not cell:
-                    raise DomainError(f"row for {obj!r} has an empty or non-string cell")
-        object.__setattr__(self, "_obj_pos", {o: i for i, o in enumerate(objects)})
-        object.__setattr__(self, "_attr_pos", {a: j for j, a in enumerate(attributes)})
+        # C-level passes: row lengths, empty cells, and str.join, which rejects a non-string
+        # cell; only a table that fails one needs the per-cell scan that names the defect
+        try:
+            clean = set(map(len, rows)) <= {len(attributes)} and not any(map(contains, rows, itertools.repeat("")))
+            "".join(map("".join, rows))
+        except TypeError:
+            clean = False
+        if not clean:
+            for obj, row in zip(objects, rows):
+                if len(row) != len(attributes):
+                    raise DomainError(f"row for {obj!r} has {len(row)} cells, expected {len(attributes)}")
+                for cell in row:
+                    if not isinstance(cell, str) or not cell:
+                        raise DomainError(f"row for {obj!r} has an empty or non-string cell")
+        self._init(objects, attributes, rows, obj_pos, attr_pos)
 
     def value(self, obj: str, attr: str) -> str:
         try:
@@ -60,65 +64,61 @@ class InformationTable:
         return self.rows[i][j]
 
 
-@dataclass(frozen=True)
-class ApproximationPair:
+class ApproximationPair(Value):
     """Lower and upper approximations of a target set of objects."""
 
-    lower: frozenset[str]
-    upper: frozenset[str]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        lower = frozenset(self.lower)
-        upper = frozenset(self.upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+    def __init__(self, lower: Iterable[str], upper: Iterable[str]) -> None:
+        lower, upper = frozenset(lower), frozenset(upper)
         if not lower <= upper:
             raise DomainError("lower approximation must be inside the upper approximation")
+        self._init(lower, upper)
 
     @property
     def boundary(self) -> frozenset[str]:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class SensitivityRecord:
+class SensitivityRecord(Value):
     """Approximation sizes and accuracy at one level of an attribute chain.
 
     Accuracy is |lower| / |upper|, taken to be 1 when the upper approximation
     is empty.
     """
 
-    level_index: int
-    attribute_count: int
-    lower_size: int
-    upper_size: int
-    boundary_size: int
-    accuracy: float
+    __slots__ = ("level_index", "attribute_count", "lower_size", "upper_size", "boundary_size", "accuracy")
 
-    def __post_init__(self) -> None:
-        if self.boundary_size != self.upper_size - self.lower_size:
+    def __init__(self, level_index: int, attribute_count: int, lower_size: int, upper_size: int,
+                 boundary_size: int, accuracy: float) -> None:
+        if boundary_size != upper_size - lower_size:
             raise DomainError("boundary size must be upper size minus lower size")
-        if self.boundary_size < 0:
+        if boundary_size < 0:
             raise DomainError("boundary size must be nonnegative")
-        if not 0.0 <= self.accuracy <= 1.0:
+        if not 0.0 <= accuracy <= 1.0:
             raise DomainError("accuracy must lie in [0, 1]")
+        self._init(level_index, attribute_count, lower_size, upper_size, boundary_size, accuracy)
+
+
+def _positions(names: Iterable[str], pos: dict[str, int], what: str) -> frozenset[int]:
+    """Table positions of `names`, rejecting the first one `pos` lacks in input
+    order or, for a set, whose order follows the hash seed, the least by repr."""
+    try:
+        return frozenset(map(pos.__getitem__, names))
+    except KeyError as exc:
+        unknown = exc.args[0]
+        if isinstance(names, (set, frozenset)):
+            unknown = min((x for x in names if x not in pos), key=repr)
+        raise DomainError(f"unknown {what}: {unknown!r}") from None
 
 
 def _attrs_in_table_order(table: InformationTable, attrs: Iterable[str]) -> tuple[str, ...]:
-    wanted = set()
-    for name in attrs:
-        if name not in table._attr_pos:
-            raise DomainError(f"unknown attribute: {name!r}")
-        wanted.add(name)
-    return tuple(a for a in table.attributes if a in wanted)
+    return tuple(map(table.attributes.__getitem__, sorted(_positions(attrs, table._attr_pos, "attribute"))))
 
 
 def _target_rows(table: InformationTable, target: Iterable[str]) -> frozenset[int]:
     """Row positions of the target objects, rejecting an object not in the table."""
-    try:
-        return frozenset(map(table._obj_pos.__getitem__, frozenset(target)))
-    except KeyError as exc:
-        raise DomainError(f"unknown object: {exc.args[0]!r}") from None
+    return _positions(target, table._obj_pos, "object")
 
 
 def _split(table: InformationTable, blocks: list[list[int]], names: tuple[str, ...]) -> list[list[int]]:

@@ -11,30 +11,33 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Callable, Iterable
 
+from ._value import Value
 from .errors import DomainError
 
 PROB_TOLERANCE = 1e-9
 MAX_SEED = 2**64 - 1
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Closed real interval [lo, hi] with finite endpoints."""
+@total_ordering
+class Interval(Value):
+    """Closed real interval [lo, hi] with finite endpoints, ordered by (lo, hi)."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo, hi = float(self.lo), float(self.hi)
+    def __init__(self, lo: float, hi: float) -> None:
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("interval endpoints must be finite")
         if lo > hi:
             raise DomainError(f"interval lower endpoint {lo} exceeds upper endpoint {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __lt__(self, other: Interval) -> bool:
+        return (self.lo, self.hi) < (other.lo, other.hi) if other.__class__ is Interval else NotImplemented
 
     def contains_point(self, t: float) -> bool:
         return self.lo <= t <= self.hi
@@ -42,6 +45,9 @@ class Interval:
     def contains_interval(self, other: Interval) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
+
+# the slots' own setters: the hottest constructor skips object.__setattr__
+_set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
 
 # A fused estimate is an interval, or None when the computed left endpoint
 # exceeds the right one (the empty result).
@@ -62,21 +68,19 @@ def _result_key(result: FusionResult) -> tuple:
     return (0, 0.0, 0.0) if result is None else (1, result.lo, result.hi)
 
 
-@dataclass(frozen=True)
-class GradedIntervals:
+class GradedIntervals(Value):
     """Fused estimates for consecutive fault budgets f_min..f_max.
 
     Adjacent levels must be nested (each level inside the next); the
     constructor checks this rather than repairing violations.
     """
 
-    f_min: int
-    levels: tuple[FusionResult, ...]
+    __slots__ = ("f_min", "levels")
 
-    def __post_init__(self) -> None:
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
-        if self.f_min < 0:
+    def __init__(self, f_min: int, levels: Iterable[FusionResult]) -> None:
+        levels = tuple(levels)
+        self._init(f_min, levels)
+        if f_min < 0:
             raise DomainError("f_min must be nonnegative")
         if not levels:
             raise DomainError("graded intervals need at least one level")
@@ -94,15 +98,14 @@ class GradedIntervals:
         return self.levels[f - self.f_min]
 
 
-@dataclass(frozen=True)
-class FaultDistribution:
+class FaultDistribution(Value):
     """Discrete probability distribution over fault counts."""
 
-    support: tuple[tuple[int, float], ...]
+    __slots__ = ("support",)
 
-    def __post_init__(self) -> None:
-        support = tuple(sorted((int(f), float(p)) for f, p in self.support))
-        object.__setattr__(self, "support", support)
+    def __init__(self, support: Iterable[tuple[int, float]]) -> None:
+        support = tuple(sorted((int(f), float(p)) for f, p in support))
+        self._init(support)
         if not support:
             raise DomainError("fault distribution has empty support")
         counts = [f for f, _ in support]
@@ -121,19 +124,18 @@ class FaultDistribution:
         return cls(tuple(pmf.items()))
 
 
-@dataclass(frozen=True)
-class IntervalDistribution:
+class IntervalDistribution(Value):
     """Discrete distribution over fused results.
 
     Atoms with identical results are merged with their probabilities summed,
     and stored in canonical order (empty first, then by endpoints).
     """
 
-    atoms: tuple[tuple[FusionResult, float], ...]
+    __slots__ = ("atoms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, atoms: Iterable[tuple[FusionResult, float]]) -> None:
         merged: dict[FusionResult, float] = {}
-        for result, p in self.atoms:
+        for result, p in atoms:
             if result is not None and not isinstance(result, Interval):
                 raise DomainError(f"not a fusion result: {result!r}")
             merged[result] = merged.get(result, 0.0) + float(p)
@@ -144,8 +146,7 @@ class IntervalDistribution:
         total = sum(merged.values())
         if abs(total - 1.0) > PROB_TOLERANCE:
             raise DomainError(f"probabilities sum to {total!r}, expected 1")
-        atoms = tuple(sorted(merged.items(), key=lambda a: _result_key(a[0])))
-        object.__setattr__(self, "atoms", atoms)
+        self._init(tuple(sorted(merged.items(), key=lambda a: _result_key(a[0]))))
 
 
 def _order_statistics(intervals: Iterable[Interval]) -> tuple[int, Callable[[int], FusionResult]]:

@@ -7,9 +7,9 @@ below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
+from ._value import Value
 from .errors import DomainError
 
 
@@ -42,7 +42,7 @@ class Partition:
         # nonempty, pairwise disjoint (no element indexed twice), inside the
         # universe and as many elements as the universe: an exact cover
         if not (all(sets) and len(index) == sum(map(len, sets)) == len(universe) and members.issuperset(index)):
-            _reject_blocks(universe, members, sets)
+            _reject_blocks(universe, members, blocks, sets)
         # one scan of the universe lists each block's elements in universe
         # order, and the blocks in the order of their first element
         grouped: dict[frozenset, list] = {}
@@ -86,13 +86,18 @@ class Partition:
         return f"Partition({[list(block) for block in self.blocks]!r})"
 
 
-def _reject_blocks(universe: tuple, members: set, blocks: list[frozenset]) -> None:
-    """Raise for the first defect, in block order, that keeps `blocks` from partitioning `universe`."""
+def _reject_blocks(universe: tuple, members: set, blocks: Iterable, sets: list[frozenset]) -> None:
+    """Raise for the first defect, in input order, that keeps `blocks` from partitioning `universe`.
+
+    Blocks given as a list or tuple of lists or tuples are read in their own
+    order; anything else may have been an iterator, used up by now, so the
+    frozensets stand in for it.
+    """
     assigned: set = set()
-    for block in blocks:
+    for raw, block in zip(blocks if isinstance(blocks, (list, tuple)) else sets, sets):
         if not block:
             raise DomainError("empty block")
-        for x in block:
+        for x in dict.fromkeys(raw) if isinstance(raw, (list, tuple)) else block:
             if x not in members:
                 raise DomainError(f"block element {x!r} is not in the universe")
             if x in assigned:
@@ -118,19 +123,18 @@ class _NotRefinement(DomainError):
         self.pairs = pairs
 
 
-@dataclass(frozen=True)
-class GranularSet:
+class GranularSet(Value):
     """Partitions of one universe ordered finest first, adjacent levels refinement-related.
 
     Construction checks each adjacent pair once with `refines`, which also
     checks that the pair shares one universe.
     """
 
-    levels: tuple[Partition, ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self) -> None:
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
+    def __init__(self, levels: Iterable[Partition]) -> None:
+        levels = tuple(levels)
+        self._init(levels)
         if not levels:
             raise DomainError("granular set needs at least one level")
         pairs = [i for i in range(len(levels) - 1) if not refines(levels[i], levels[i + 1])]

@@ -7,62 +7,59 @@ the lot for every fault budget and records which budgets recover the truth.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._value import Value
 from .errors import DomainError
 from .intervals import MAX_SEED, GradedIntervals, Interval, graded_fusion
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Value):
     """Parameters of one simulated sensor round.
 
     fault_offset_min must exceed correct_halfwidth_max so that a displaced
     interval cannot reach back to the truth.
     """
 
-    num_sensors: int
-    truth: float
-    correct_halfwidth_max: float
-    num_faulty: int
-    fault_offset_min: float
-    seed: int
+    __slots__ = ("num_sensors", "truth", "correct_halfwidth_max", "num_faulty", "fault_offset_min", "seed")
 
-    def __post_init__(self) -> None:
-        if self.num_sensors < 1:
+    def __init__(self, num_sensors: int, truth: float, correct_halfwidth_max: float, num_faulty: int,
+                 fault_offset_min: float, seed: int) -> None:
+        if num_sensors < 1:
             raise DomainError("need at least one sensor")
-        if not math.isfinite(self.truth):
+        if not math.isfinite(truth):
             raise DomainError("truth must be finite")
-        if not self.correct_halfwidth_max > 0:
+        if not correct_halfwidth_max > 0:
             raise DomainError("correct_halfwidth_max must be positive")
-        if not self.fault_offset_min > 0:
+        if not fault_offset_min > 0:
             raise DomainError("fault_offset_min must be positive")
-        if not math.isfinite(self.fault_offset_min):
+        if not math.isfinite(fault_offset_min):
             raise DomainError("fault_offset_min must be finite")
-        if not 0 <= self.num_faulty < self.num_sensors:
+        if not 0 <= num_faulty < num_sensors:
             raise DomainError("num_faulty must be less than num_sensors")
-        if not self.fault_offset_min > self.correct_halfwidth_max:
+        if not fault_offset_min > correct_halfwidth_max:
             raise DomainError("fault_offset_min must exceed correct_halfwidth_max")
-        if not 0 <= self.seed <= MAX_SEED:
+        if not 0 <= seed <= MAX_SEED:
             raise DomainError("seed must be an unsigned 64-bit integer")
+        self._init(num_sensors, truth, correct_halfwidth_max, num_faulty, fault_offset_min, seed)
 
 
-@dataclass(frozen=True)
-class SimOutcome:
+class SimOutcome(Value):
     """Everything one round produced, including per-budget truth recovery."""
 
-    intervals: tuple[Interval, ...]
-    faulty_indices: frozenset[int]
-    fused: GradedIntervals
-    truth_containment: tuple[bool, ...]
+    __slots__ = ("intervals", "faulty_indices", "fused", "truth_containment")
+
+    def __init__(self, intervals: tuple[Interval, ...], faulty_indices: frozenset[int], fused: GradedIntervals,
+                 truth_containment: tuple[bool, ...]) -> None:
+        self._init(intervals, faulty_indices, fused, truth_containment)
 
 
 def _round_rng(seed: int, round_index: int) -> random.Random:
     # independent stream per (seed, round): rounds are reproducible in isolation
+    import hashlib  # only the simulator hashes, so no other call pays for the import
+
     digest = hashlib.sha256(f"{seed}:{round_index}".encode("ascii")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

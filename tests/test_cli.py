@@ -162,6 +162,35 @@ class TestRandom:
         assert code == 0 and err == ""
         assert json.loads(out)["samples"] == [[4, 8]] * 3
 
+    def test_sample_memory_does_not_grow_with_the_count(self, intervals_csv):
+        # the draws are written as they are made; 10^5 of them are over 500 KB of text
+        argv = ["random", "--input", intervals_csv, "--dist", '{"0":0.5,"1":0.3,"2":0.2}', "--sample"]
+        with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            main(argv + ["1"])  # fills the import and regex caches of a first call
+            tracemalloc.start()
+            try:
+                code = main(argv + ["100000"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 384 * 1024
+
+    def test_reader_closing_early_is_one_error_line(self, intervals_csv):
+        # 2**64 draws pass the seed check, so only the closed pipe can end the call
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gsets", "random", "--input", intervals_csv, "--dist", '{"0":1.0}',
+             "--sample", str(2**64), "--seed", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestPartition:
     def test_single_attribute(self, capsys, table_csv):
@@ -512,6 +541,56 @@ class TestProcessDeterminism:
         b = _run_process(argv, "202")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+# Error cases whose message names one of several defects held in a set, and
+# the expected stderr (or stdout of a library call), which must not depend on
+# the hash seed.
+HASH_SEED_CASES = {
+    "approx-unknown-objects": (
+        ["-m", "gsets", "approx", "--table", "{table}", "--attrs", "P1", "--target", "O1,X1,X2,X3"],
+        1, "", "error: unknown object: 'X1'\n",
+    ),
+    "granulate-unknown-attributes": (
+        ["-m", "gsets", "granulate", "--table", "{table}", "--chain", '[["Q2","P1","Q1"]]'],
+        1, "", "error: unknown attribute: 'Q1'\n",
+    ),
+    "partition-foreign-elements": (
+        ["-c", "from gsets import DomainError, Partition\ntry:\n"
+               "    Partition(['a', 'b', 'c'], [['a', 'b'], ['x', 'y', 'z']])\n"
+               "except DomainError as exc:\n    print(exc)"],
+        0, "block element 'x' is not in the universe\n", "",
+    ),
+}
+
+
+class TestHashSeedIndependence:
+    """Every golden case and every listed error case gives the same bytes on
+    both streams under three hash seeds."""
+
+    @staticmethod
+    def _streams(args):
+        runs = set()
+        for hashseed in ("0", "1", "2"):
+            proc = subprocess.run(
+                [sys.executable, *args], capture_output=True, timeout=60,
+                env=dict(os.environ, PYTHONHASHSEED=hashseed),
+            )
+            runs.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(runs) == 1
+        return runs.pop()
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_golden_case(self, fixtures_dir, intervals_csv, table_csv, chain_json, case):
+        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]]
+        golden = (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
+        assert self._streams(["-m", "gsets", *argv]) == (0, golden, b"")
+
+    @pytest.mark.parametrize("case", sorted(HASH_SEED_CASES))
+    def test_error_case(self, table_csv, case):
+        args, code, out, err = HASH_SEED_CASES[case]
+        args = [a.replace("{table}", table_csv) for a in args]
+        assert self._streams(args) == (code, out.encode(), err.encode())
 
 
 # ---------------------------------------------------------------------------

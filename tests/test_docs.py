@@ -20,6 +20,7 @@ def test_readme_quick_start_runs(monkeypatch):
     namespace: dict = {}
     exec(compile(quick_start_block(), "README.md", "exec"), namespace)
     assert namespace["fuse"](namespace["measurements"], 1) == Interval(2, 10)
+    assert f"# {Interval(2, 10)!r}\n" in quick_start_block()  # the comment shows the real repr
     assert len(namespace["tower"].levels) == 5
     pair = namespace["pair"]
     assert pair.lower == {"O1", "O2"}
