@@ -307,14 +307,15 @@ def parse_graded_family(text: str) -> GradedFamily:
 
 
 def object_set_doc(ids: Iterable[str], order: Sequence[str] | None = None) -> list[str]:
-    ids = _names(list(ids), "object set")
+    names = _names(list(ids), "object set")
     if order is None:
-        return sorted(ids)
+        return sorted(names)
     position = {x: i for i, x in enumerate(order)}
     try:
-        return sorted(ids, key=position.__getitem__)
-    except KeyError:
-        missing = next(x for x in ids if x not in position)
+        return sorted(names, key=position.__getitem__)
+    except KeyError as exc:
+        # the first missing in input order; a set iterates in hash-seed order, so name its least by repr
+        missing = min(set(names) - position.keys(), key=repr) if isinstance(ids, (set, frozenset)) else exc.args[0]
         raise ParseError(f"identifier {missing!r} is not in the supplied order") from None
 
 

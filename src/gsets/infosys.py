@@ -5,18 +5,21 @@ compared by exact string equality.  Choosing an attribute set induces an
 indiscernibility partition; a nested chain of attribute sets induces a
 granular set; a target set of objects gets lower/upper approximations that
 respond monotonically to growing targets and growing attribute sets.
+Classes are kept as the block labels of `partitions`: one kernel refines
+labels on added attributes, and one label scan reads off approximations.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import contains, itemgetter
 from typing import Iterable, Iterator
 
 from ._value import Value
 from .chains import GradedFamily
 from .errors import DomainError
-from .partitions import GranularSet, Partition, validate_granular
+from .partitions import GranularSet, Partition, _dense, validate_granular
 
 
 class InformationTable(Value):
@@ -112,88 +115,60 @@ def _positions(names: Iterable[str], pos: dict[str, int], what: str) -> frozense
         raise DomainError(f"unknown {what}: {unknown!r}") from None
 
 
-def _attrs_in_table_order(table: InformationTable, attrs: Iterable[str]) -> tuple[str, ...]:
-    return tuple(map(table.attributes.__getitem__, sorted(_positions(attrs, table._attr_pos, "attribute"))))
+def _target_flags(table: InformationTable, target: Iterable[str]) -> bytearray:
+    """One flag per row, set for the target objects, rejecting an object not in the table."""
+    inside = bytearray(len(table.objects))
+    for i in _positions(target, table._obj_pos, "object"):
+        inside[i] = 1
+    return inside
 
 
-def _target_rows(table: InformationTable, target: Iterable[str]) -> frozenset[int]:
-    """Row positions of the target objects, rejecting an object not in the table."""
-    return _positions(target, table._obj_pos, "object")
+def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iterable[str]) -> tuple[int, ...]:
+    """The one refinement kernel: split the classes `labels` (None for one
+    class holding every object) by the rows' values on `attrs`.
 
-
-def _split(table: InformationTable, blocks: list[list[int]], names: tuple[str, ...]) -> list[list[int]]:
-    """Split blocks of row positions by the rows' values on `names`.
-
-    Each sub-block keeps its rows in table order.  Singleton blocks cannot
-    split and are passed through unread.
+    Each row's new label is the id of its old label paired with its
+    signature on `attrs`, so the result is again a dense label vector and
+    refines `labels` by construction.
     """
-    if not names:
-        return blocks
-    signature = itemgetter(*(table._attr_pos[a] for a in names))
-    rows = table.rows
-    out: list[list[int]] = []
-    for block in blocks:
-        if len(block) == 1:
-            out.append(block)
-            continue
-        groups: dict = {}
-        for i in block:
-            key = signature(rows[i])
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [i]
-            else:
-                group.append(i)
-        out.extend(groups.values())
-    return out
+    columns = _positions(attrs, table._attr_pos, "attribute")
+    if not columns:
+        return (0,) * len(table.objects) if labels is None else labels
+    signatures = map(itemgetter(*columns), table.rows)
+    return _dense(signatures if labels is None else zip(labels, signatures))
 
 
-def _whole(table: InformationTable) -> list[list[int]]:
-    """Every row position in one block (no block for a table without rows)."""
-    return [list(range(len(table.objects)))] if table.objects else []
+def _chain_labels(table: InformationTable, chain: GradedFamily) -> Iterator[tuple[int, ...]]:
+    """Indiscernibility classes of each chain level as block labels, smallest attribute set first.
 
-
-def _blocks(table: InformationTable, attrs: Iterable[str]) -> list[list[int]]:
-    """Indiscernibility classes of `attrs` as blocks of row positions, built from scratch."""
-    return _split(table, _whole(table), _attrs_in_table_order(table, attrs))
-
-
-def _chain_blocks(table: InformationTable, chain: GradedFamily) -> Iterator[list[list[int]]]:
-    """Indiscernibility classes of each chain level, smallest attribute set first.
-
-    Level k+1 splits the blocks of level k on the attributes it adds, so a
-    chain reads each cell of its largest attribute set at most once rather
-    than once per level.
+    Level k+1 refines the labels of level k on the attributes it adds, so a
+    chain reads each cell of its largest attribute set once rather than once
+    per level.
     """
-    blocks = _whole(table)
+    labels = None
     before: frozenset = frozenset()
     for level in chain.levels:
-        names = _attrs_in_table_order(table, level)
-        blocks = _split(table, blocks, tuple(a for a in names if a not in before))
+        labels = _refine(table, labels, level - before)
         before = level
-        yield blocks
+        yield labels
 
 
-def _partition(table: InformationTable, blocks: list[list[int]]) -> Partition:
-    objects = table.objects
-    return Partition(objects, (map(objects.__getitem__, block) for block in blocks))
+def _label_scan(labels: tuple[int, ...], inside: bytearray) -> tuple[set[int], set[int]]:
+    """The one approximation kernel: the labels of the classes inside the
+    target (lower) and of those meeting it (upper), from the target's row flags."""
+    upper = set(itertools.compress(labels, inside))
+    outside = inside.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    return upper.difference(itertools.compress(labels, outside)), upper
 
 
-def _block_scan(table: InformationTable, blocks: list[list[int]], target: frozenset[int]) -> ApproximationPair:
-    """The one approximation kernel: blocks meeting the target make up the
-    upper approximation, and those inside it the lower."""
-    lower: list[int] = []
-    upper: list[int] = []
-    for block in blocks:
-        if target.isdisjoint(block):
-            continue
-        upper.extend(block)
-        if target.issuperset(block):
-            lower.extend(block)
-    objects = table.objects
-    return ApproximationPair(
-        frozenset(map(objects.__getitem__, lower)), frozenset(map(objects.__getitem__, upper))
+def _pair(part: Partition, inside: bytearray) -> ApproximationPair:
+    """The approximations as unions of the scanned classes' blocks."""
+    blocks = part.blocks
+    lower, upper = (
+        frozenset(itertools.chain.from_iterable(map(blocks.__getitem__, classes)))
+        for classes in _label_scan(part._labels, inside)
     )
+    return ApproximationPair(lower, upper)
 
 
 def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) -> Partition:
@@ -203,20 +178,20 @@ def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) ->
     partition.  The partition is built from scratch, which makes it the
     reference that the incremental chain levels must agree with.
     """
-    return _partition(table, _blocks(table, attrs))
+    return Partition._from_labels(table.objects, _refine(table, None, attrs))
 
 
 def granular_from_chain(table: InformationTable, chain: GradedFamily) -> GranularSet:
     """Indiscernibility partitions of a nested attribute chain, finest first.
 
-    Each level's partition is built by splitting the blocks of the level
-    before it in the chain on the attributes the level adds, so the chain
-    reads each cell at most once rather than once per level.  Larger
-    attribute sets discern at least as much, so the partitions are
-    refinement-ordered; that is still checked by `validate_granular`, which
-    checks each adjacent pair once and raises `DomainError` on a failure.
+    Each level's block labels are refined from the level before it in the
+    chain on the attributes the level adds, so the chain reads each cell at
+    most once rather than once per level.  Larger attribute sets discern at
+    least as much, so the partitions are refinement-ordered; that is still
+    checked by `validate_granular`, which checks each adjacent pair once and
+    raises `DomainError` on a failure.
     """
-    parts = [_partition(table, blocks) for blocks in _chain_blocks(table, chain)]
+    parts = [Partition._from_labels(table.objects, labels) for labels in _chain_labels(table, chain)]
     return validate_granular(parts, coarsest_first=True)
 
 
@@ -232,8 +207,8 @@ def upper_approx(table: InformationTable, attrs: Iterable[str], target: Iterable
 
 def approximation_pair(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> ApproximationPair:
     """Lower and upper approximations computed from one shared partition."""
-    rows = _target_rows(table, target)
-    return _block_scan(table, _blocks(table, attrs), rows)
+    inside = _target_flags(table, target)
+    return _pair(indiscernibility_partition(table, attrs), inside)
 
 
 def graded_approximations(
@@ -241,13 +216,13 @@ def graded_approximations(
 ) -> tuple[GradedFamily, GradedFamily]:
     """Approximate every level of a nested target chain.
 
-    The indiscernibility classes of `attrs` are built once and block-scanned
+    The indiscernibility classes of `attrs` are labelled once and scanned
     for every level.  Each level's pair is checked (lower inside upper), and
     both output chains are checked to nest as graded families, raising
     `DomainError` on a failure.
     """
-    blocks = _blocks(table, attrs)
-    pairs = [_block_scan(table, blocks, _target_rows(table, level)) for level in targets.levels]
+    part = indiscernibility_partition(table, attrs)
+    pairs = [_pair(part, _target_flags(table, level)) for level in targets.levels]
     return GradedFamily([p.lower for p in pairs]), GradedFamily([p.upper for p in pairs])
 
 
@@ -257,15 +232,16 @@ def sensitivity_profile(
     """How approximation quality responds as the attribute set grows.
 
     One record per chain level, in chain order (smallest attribute set
-    first).  The levels' indiscernibility classes are built incrementally
-    along the chain, as in `granular_from_chain`, and each level gets one
-    block scan whose pair is checked (lower inside upper).
+    first).  The levels' block labels are refined along the chain, as in
+    `granular_from_chain`, and each level gets one label scan; the sizes are
+    counted on the labels, and the record checks lower inside upper.
     """
-    rows = _target_rows(table, target)
+    inside = _target_flags(table, target)
     records = []
-    for i, (attrs, blocks) in enumerate(zip(chain.levels, _chain_blocks(table, chain))):
-        pair = _block_scan(table, blocks, rows)
-        lower_size, upper_size = len(pair.lower), len(pair.upper)
+    for i, (attrs, labels) in enumerate(zip(chain.levels, _chain_labels(table, chain))):
+        lower, upper = _label_scan(labels, inside)
+        sizes = Counter(labels)
+        lower_size, upper_size = sum(map(sizes.__getitem__, lower)), sum(map(sizes.__getitem__, upper))
         accuracy = lower_size / upper_size if upper_size else 1.0
         records.append(
             SensitivityRecord(

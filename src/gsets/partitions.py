@@ -1,5 +1,9 @@
 """Partitions of a finite universe and refinement-ordered families of them.
 
+A partition is stored as its universe, a tuple, and one block label per
+universe element: labels count up from 0 in order of first appearance, so
+label i names the i-th block in the normalised block order, and any label
+vector of that form is an exact cover of the universe by construction.
 A granular set is a sequence of partitions, stored finest first, in which
 every block of a coarser level is a union of blocks of the finer level
 below it.
@@ -7,10 +11,18 @@ below it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from ._value import Value
 from .errors import DomainError
+
+
+def _dense(keys: Iterable[Hashable]) -> tuple[int, ...]:
+    """Block labels for one key per element: equal keys share a label, and
+    labels count up from 0 in order of first appearance."""
+    ids: dict = {}
+    return tuple([ids.setdefault(key, len(ids)) for key in keys])
 
 
 class Partition:
@@ -22,13 +34,12 @@ class Partition:
     which makes serialisation deterministic.  Equality and hashing ignore the
     ordering and compare the blocks as sets.
 
-    Construction validates its input (no duplicate universe element, no
-    empty, overlapping or foreign block, full cover) and builds one frozenset
-    per block, shared by every element of that block in the element-to-block
-    index, so time and memory are linear in the universe size.
+    Construction from blocks validates its input (no duplicate universe
+    element, no empty, overlapping or foreign block, full cover) and turns it
+    into block labels.  The blocks, and the element index that `block_of`
+    and equality read (one frozenset per block), are built from the labels
+    when first asked for.
     """
-
-    __slots__ = ("universe", "blocks", "_block_index")
 
     def __init__(self, universe: Iterable[Hashable], blocks: Iterable[Iterable[Hashable]]):
         universe = tuple(universe)
@@ -38,24 +49,22 @@ class Partition:
             duplicate = next(x for x in universe if x in seen or seen.add(x))
             raise DomainError(f"duplicate element in universe: {duplicate!r}")
         sets = [frozenset(raw) for raw in blocks]
-        index = {x: block for block in sets for x in block}
+        index = {x: i for i, block in enumerate(sets) for x in block}
         # nonempty, pairwise disjoint (no element indexed twice), inside the
         # universe and as many elements as the universe: an exact cover
         if not (all(sets) and len(index) == sum(map(len, sets)) == len(universe) and members.issuperset(index)):
             _reject_blocks(universe, members, blocks, sets)
-        # one scan of the universe lists each block's elements in universe
-        # order, and the blocks in the order of their first element
-        grouped: dict[frozenset, list] = {}
-        for x in universe:
-            block = index[x]
-            in_order = grouped.get(block)
-            if in_order is None:
-                grouped[block] = [x]
-            else:
-                in_order.append(x)
         self.universe = universe
-        self.blocks = tuple(map(tuple, grouped.values()))
-        self._block_index = index
+        self._labels = _dense(map(index.__getitem__, universe))
+
+    @classmethod
+    def _from_labels(cls, universe: tuple, labels: tuple[int, ...]) -> Partition:
+        """The partition with these dense block labels, one per universe
+        element; a label vector is a cover by construction, so nothing is checked."""
+        self = cls.__new__(cls)
+        self.universe = universe
+        self._labels = labels
+        return self
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[Hashable]]) -> Partition:
@@ -63,24 +72,33 @@ class Partition:
         blocks = [tuple(block) for block in blocks]
         return cls((x for block in blocks for x in block), blocks)
 
+    @cached_property
+    def blocks(self) -> tuple[tuple, ...]:
+        groups: list[list] = [[] for _ in range(max(self._labels, default=-1) + 1)]
+        for x, label in zip(self.universe, self._labels):
+            groups[label].append(x)
+        return tuple(map(tuple, groups))
+
+    @cached_property
+    def _index(self) -> dict:
+        sets = tuple(map(frozenset, self.blocks))
+        return dict(zip(self.universe, map(sets.__getitem__, self._labels)))
+
     def block_of(self, x: Hashable) -> frozenset:
         try:
-            return self._block_index[x]
+            return self._index[x]
         except KeyError:
             raise DomainError(f"element {x!r} is not in the universe") from None
-
-    def _block_set(self) -> frozenset[frozenset]:
-        # the blocks determine the universe (their union), so they alone
-        # decide equality
-        return frozenset(self._block_index.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self._block_set() == other._block_set()
+        # the blocks determine the universe (their union), so they alone
+        # decide equality
+        return frozenset(self._index.values()) == frozenset(other._index.values())
 
     def __hash__(self) -> int:
-        return hash(self._block_set())
+        return hash(frozenset(self._index.values()))
 
     def __repr__(self) -> str:
         return f"Partition({[list(block) for block in self.blocks]!r})"
@@ -108,11 +126,15 @@ def _reject_blocks(universe: tuple, members: set, blocks: Iterable, sets: list[f
 
 
 def refines(finer: Partition, coarser: Partition) -> bool:
-    """True when every block of `finer` lies inside one block of `coarser`."""
-    target = coarser._block_index
-    if finer._block_index.keys() != target.keys():
-        raise DomainError("universe mismatch")
-    return all(target[block[0]].issuperset(block) for block in finer.blocks)
+    """True when every block of `finer` lies inside one block of `coarser`,
+    that is, when no finer label meets two coarser labels."""
+    coarse = coarser._labels
+    if finer.universe != coarser.universe:
+        # read the coarser blocks through its element index instead of by position
+        if coarser._index.keys() != set(finer.universe):
+            raise DomainError("universe mismatch")
+        coarse = map(coarser._index.__getitem__, finer.universe)
+    return len(set(zip(finer._labels, coarse))) == len(set(finer._labels))
 
 
 class _NotRefinement(DomainError):

@@ -463,12 +463,12 @@ class TestComputeInvariantFailure:
         self, capsys, monkeypatch, table_csv, chain_json
     ):
         def crossing_levels(table, chain):
-            # {O1,O2}|rest and {O1}|rest: neither partition refines the other
+            # block labels of {O1,O2}|rest and {O1}|rest: neither partition refines the other
             n = len(table.objects)
             for i in range(len(chain.levels)):
-                yield [[0, 1], list(range(2, n))] if i % 2 else [[0], list(range(1, n))]
+                yield (0, 0) + (1,) * (n - 2) if i % 2 else (0,) + (1,) * (n - 1)
 
-        monkeypatch.setattr(infosys, "_chain_blocks", crossing_levels)
+        monkeypatch.setattr(infosys, "_chain_labels", crossing_levels)
         code, out, err = run_cli(capsys, "granulate", "--table", table_csv, "--chain", chain_json)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -560,6 +560,12 @@ HASH_SEED_CASES = {
                "    Partition(['a', 'b', 'c'], [['a', 'b'], ['x', 'y', 'z']])\n"
                "except DomainError as exc:\n    print(exc)"],
         0, "block element 'x' is not in the universe\n", "",
+    ),
+    "object-set-missing-identifier": (
+        ["-c", "from gsets import ParseError\nfrom gsets.formats import object_set_doc\ntry:\n"
+               "    object_set_doc(frozenset({'x1', 'x2', 'x3'}), order=['a'])\n"
+               "except ParseError as exc:\n    print(exc)"],
+        0, "identifier 'x1' is not in the supplied order\n", "",
     ),
 }
 

@@ -32,6 +32,7 @@ from gsets.formats import (
     granular_set_doc,
     interval_distribution_doc,
     intervals_doc,
+    object_set_doc,
     parse_approximation_pair,
     parse_fault_distribution,
     parse_fusion_result,
@@ -282,6 +283,9 @@ class TestCanonicalForm:
         pair = ApproximationPair(frozenset({"zz"}), frozenset({"zz"}))
         with pytest.raises(ParseError, match="not in the supplied order"):
             dumps_canonical(approximation_pair_doc(pair, ["O1"]))
+        # a sequence names its first missing identifier in input order
+        with pytest.raises(ParseError, match="'x3' is not in the supplied order"):
+            object_set_doc(["a", "x3", "x1"], ["a"])
 
     def test_no_insignificant_whitespace_and_sorted_keys(self):
         g = graded_fusion(FIX, 0, 1)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -344,3 +345,67 @@ class TestIncrementalChainsMatchReference:
         _check_chain_levels(table, chain)
         _check_graded(table, ["A1", "A2", "A3"], targets)
         _check_sensitivity(table, chain, target)
+
+    def test_chain_peak_memory_per_object(self):
+        # label vectors, not a name-to-block dict per level: about 400 B per
+        # object measured, against about 2.2 KB with one dict per level
+        table, chain, _, _ = _seeded_case(n=20_000)
+        chain = GradedFamily(chain)
+        tracemalloc.start()
+        try:
+            granular_from_chain(table, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1200 * len(table.objects), f"{peak / len(table.objects):.0f} bytes per object"
+
+
+def _refines_by_definition(finer, coarser):
+    # every finer block lies inside one coarser block, read off the blocks
+    coarse_block = {x: i for i, block in enumerate(coarser.blocks) for x in block}
+    return set(finer.universe) == coarse_block.keys() and all(
+        len({coarse_block[x] for x in block}) == 1 for block in finer.blocks
+    )
+
+
+@pytest.fixture(scope="module")
+def large_case():
+    return _seeded_case(n=10_000)
+
+
+class TestLargeTableInvariants:
+    """The rough-set invariants on a seeded 10^4 x 12 table, far beyond the
+    sizes the property strategies draw."""
+
+    def test_chain_levels_are_the_reference_partitions(self, large_case):
+        table, chain, _, _ = large_case
+        g = granular_from_chain(table, GradedFamily(chain))
+        for level, incremental in zip(chain, reversed(g.levels)):
+            reference = indiscernibility_partition(table, level)
+            assert incremental.blocks == reference.blocks
+
+    def test_each_level_refines_the_next(self, large_case):
+        table, chain, _, _ = large_case
+        levels = granular_from_chain(table, GradedFamily(chain)).levels
+        assert len({len(p.blocks) for p in levels}) > 2
+        for finer, coarser in zip(levels, levels[1:]):
+            assert _refines_by_definition(finer, coarser)
+        assert not _refines_by_definition(levels[-1], levels[0])
+
+    def test_approximations_monotone_in_targets(self, large_case):
+        table, _, _, targets = large_case
+        pairs = [approximation_pair(table, ["A1", "A2", "A3"], t) for t in targets]
+        for target, pair in zip(targets, pairs):
+            assert pair.lower <= set(target) <= pair.upper
+        for small, large in zip(pairs, pairs[1:]):
+            assert small.lower <= large.lower and small.upper <= large.upper
+        assert pairs[0].lower != pairs[-1].lower and pairs[0].lower != pairs[0].upper
+
+    def test_approximations_monotone_in_attributes(self, large_case):
+        table, chain, target, _ = large_case
+        pairs = [approximation_pair(table, attrs, target) for attrs in chain]
+        for small, large in zip(pairs, pairs[1:]):
+            assert small.lower <= large.lower and large.upper <= small.upper
+        records = sensitivity_profile(table, GradedFamily(chain), target)
+        assert [(r.lower_size, r.upper_size) for r in records] == [(len(p.lower), len(p.upper)) for p in pairs]
+        assert pairs[0].lower != pairs[-1].lower and pairs[0].upper != pairs[-1].upper
