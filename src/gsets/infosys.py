@@ -115,12 +115,9 @@ def _positions(names: Iterable[str], pos: dict[str, int], what: str) -> frozense
         raise DomainError(f"unknown {what}: {unknown!r}") from None
 
 
-def _target_flags(table: InformationTable, target: Iterable[str]) -> bytearray:
-    """One flag per row, set for the target objects, rejecting an object not in the table."""
-    inside = bytearray(len(table.objects))
-    for i in _positions(target, table._obj_pos, "object"):
-        inside[i] = 1
-    return inside
+def _target_rows(table: InformationTable, target: Iterable[str]) -> frozenset[int]:
+    """Row positions of the target objects, rejecting an object not in the table."""
+    return _positions(target, table._obj_pos, "object")
 
 
 def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iterable[str]) -> tuple[int, ...]:
@@ -134,6 +131,8 @@ def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iter
     columns = _positions(attrs, table._attr_pos, "attribute")
     if not columns:
         return (0,) * len(table.objects) if labels is None else labels
+    if labels and labels[-1] == len(labels) - 1:
+        return labels  # dense labels ending at n - 1 are all distinct, and one object cannot split
     signatures = map(itemgetter(*columns), table.rows)
     return _dense(signatures if labels is None else zip(labels, signatures))
 
@@ -153,20 +152,19 @@ def _chain_labels(table: InformationTable, chain: GradedFamily) -> Iterator[tupl
         yield labels
 
 
-def _label_scan(labels: tuple[int, ...], inside: bytearray) -> tuple[set[int], set[int]]:
-    """The one approximation kernel: the labels of the classes inside the
-    target (lower) and of those meeting it (upper), from the target's row flags."""
-    upper = set(itertools.compress(labels, inside))
-    outside = inside.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-    return upper.difference(itertools.compress(labels, outside)), upper
+def _label_scan(labels: tuple[int, ...], sizes: dict[int, int], target: frozenset[int]) -> tuple[set, set]:
+    """The one approximation kernel: the labels of the classes the target
+    holds whole (lower) and of those it meets (upper), given class sizes by label."""
+    hits = Counter(map(labels.__getitem__, target))
+    return {label for label, hit in hits.items() if hit == sizes[label]}, set(hits)
 
 
-def _pair(part: Partition, inside: bytearray) -> ApproximationPair:
+def _pair(part: Partition, target: frozenset[int]) -> ApproximationPair:
     """The approximations as unions of the scanned classes' blocks."""
     blocks = part.blocks
     lower, upper = (
         frozenset(itertools.chain.from_iterable(map(blocks.__getitem__, classes)))
-        for classes in _label_scan(part._labels, inside)
+        for classes in _label_scan(part._labels, dict(enumerate(map(len, blocks))), target)
     )
     return ApproximationPair(lower, upper)
 
@@ -207,8 +205,8 @@ def upper_approx(table: InformationTable, attrs: Iterable[str], target: Iterable
 
 def approximation_pair(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> ApproximationPair:
     """Lower and upper approximations computed from one shared partition."""
-    inside = _target_flags(table, target)
-    return _pair(indiscernibility_partition(table, attrs), inside)
+    rows = _target_rows(table, target)
+    return _pair(indiscernibility_partition(table, attrs), rows)
 
 
 def graded_approximations(
@@ -222,7 +220,7 @@ def graded_approximations(
     `DomainError` on a failure.
     """
     part = indiscernibility_partition(table, attrs)
-    pairs = [_pair(part, _target_flags(table, level)) for level in targets.levels]
+    pairs = [_pair(part, _target_rows(table, level)) for level in targets.levels]
     return GradedFamily([p.lower for p in pairs]), GradedFamily([p.upper for p in pairs])
 
 
@@ -236,11 +234,11 @@ def sensitivity_profile(
     `granular_from_chain`, and each level gets one label scan; the sizes are
     counted on the labels, and the record checks lower inside upper.
     """
-    inside = _target_flags(table, target)
+    rows = _target_rows(table, target)
     records = []
     for i, (attrs, labels) in enumerate(zip(chain.levels, _chain_labels(table, chain))):
-        lower, upper = _label_scan(labels, inside)
         sizes = Counter(labels)
+        lower, upper = _label_scan(labels, sizes, rows)
         lower_size, upper_size = sum(map(sizes.__getitem__, lower)), sum(map(sizes.__getitem__, upper))
         accuracy = lower_size / upper_size if upper_size else 1.0
         records.append(
