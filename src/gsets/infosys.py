@@ -190,7 +190,7 @@ def granular_from_chain(table: InformationTable, chain: GradedFamily) -> Granula
     raises `DomainError` on a failure.
     """
     parts = [Partition._from_labels(table.objects, labels) for labels in _chain_labels(table, chain)]
-    return validate_granular(parts, coarsest_first=True)
+    return validate_granular(parts[::-1])
 
 
 def lower_approx(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> frozenset[str]:

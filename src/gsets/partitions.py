@@ -1,12 +1,10 @@
 """Partitions of a finite universe and refinement-ordered families of them.
 
-A partition is stored as its universe, a tuple, and one block label per
-universe element: labels count up from 0 in order of first appearance, so
-label i names the i-th block in the normalised block order, and any label
-vector of that form is an exact cover of the universe by construction.
-A granular set is a sequence of partitions, stored finest first, in which
-every block of a coarser level is a union of blocks of the finer level
-below it.
+A partition is stored as its universe and one block label per element,
+counted from 0 in order of first appearance: an exact cover by
+construction.  Block input is checked in one pass, in input order, a set
+block least repr first.  A granular set lists partitions finest first, as
+they are given, each coarser block a union of blocks of the level below.
 """
 
 from __future__ import annotations
@@ -34,28 +32,45 @@ class Partition:
     which makes serialisation deterministic.  Equality and hashing ignore the
     ordering and compare the blocks as sets.
 
-    Construction from blocks validates its input (no duplicate universe
-    element, no empty, overlapping or foreign block, full cover) and turns it
-    into block labels.  The blocks, and the element index that `block_of`
-    and equality read (one frozenset per block), are built from the labels
-    when first asked for.
+    Construction from blocks is one pass in input order that gives each
+    universe element its block index and raises at the first defect: a
+    duplicate universe element, then per block a foreign element, an
+    element of an earlier block or an empty block, then an uncovered one.
+    An element repeated in one block is accepted; a set block is walked
+    least repr first.  The blocks and the element index that `block_of` and
+    equality read (one frozenset per block) are built on first use.
     """
 
     def __init__(self, universe: Iterable[Hashable], blocks: Iterable[Iterable[Hashable]]):
         universe = tuple(universe)
-        members = set(universe)
-        if len(members) != len(universe):
+        # block index per universe element, -1 while unassigned
+        index = dict.fromkeys(universe, -1)
+        if len(index) != len(universe):
             seen: set = set()
             duplicate = next(x for x in universe if x in seen or seen.add(x))
             raise DomainError(f"duplicate element in universe: {duplicate!r}")
-        sets = [frozenset(raw) for raw in blocks]
-        index = {x: i for i, block in enumerate(sets) for x in block}
-        # nonempty, pairwise disjoint (no element indexed twice), inside the
-        # universe and as many elements as the universe: an exact cover
-        if not (all(sets) and len(index) == sum(map(len, sets)) == len(universe) and members.issuperset(index)):
-            _reject_blocks(universe, members, blocks, sets)
+        covered = 0
+        for i, block in enumerate(blocks):
+            if isinstance(block, (set, frozenset)):
+                # a set iterates in hash-seed order; walk it least repr first
+                block = sorted(block, key=repr)
+            first = covered
+            for x in block:
+                j = index.get(x)
+                if j != i:
+                    if j is None:
+                        raise DomainError(f"block element {x!r} is not in the universe")
+                    if j >= 0:
+                        raise DomainError(f"element {x!r} appears in more than one block")
+                    index[x] = i
+                    covered += 1
+            if covered == first:
+                raise DomainError("empty block")
+        if covered != len(universe):
+            missing = next(x for x, j in index.items() if j < 0)
+            raise DomainError(f"blocks do not cover the universe: {missing!r} unassigned")
         self.universe = universe
-        self._labels = _dense(map(index.__getitem__, universe))
+        self._labels = _dense(index.values())
 
     @classmethod
     def _from_labels(cls, universe: tuple, labels: tuple[int, ...]) -> Partition:
@@ -104,27 +119,6 @@ class Partition:
         return f"Partition({[list(block) for block in self.blocks]!r})"
 
 
-def _reject_blocks(universe: tuple, members: set, blocks: Iterable, sets: list[frozenset]) -> None:
-    """Raise for the first defect, in input order, that keeps `blocks` from partitioning `universe`.
-
-    Blocks given as a list or tuple of lists or tuples are read in their own
-    order; anything else may have been an iterator, used up by now, so the
-    frozensets stand in for it.
-    """
-    assigned: set = set()
-    for raw, block in zip(blocks if isinstance(blocks, (list, tuple)) else sets, sets):
-        if not block:
-            raise DomainError("empty block")
-        for x in dict.fromkeys(raw) if isinstance(raw, (list, tuple)) else block:
-            if x not in members:
-                raise DomainError(f"block element {x!r} is not in the universe")
-            if x in assigned:
-                raise DomainError(f"element {x!r} appears in more than one block")
-            assigned.add(x)
-    missing = next(x for x in universe if x not in assigned)
-    raise DomainError(f"blocks do not cover the universe: {missing!r} unassigned")
-
-
 def refines(finer: Partition, coarser: Partition) -> bool:
     """True when every block of `finer` lies inside one block of `coarser`,
     that is, when no finer label meets two coarser labels."""
@@ -137,19 +131,11 @@ def refines(finer: Partition, coarser: Partition) -> bool:
     return len(set(zip(finer._labels, coarse))) == len(set(finer._labels))
 
 
-class _NotRefinement(DomainError):
-    """Adjacent levels, finest first, that are not refinement-related."""
-
-    def __init__(self, pairs: list[int]):
-        super().__init__(f"levels {pairs[0]} and {pairs[0] + 1} are not refinement-related")
-        self.pairs = pairs
-
-
 class GranularSet(Value):
     """Partitions of one universe ordered finest first, adjacent levels refinement-related.
 
-    Construction checks each adjacent pair once with `refines`, which also
-    checks that the pair shares one universe.
+    Construction checks adjacent pairs in order with `refines`, which also
+    checks that a pair shares one universe, and raises at the first failure.
     """
 
     __slots__ = ("levels",)
@@ -159,9 +145,9 @@ class GranularSet(Value):
         self._init(levels)
         if not levels:
             raise DomainError("granular set needs at least one level")
-        pairs = [i for i in range(len(levels) - 1) if not refines(levels[i], levels[i + 1])]
-        if pairs:
-            raise _NotRefinement(pairs)
+        for i in range(len(levels) - 1):
+            if not refines(levels[i], levels[i + 1]):
+                raise DomainError(f"partitions {i} and {i + 1} are not refinement-related")
 
     @property
     def universe(self) -> tuple:
@@ -171,20 +157,9 @@ class GranularSet(Value):
         return len(self.levels)
 
 
-def validate_granular(partitions: Sequence[Partition], coarsest_first: bool = False) -> GranularSet:
-    """Build a GranularSet, normalising to finest-first storage.
-
-    The refinement check is the one `GranularSet` runs; a failure reports
-    the first offending pair in the order the partitions were given, by
-    input index.
-    """
-    parts = list(partitions)
-    if not parts:
+def validate_granular(partitions: Sequence[Partition]) -> GranularSet:
+    """Build a GranularSet from a nonempty list of partitions given finest
+    first; the refinement check is the one `GranularSet` runs."""
+    if not partitions:
         raise DomainError("no partitions")
-    ordered = tuple(reversed(parts)) if coarsest_first else tuple(parts)
-    try:
-        return GranularSet(ordered)
-    except _NotRefinement as exc:
-        # stored pair j is input pair len(parts) - 2 - j when the input is coarsest first
-        i = len(parts) - 2 - exc.pairs[-1] if coarsest_first else exc.pairs[0]
-        raise DomainError(f"partitions {i} and {i + 1} are not refinement-related") from None
+    return GranularSet(partitions)

@@ -561,6 +561,20 @@ HASH_SEED_CASES = {
                "except DomainError as exc:\n    print(exc)"],
         0, "block element 'x' is not in the universe\n", "",
     ),
+    # a set block is walked least repr first
+    "partition-set-block-foreign-elements": (
+        ["-c", "from gsets import DomainError, Partition\ntry:\n"
+               "    Partition(['a'], [{'x1', 'x2', 'x3'}])\n"
+               "except DomainError as exc:\n    print(exc)"],
+        0, "block element 'x1' is not in the universe\n", "",
+    ),
+    # blocks that arrive from a generator are walked in their own order
+    "partition-generator-block-foreign-elements": (
+        ["-c", "from gsets import DomainError, Partition\ntry:\n"
+               "    Partition(['a'], (block for block in [['x1', 'x2', 'x3']]))\n"
+               "except DomainError as exc:\n    print(exc)"],
+        0, "block element 'x1' is not in the universe\n", "",
+    ),
     "object-set-missing-identifier": (
         ["-c", "from gsets import ParseError\nfrom gsets.formats import object_set_doc\ntry:\n"
                "    object_set_doc(frozenset({'x1', 'x2', 'x3'}), order=['a'])\n"

@@ -19,6 +19,7 @@ from gsets import (
     sensitivity_profile,
     upper_approx,
 )
+from gsets.formats import dumps_canonical, granular_set_doc, parse_granular_set
 from strategies import table_with_attr_chain, table_with_target_chain, tables
 
 ALL = [f"O{i}" for i in range(1, 11)]
@@ -409,3 +410,13 @@ class TestLargeTableInvariants:
         records = sensitivity_profile(table, GradedFamily(chain), target)
         assert [(r.lower_size, r.upper_size) for r in records] == [(len(p.lower), len(p.upper)) for p in pairs]
         assert pairs[0].lower != pairs[-1].lower and pairs[0].upper != pairs[-1].upper
+
+    def test_granular_set_document_round_trips(self, large_case):
+        # parsing rebuilds all 12 levels from blocks, 12 x 10^4 elements
+        table, chain, _, _ = large_case
+        g = granular_from_chain(table, GradedFamily(chain))
+        text = dumps_canonical(granular_set_doc(g))
+        parsed = parse_granular_set(text)
+        assert parsed == g
+        # the same normalised blocks, so the same document bytes
+        assert [p.blocks for p in parsed.levels] == [p.blocks for p in g.levels]

@@ -390,3 +390,22 @@ def test_large_seeded_chain_matches_counting_characterization():
         result = fuse(items, f)
         pooled[result] = pooled.get(result, 0.0) + p
     assert random_graded(items, dist).atoms == IntervalDistribution(tuple(pooled.items())).atoms
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("n", [101, 1001])
+def test_containment_is_tight_at_scale(n, side):
+    # k of n sensors are faulty, all displaced to one side of the truth (above
+    # for side 1): every budget f >= k contains the truth, and f = k - 1 misses it
+    rng = random.Random(f"containment {n} {side}")
+    for k in sorted({1, 2, n // 10, n // 2, n - 1}):
+        truth = rng.uniform(-100, 100)
+        items = [Interval(truth - rng.uniform(1e-3, 5), truth + rng.uniform(1e-3, 5)) for _ in range(n - k)]
+        for _ in range(k):
+            near = truth + side * rng.uniform(1e-3, 10)
+            far = near + side * rng.uniform(0, 5)
+            items.append(Interval(min(near, far), max(near, far)))
+        rng.shuffle(items)
+        levels = graded_fusion(items, 0, n - 1).levels
+        assert all(level is not None and level.contains_point(truth) for level in levels[k:]), k
+        assert levels[k - 1] is None or not levels[k - 1].contains_point(truth), k

@@ -50,6 +50,16 @@ class TestPartitionConstruction:
         with pytest.raises(DomainError, match="do not cover"):
             Partition(["a", "b"], [["a"]])
 
+    def test_first_defect_in_input_order_is_reported(self):
+        # blocks are checked in order: block 1's foreign element comes before
+        # the empty block 2, and an empty block 1 before block 2's foreign one
+        with pytest.raises(DomainError, match="^block element 'zz' is not in the universe$"):
+            Partition(["a"], [["a"], ["zz", "a"], []])
+        with pytest.raises(DomainError, match="^empty block$"):
+            Partition(["a"], [["a"], [], ["zz"]])
+        # an element repeated inside one block is not in two blocks
+        assert Partition(["a", "b"], [["a", "a"], ["b"]]).blocks == (("a",), ("b",))
+
     def test_block_of(self):
         p = part(["a", "b"], ["c"])
         assert p.block_of("b") == frozenset({"a", "b"})
@@ -135,15 +145,13 @@ class TestValidateGranular:
         with pytest.raises(DomainError, match=r"partitions \(0, 1\)|partitions 0 and 1"):
             validate_granular([part(["1", "2"], ["3"]), part(["1", "3"], ["2"])])
 
-    @pytest.mark.parametrize("coarsest_first", [False, True])
-    def test_first_bad_pair_in_input_order_is_reported(self, coarsest_first):
+    def test_first_bad_pair_in_input_order_is_reported(self):
         fine = part(["1"], ["2"], ["3"])
         coarse = part(["1", "2"], ["3"])
         cross = part(["1", "3"], ["2"])
-        # input pairs 1 and 2 both fail; pair 0 is a refinement in input order
-        parts = [coarse, fine, cross, coarse] if coarsest_first else [fine, coarse, cross, fine]
+        # pairs 1 and 2 both fail; pair 0 is a refinement
         with pytest.raises(DomainError, match="partitions 1 and 2 are not refinement-related"):
-            validate_granular(parts, coarsest_first=coarsest_first)
+            validate_granular([fine, coarse, cross, fine])
 
     def test_universe_mismatch_rejected(self):
         with pytest.raises(DomainError, match="universe mismatch"):
@@ -152,18 +160,6 @@ class TestValidateGranular:
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError, match="no partitions"):
             validate_granular([])
-
-    def test_coarsest_first_flag_reverses(self):
-        fine = part(["1"], ["2"], ["3"])
-        coarse = part(["1", "2"], ["3"])
-        g = validate_granular([coarse, fine], coarsest_first=True)
-        assert g.levels == (fine, coarse)
-
-    def test_coarsest_first_checks_pairs_in_input_order(self):
-        fine = part(["1"], ["2"], ["3"])
-        coarse = part(["1", "2"], ["3"])
-        with pytest.raises(DomainError):
-            validate_granular([fine, coarse], coarsest_first=True)
 
     @given(block_labelings())
     def test_refinement_tower_always_validates(self, labeled):
