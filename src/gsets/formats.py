@@ -47,11 +47,12 @@ from .partitions import GranularSet, Partition, validate_granular
 from .simulate import SimConfig, SimOutcome
 
 _INT_RENDER_LIMIT = 2**53
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def dumps_canonical(doc) -> str:
     """Serialise a JSON-ready document deterministically."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _encode(doc)
 
 
 def _real(x: float):
@@ -130,7 +131,7 @@ def _interval(pair: Sequence, where: str, number=_number) -> Interval:
     hi = number(pair[1], where)
     if lo > hi:
         raise ParseError(f"{where}: lower endpoint exceeds upper endpoint")
-    return Interval(lo, hi)
+    return Interval._unchecked(lo, hi)
 
 
 def _is_pair(data) -> bool:
@@ -410,13 +411,29 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
 # simulation reports
 
 
+class _EndpointTexts(dict):
+    """The canonical text of each endpoint value of a round's measurements.
+
+    Equal floats render alike (``_real`` renders -0.0 and 0.0 both as ``0``),
+    so a fused endpoint, which is always one of the measurement endpoints,
+    is looked up by value; any other value is rendered on the spot.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        return dumps_canonical(_real(x))
+
+
 def simulation_chunks(config: SimConfig, outcomes: Iterable[SimOutcome]) -> Iterator[str]:
     """The simulator's report as canonical JSON text, one chunk per round:
     its configuration, then each round's sensors, fused chain and per-budget
     truth containment, rendered as soon as the round is drawn.
 
-    The chunks join to ``dumps_canonical`` of the whole report, whose two
-    keys ``config`` and ``rounds`` are already in sorted order.
+    The chunks join to ``dumps_canonical`` of the whole report.  Its keys,
+    the two outer ones and each round's, are written in sorted order around
+    the encoder's output.  A round's measurements are rendered once, and its
+    fused levels reuse their endpoint texts.
     """
     config_doc = {
         "sensors": config.num_sensors,
@@ -430,13 +447,22 @@ def simulation_chunks(config: SimConfig, outcomes: Iterable[SimOutcome]) -> Iter
     for i, outcome in enumerate(outcomes):
         if i:
             yield ","
-        yield dumps_canonical(
+        intervals = outcome.intervals
+        measured = dumps_canonical(intervals_doc(intervals))
+        # "[[lo,hi],[lo,hi]]" -> lo, hi, lo, hi: no rendered real holds a comma or a bracket
+        tokens = measured[2:-2].replace("],[", ",").split(",")
+        text = _EndpointTexts(zip([iv.lo for iv in intervals], tokens[::2]))
+        text.update(zip([iv.hi for iv in intervals], tokens[1::2]))
+        fused = outcome.fused
+        levels = ",".join(["null" if lv is None else f"[{text[lv.lo]},{text[lv.hi]}]" for lv in fused.levels])
+        head = dumps_canonical(
             {
-                "round": i,
-                "faulty": sorted(outcome.faulty_indices),
-                "intervals": intervals_doc(outcome.intervals),
-                "fused": graded_intervals_doc(outcome.fused),
                 "contains_truth": list(outcome.truth_containment),
+                "faulty": sorted(outcome.faulty_indices),
+                "fused": {"f_min": fused.f_min, "levels": []},
             }
         )
+        # the head's text ends in "levels":[]}}, since "fused" and "levels" sort last; the
+        # levels go inside that array, and the keys that sort after "fused" follow it
+        yield head[:-3] + levels + ']},"intervals":' + measured + ',"round":' + str(i) + "}"
     yield "]}"

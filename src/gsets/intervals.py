@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from functools import total_ordering
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ._value import Value
 from .errors import DomainError
@@ -36,6 +36,15 @@ class Interval(Value):
         _set_lo(self, lo)
         _set_hi(self, hi)
 
+    @classmethod
+    def _unchecked(cls, lo: float, hi: float) -> Interval:
+        """[lo, hi] from endpoints that are already finite floats with lo <= hi,
+        such as those of checked intervals; nothing is checked again."""
+        self = _new(cls)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        return self
+
     def __lt__(self, other: Interval) -> bool:
         return (self.lo, self.hi) < (other.lo, other.hi) if other.__class__ is Interval else NotImplemented
 
@@ -46,8 +55,9 @@ class Interval(Value):
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-# the slots' own setters: the hottest constructor skips object.__setattr__
+# the slots' own setters: the hottest constructors skip object.__setattr__
 _set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
+_new = object.__new__
 
 # A fused estimate is an interval, or None when the computed left endpoint
 # exceeds the right one (the empty result).
@@ -84,8 +94,9 @@ class GradedIntervals(Value):
             raise DomainError("f_min must be nonnegative")
         if not levels:
             raise DomainError("graded intervals need at least one level")
-        for i in range(len(levels) - 1):
-            if not fused_subset(levels[i], levels[i + 1]):
+        # fused_subset on each adjacent pair, inlined: a chain is checked per simulated round
+        for i, (inner, outer) in enumerate(zip(levels, levels[1:])):
+            if inner is not None and (outer is None or not (outer.lo <= inner.lo and inner.hi <= outer.hi)):
                 raise DomainError(f"levels {i} and {i + 1} are not nested")
 
     @property
@@ -104,6 +115,9 @@ class FaultDistribution(Value):
     __slots__ = ("support",)
 
     def __init__(self, support: Iterable[tuple[int, float]]) -> None:
+        support = tuple(support)
+        if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
+            raise DomainError("fault count must be an integer")
         support = tuple(sorted((int(f), float(p)) for f, p in support))
         self._init(support)
         if not support:
@@ -149,22 +163,23 @@ class IntervalDistribution(Value):
         self._init(tuple(sorted(merged.items(), key=lambda a: _result_key(a[0]))))
 
 
-def _order_statistics(intervals: Iterable[Interval]) -> tuple[int, Callable[[int], FusionResult]]:
-    """The one fusion kernel: sort the endpoints once; return (n, reader of level f)."""
+def _order_statistics(intervals: Iterable[Interval]) -> tuple[list[float], list[float]]:
+    """The one fusion kernel: the lower endpoints sorted descending and the
+    upper endpoints ascending, so that level f is read off index f of each."""
     items = list(intervals)
     if not items:
         raise DomainError("no measurements")
-    lows = sorted((iv.lo for iv in items), reverse=True)
-    highs = sorted(iv.hi for iv in items)
+    return sorted((iv.lo for iv in items), reverse=True), sorted(iv.hi for iv in items)
 
-    def level(f: int) -> FusionResult:
-        if f < 0:
-            raise DomainError("fault count must be nonnegative")
-        if f >= len(items):
-            raise DomainError("fault count exceeds measurement count")
-        return Interval(lows[f], highs[f]) if lows[f] <= highs[f] else None
 
-    return len(items), level
+def _level(lows: list[float], highs: list[float], f: int) -> FusionResult:
+    """Level f of the sorted endpoints, once the fault count is checked."""
+    if f < 0:
+        raise DomainError("fault count must be nonnegative")
+    if f >= len(lows):
+        raise DomainError("fault count exceeds measurement count")
+    lo, hi = lows[f], highs[f]
+    return Interval._unchecked(lo, hi) if lo <= hi else None
 
 
 def fuse(intervals: Iterable[Interval], f: int) -> FusionResult:
@@ -174,20 +189,23 @@ def fuse(intervals: Iterable[Interval], f: int) -> FusionResult:
     endpoint the (f+1)-th smallest upper bound; an inverted pair yields the
     empty result.  Invariant under permutation of the input.
     """
-    _, level = _order_statistics(intervals)
-    return level(f)
+    return _level(*_order_statistics(intervals), f)
 
 
 def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> GradedIntervals:
     """Fuse at every fault budget in f_min..f_max, off one pair of endpoint sorts.
 
-    The levels are nested by the fusion rule itself; the GradedIntervals
-    constructor re-asserts the chain condition.
+    The fault range is checked once, and the levels are read straight off
+    the sorted slices.  They are nested by the fusion rule itself; the
+    GradedIntervals constructor re-asserts the chain condition.
     """
-    n, level = _order_statistics(intervals)
-    if not 0 <= f_min <= f_max <= n - 1:
+    lows, highs = _order_statistics(intervals)
+    if not 0 <= f_min <= f_max <= len(lows) - 1:
         raise DomainError("invalid fault range")
-    return GradedIntervals(f_min, tuple(map(level, range(f_min, f_max + 1))))
+    new = Interval._unchecked  # the endpoints come from checked intervals; the reader decides lo <= hi
+    return GradedIntervals(
+        f_min, [new(lo, hi) if lo <= hi else None for lo, hi in zip(lows[f_min:f_max + 1], highs[f_min:f_max + 1])]
+    )
 
 
 def as_rough_pair(graded: GradedIntervals) -> tuple[FusionResult, FusionResult]:
@@ -203,8 +221,8 @@ def random_graded(intervals: Iterable[Interval], dist: FaultDistribution) -> Int
     Every result is read off one pair of endpoint sorts; the IntervalDistribution
     constructor pools fault counts that fuse to the same result into one atom.
     """
-    _, level = _order_statistics(intervals)
-    return IntervalDistribution(tuple((level(f), p) for f, p in dist.support))
+    lows, highs = _order_statistics(intervals)
+    return IntervalDistribution(tuple((_level(lows, highs, f), p) for f, p in dist.support))
 
 
 def sample(dist: IntervalDistribution, seed: int) -> FusionResult:

@@ -64,11 +64,6 @@ def _round_rng(seed: int, round_index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _positive_uniform(rng: random.Random, upper: float) -> float:
-    # uniform over (0, upper]: 1 - random() lies in (0, 1]
-    return upper * (1.0 - rng.random())
-
-
 def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     """Run one deterministic round.
 
@@ -81,26 +76,28 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
         raise DomainError("round index must be nonnegative")
     rng = _round_rng(config.seed, round_index)
     faulty = frozenset(rng.sample(range(config.num_sensors), config.num_faulty))
+    uniform, choice = rng.random, rng.choice
+    truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
     intervals = []
     for i in range(config.num_sensors):
-        u = _positive_uniform(rng, config.correct_halfwidth_max)
-        v = _positive_uniform(rng, config.correct_halfwidth_max)
+        # u, v uniform over (0, width]: 1 - random() lies in (0, 1]
+        u = width * (1.0 - uniform())
+        v = width * (1.0 - uniform())
         if i in faulty:
-            side = rng.choice((-1.0, 1.0))
-            offset = config.fault_offset_min * (1.0 + rng.random())
-            center = config.truth + side * offset
-            interval = Interval(center - u, center + v)
-            if interval.contains_point(config.truth):
+            side = choice((-1.0, 1.0))
+            offset = offset_min * (1.0 + uniform())
+            center = truth + side * offset
+            lo, hi = center - u, center + v
+            intervals.append(Interval(lo, hi))
+            if lo <= truth <= hi:
                 raise DomainError(f"round {round_index}: faulty sensor {i} contains the truth after float rounding")
         else:
-            interval = Interval(config.truth - u, config.truth + v)
-            if not interval.contains_point(config.truth):
+            lo, hi = truth - u, truth + v
+            intervals.append(Interval(lo, hi))
+            if not lo <= truth <= hi:
                 raise DomainError(f"round {round_index}: correct sensor {i} misses the truth")
-        intervals.append(interval)
     fused = graded_fusion(intervals, 0, config.num_sensors - 1)
-    containment = tuple(
-        level is not None and level.contains_point(config.truth) for level in fused.levels
-    )
+    containment = tuple(level is not None and level.lo <= truth <= level.hi for level in fused.levels)
     return SimOutcome(tuple(intervals), faulty, fused, containment)
 
 
