@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Condense paired timed benchmark runs into ``BENCH_<tag>.json`` at the repository root.
+
+    python3 scripts/bench_summary.py PARENT CHANGE --tag simulate_render_once
+
+PARENT and CHANGE are two checkouts, each holding the timed records
+``perfbench/out/<workload>-seed<n>.json`` that ``perfbench/run.py --trace 0``
+wrote there.  A run counts when both sides have its workload and seed, so
+each seed is one pair.  For every workload and every end-to-end metric of
+``BENCHMARK.json`` the file holds each side's median, quartiles and runs,
+the ratio of the medians (change / parent) and the number of pairs the
+change won in the metric's better direction (ties count for neither).  It
+also records whether every call wrote the same stdout on both sides, the
+seeds, the interpreter, the machine, ``nproc`` and both commits.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)\.json")
+CONTEXT = ("python", "implementation", "machine", "nproc")
+
+
+class SummaryError(Exception):
+    pass
+
+
+def _records(checkout: Path) -> dict[tuple[str, int], dict]:
+    """The timed records of one checkout by (workload, seed)."""
+    out = {}
+    for path in sorted((checkout / "perfbench" / "out").glob("*-seed*.json")):
+        match = RECORD.fullmatch(path.name)
+        if match:
+            out[match["workload"], int(match["seed"])] = json.loads(path.read_text(encoding="utf-8"))
+    return out
+
+
+def _only(values: set, what: str):
+    if len(values) != 1:
+        raise SummaryError(f"the records disagree on {what}: {sorted(values, key=repr)}")
+    return values.pop()
+
+
+def _stdout_hashes(record: dict) -> list[str]:
+    return [call["sha256"] for call in record["calls"]]
+
+
+def _side(runs: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+    return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+
+
+def summarize(parent: Path, change: Path, tag: str) -> dict:
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    sides = {"parent": _records(parent), "change": _records(change)}
+    pairs = sorted(sides["parent"].keys() & sides["change"].keys())
+    if not pairs:
+        raise SummaryError("no workload and seed has a timed record on both sides")
+    records = [sides[side][pair] for side in sides for pair in pairs]
+    context = {key: _only({r["context"][key] for r in records}, key) for key in CONTEXT}
+    commits = {side: _only({sides[side][pair]["context"]["commit"] for pair in pairs}, f"the {side} commit")
+               for side in sides}
+
+    workloads = {}
+    for name in sorted({workload for workload, _ in pairs}):
+        seeds = [seed for workload, seed in pairs if workload == name]
+        runs = {side: [sides[side][name, seed] for seed in seeds] for side in sides}
+        same = all(_stdout_hashes(a) == _stdout_hashes(b) for a, b in zip(runs["parent"], runs["change"]))
+        summary = {}
+        for metric in metrics:
+            key, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values = {side: [r["metrics"][key] for r in runs[side]] for side in sides}
+            old, new = _side(values["parent"]), _side(values["change"])
+            summary[key] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": old,
+                "change": new,
+                "ratio": new["median"] / old["median"] if old["median"] else None,
+                "change_wins": sum(sign * (b - a) > 0 for a, b in zip(values["parent"], values["change"])),
+            }
+        workloads[name] = {"seeds": seeds, "same_stdout": same, "metrics": summary}
+    return {"tag": tag, "context": context, "commits": commits, "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit, with perfbench/out/")
+    parser.add_argument("change", type=Path, help="checkout of the change, with perfbench/out/")
+    parser.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
+    args = parser.parse_args(argv)
+    if not re.fullmatch(r"\w+", args.tag):
+        parser.error("--tag must be letters, digits and underscores")
+    try:
+        summary = summarize(args.parent, args.change, args.tag)
+    except SummaryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

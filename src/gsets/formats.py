@@ -18,8 +18,10 @@ Each value kind X has one document builder ``X_doc`` that returns plain
 JSON data and one parser ``parse_X``, and ``dumps_canonical`` is the only
 encoder: ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to
 ``v``.  The simulation report is written only, and not as one document:
-``simulation_chunks`` renders it one round at a time, each round through
-``dumps_canonical``, so the report is never held as a tree.
+``simulation_chunks`` renders it one round at a time through
+``dumps_canonical``, so the report is never held as a tree.  Each endpoint
+is rendered once per round: the fused levels reuse the text of the
+measurement endpoints they are read from.
 Canonical JSON has its keys sorted and no insignificant whitespace;
 blocks and objects are ordered by the partition's universe order (or
 lexicographically where no universe context exists), integral reals are

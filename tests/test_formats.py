@@ -10,11 +10,13 @@ from gsets import (
     DomainError,
     FaultDistribution,
     GradedFamily,
+    GradedIntervals,
     Interval,
     ParseError,
     Partition,
     SensitivityRecord,
     SimConfig,
+    SimOutcome,
     graded_fusion,
     granular_from_chain,
     random_graded,
@@ -22,6 +24,7 @@ from gsets import (
     simulate_rounds,
 )
 from gsets.formats import (
+    _real,
     _token,
     approximation_pair_doc,
     dumps_canonical,
@@ -112,6 +115,13 @@ class TestParseIntervalsJson:
     def test_unknown_format_rejected(self):
         with pytest.raises(ParseError, match="unknown interval format"):
             parse_intervals("lo,hi\n", "tsv")
+
+    @pytest.mark.parametrize("text, fmt", [("lo,hi\n-0,4\n4,4e0\n", "csv"), ("[[-0.0,4],[4,4e0]]", "json")])
+    def test_parsed_intervals_hold_floats_like_checked_ones(self, text, fmt):
+        # the parser checks each pair itself and builds the interval unchecked
+        for parsed, twin in zip(parse_intervals(text, fmt), [Interval(-0.0, 4), Interval(4, 4)], strict=True):
+            assert type(parsed.lo) is float and type(parsed.hi) is float
+            assert repr(parsed) == repr(twin) and hash(parsed) == hash(twin)
 
 
 class TestParseTable:
@@ -440,28 +450,82 @@ class TestParseRejections:
             parse_approximation_pair('{"lower":["a"],"upper":["b"]}')
 
 
+def _reference_report(config: SimConfig, outcomes) -> dict:
+    """The simulation report as one document, built by the value kinds' own doc builders."""
+    return {
+        "config": {
+            "sensors": config.num_sensors,
+            "truth": _real(config.truth),
+            "halfwidth": _real(config.correct_halfwidth_max),
+            "faulty": config.num_faulty,
+            "offset": _real(config.fault_offset_min),
+            "seed": config.seed,
+        },
+        "rounds": [
+            {
+                "round": i,
+                "faulty": sorted(out.faulty_indices),
+                "intervals": intervals_doc(out.intervals),
+                "fused": graded_intervals_doc(out.fused),
+                "contains_truth": list(out.truth_containment),
+            }
+            for i, out in enumerate(outcomes)
+        ],
+    }
+
+
 class TestSimulationChunks:
     @pytest.mark.parametrize("rounds", [0, 1, 4])
     # integral reals are rendered as integers
     @pytest.mark.parametrize("truth, rendered", [(0.1, 0.1), (3.0, 3), (-1e6, -1000000)])
     def test_chunks_join_to_the_canonical_report(self, rounds, truth, rendered):
         config = SimConfig(5, truth, 1.5, 2, 2.5, 9)
-        report = {
-            "config": {
-                "sensors": 5, "truth": rendered, "halfwidth": 1.5, "faulty": 2, "offset": 2.5, "seed": 9,
-            },
-            "rounds": [
-                {
-                    "round": i,
-                    "faulty": sorted(out.faulty_indices),
-                    "intervals": intervals_doc(out.intervals),
-                    "fused": graded_intervals_doc(out.fused),
-                    "contains_truth": list(out.truth_containment),
-                }
-                for i, out in enumerate(simulate_rounds(config, rounds))
-            ],
+        report = _reference_report(config, simulate_rounds(config, rounds))
+        assert report["config"] == {
+            "sensors": 5, "truth": rendered, "halfwidth": 1.5, "faulty": 2, "offset": 2.5, "seed": 9,
         }
         chunks = list(simulation_chunks(config, simulate_rounds(config, rounds)))
         assert "".join(chunks) == dumps_canonical(report)
         # the configuration, each round with a separator between rounds, the close
         assert len(chunks) == 1 + rounds + max(rounds - 1, 0) + 1
+
+    def test_fused_endpoints_render_as_the_measurements_do(self):
+        # each fused endpoint's text is looked up by value among the rendered measurements:
+        # ties, -0.0 against 0.0, and integral reals on both sides of 2**53 must all come out
+        # as the document builders render them
+        big = 2.0**53
+        items = (
+            Interval(-0.0, 0.0), Interval(0.0, 2.0), Interval(-0.0, big), Interval(2.0, big + 2.0),
+            Interval(0.5, big + 2.0), Interval(-3.5, 0.0), Interval(1e300, 1e300), Interval(-0.0, 1e300),
+        )
+        fused = graded_fusion(items, 0, len(items) - 1)
+        assert fused.levels[0] is None and fused.levels[-1] is not None
+        outcomes = [
+            SimOutcome(items, frozenset({6, 0}), fused, tuple(level is not None for level in fused.levels)),
+            # endpoints that no measurement has are rendered on the spot
+            SimOutcome(
+                items[:2], frozenset(), GradedIntervals(1, [None, Interval(0.25, 0.75), Interval(-0.0, 2.0**60)]),
+                (False, True, True),
+            ),
+            SimOutcome((), frozenset(), GradedIntervals(0, [None]), (False,)),
+        ]
+        config = SimConfig(8, -0.0, 1.0, 2, 2.5, 0)
+        text = "".join(simulation_chunks(config, outcomes))
+        assert text == dumps_canonical(_reference_report(config, outcomes))
+        assert '"fused":{"f_min":0,"levels":[null,' in text and "[0,9007199254740994.0]" in text
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sensors=st.integers(1, 150),
+        truth=st.integers(-(10**6), 10**6),
+        halfwidth=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_seeded_rounds_match_the_reference_report(self, sensors, truth, halfwidth, data):
+        config = SimConfig(
+            sensors, float(truth), float(halfwidth), data.draw(st.integers(0, sensors - 1)),
+            float(halfwidth + data.draw(st.integers(1, 10))), data.draw(st.integers(0, 2**64 - 1)),
+        )
+        outcomes = list(simulate_rounds(config, 3))
+        text = "".join(simulation_chunks(config, outcomes))
+        assert text == dumps_canonical(_reference_report(config, outcomes))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -222,6 +223,40 @@ class TestFaultDistribution:
 
     def test_tolerance_absorbs_rounding(self):
         FaultDistribution(((0, 0.1 + 0.2), (1, 0.7)))
+
+    @pytest.mark.parametrize("count", [1.5, 1.0, True, "3"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda count: FaultDistribution(((count, 1.0),)), lambda count: FaultDistribution.from_dict({count: 1.0})],
+        ids=["init", "from_dict"],
+    )
+    def test_a_count_that_is_not_an_int_is_rejected_not_truncated(self, build, count):
+        with pytest.raises(DomainError, match="^fault count must be an integer$"):
+            build(count)
+
+
+UNIFORM_OVER_FOUR = FaultDistribution.from_dict(dict.fromkeys(range(4), 0.25))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda items: [fuse(items, f) for f in range(len(items))],
+        lambda items: graded_fusion(items, 0, len(items) - 1).levels,
+        lambda items: [result for result, _ in random_graded(items, UNIFORM_OVER_FOUR).atoms],
+    ],
+    ids=["fuse", "graded_fusion", "random_graded"],
+)
+def test_fused_levels_are_plain_intervals(read):
+    # the levels are built unchecked off the sorts; they must be indistinguishable from checked ones
+    items = [Interval(0, 10), Interval(2, 8), Interval(4, 12), Interval(-0.0, 3)]
+    levels = [level for level in read(items) if level is not None]
+    assert len(levels) == 3
+    for level in levels:
+        twin = Interval(level.lo, level.hi)
+        assert type(level) is Interval and type(level.lo) is float and type(level.hi) is float
+        assert level == twin and hash(level) == hash(twin) and repr(level) == repr(twin)
+        assert pickle.dumps(level) == pickle.dumps(twin) and pickle.loads(pickle.dumps(level)) == twin
 
 
 class TestRandomGraded:
