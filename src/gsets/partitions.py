@@ -124,10 +124,11 @@ def refines(finer: Partition, coarser: Partition) -> bool:
     that is, when no finer label meets two coarser labels."""
     coarse = coarser._labels
     if finer.universe != coarser.universe:
-        # read the coarser blocks through its element index instead of by position
-        if coarser._index.keys() != set(finer.universe):
+        # read the coarser labels by element instead of by position
+        label_of = dict(zip(coarser.universe, coarse))
+        if label_of.keys() != set(finer.universe):
             raise DomainError("universe mismatch")
-        coarse = map(coarser._index.__getitem__, finer.universe)
+        coarse = map(label_of.__getitem__, finer.universe)
     return len(set(zip(finer._labels, coarse))) == len(set(finer._labels))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cache
 from typing import Iterator
 
 from ._value import Value
@@ -56,11 +57,24 @@ class SimOutcome(Value):
         self._init(intervals, faulty_indices, fused, truth_containment)
 
 
+@cache
+def _sha256():
+    # the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before), as
+    # random.py does for SHA-512: hashlib loads OpenSSL, megabytes for one
+    # short digest per round; resolved on the first round, not at import
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _round_rng(seed: int, round_index: int) -> random.Random:
     # independent stream per (seed, round): rounds are reproducible in isolation
-    import hashlib  # only the simulator hashes, so no other call pays for the import
-
-    digest = hashlib.sha256(f"{seed}:{round_index}".encode("ascii")).digest()
+    digest = _sha256()(f"{seed}:{round_index}".encode("ascii")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
