@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -611,6 +612,57 @@ class TestHashSeedIndependence:
         args, code, out, err = HASH_SEED_CASES[case]
         args = [a.replace("{table}", table_csv) for a in args]
         assert self._streams(args) == (code, out.encode(), err.encode())
+
+
+# Runs the golden cases in order in one interpreter and prints, per case, the
+# hash modules it loaded beyond those loaded at import (random's own SHA-512
+# module), then the imports that rounds 1..50 ran after round 0.
+_HASH_MODULE_PROBE = r"""
+import builtins, contextlib, io, json, sys
+from gsets.cli import main
+from gsets.simulate import SimConfig, simulate_round
+
+hashing = {"hashlib", "_hashlib", "_md5", "_sha1", "_sha2", "_sha256", "_sha512", "_sha3", "_blake2"}
+at_import = hashing & set(sys.modules)
+added = {}
+for case, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, case
+    added[case] = sorted(hashing & set(sys.modules) - at_import)
+config = SimConfig(num_sensors=5, truth=0.0, correct_halfwidth_max=1.0, num_faulty=1, fault_offset_min=2.5, seed=7)
+simulate_round(config, 0)
+imports = []
+real_import = builtins.__import__
+builtins.__import__ = lambda name, *args, **kwargs: imports.append(name) or real_import(name, *args, **kwargs)
+for k in range(1, 51):
+    simulate_round(config, k)
+builtins.__import__ = real_import
+print(json.dumps({"added": added, "round_imports": imports}))
+"""
+
+
+def test_only_simulate_loads_a_hash_module_and_never_openssl(fixtures_dir, intervals_csv, table_csv, chain_json):
+    # simulate last, so each other case must add nothing
+    cases = [
+        (case, [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]])
+        for case in sorted(GOLDEN_CASES, key=lambda case: case == "simulate")
+    ]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASH_MODULE_PROBE, json.dumps(cases)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    added = result["added"]
+    assert added.keys() == GOLDEN_CASES.keys()
+    assert {case: loaded for case, loaded in added.items() if case != "simulate" and loaded} == {}
+    # the SHA-256 constructor is resolved once, on round 0
+    assert result["round_imports"] == []
+    # hashlib (OpenSSL) is only the fallback when neither built-in module exists
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        assert not {"hashlib", "_hashlib"} & set(added["simulate"])
 
 
 # ---------------------------------------------------------------------------

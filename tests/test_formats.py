@@ -330,6 +330,14 @@ class TestRoundTrips:
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
         assert parse_granular_set(dumps_canonical(granular_set_doc(g))) == g
 
+    def test_granular_set_parse_builds_no_element_index(self, sample_table, sample_chain_levels):
+        # each parsed level has its own universe order, so the refinement
+        # check reads coarser labels by element; it builds no frozenset per block
+        g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
+        parsed = parse_granular_set(dumps_canonical(granular_set_doc(g)))
+        assert len({level.universe for level in parsed.levels}) > 1
+        assert all("_index" not in level.__dict__ for level in parsed.levels)
+
     def test_graded_family(self):
         family = GradedFamily([{"b"}, {"a", "b"}])
         assert parse_graded_family(dumps_canonical(graded_family_doc(family))) == family

@@ -393,6 +393,27 @@ class TestLargeTableInvariants:
             assert _refines_by_definition(finer, coarser)
         assert not _refines_by_definition(levels[-1], levels[0])
 
+    def test_refines_across_permuted_universes(self, large_case):
+        # a level rebuilt over a shuffled universe order takes refines'
+        # by-element path, which must agree with the definition both ways
+        table, chain, _, _ = large_case
+        levels = granular_from_chain(table, GradedFamily(chain)).levels
+        rng = random.Random(5)
+
+        def permuted(p):
+            universe = list(p.universe)
+            rng.shuffle(universe)
+            return Partition(universe, p.blocks)
+
+        for finer, coarser in zip(levels, levels[1:]):
+            for a, b in ((finer, coarser), (coarser, finer)):
+                b_permuted = permuted(b)
+                assert b_permuted.universe != a.universe
+                assert refines(a, b_permuted) == _refines_by_definition(a, b)
+                assert refines(permuted(a), b) == _refines_by_definition(a, b)
+        with pytest.raises(DomainError, match="universe mismatch"):
+            refines(levels[0], Partition.from_blocks(levels[1].blocks[1:]))
+
     def test_approximations_monotone_in_targets(self, large_case):
         table, _, _, targets = large_case
         pairs = [approximation_pair(table, ["A1", "A2", "A3"], t) for t in targets]

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from gsets import DomainError, SimConfig, fused_subset, simulate, simulate_round, simulate_rounds
@@ -101,6 +104,16 @@ class TestSimulateRound:
     def test_single_sensor_round(self):
         out = simulate_round(config(num_sensors=1, num_faulty=0), 0)
         assert out.truth_containment == (True,)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("round_index", [0, 1, 10**6])
+def test_round_seed_is_the_sha256_prefix(seed, round_index):
+    # the documented derivation: the first 8 bytes, big-endian, of the
+    # SHA-256 of ASCII "{seed}:{round}" seed random.Random
+    digest = hashlib.sha256(f"{seed}:{round_index}".encode("ascii")).digest()
+    expected = random.Random(int.from_bytes(digest[:8], "big"))
+    assert simulate._round_rng(seed, round_index).getstate() == expected.getstate()
 
 
 class TestSimulateRounds:

@@ -143,7 +143,7 @@ def test_interval_order_is_endpoint_tuple_order():
 
 
 def test_cli_import_skips_heavy_modules():
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib"]
     code = (
         "import sys; before = set(sys.modules); import gsets.cli; "
         f"print(sorted((set(sys.modules) - before) & set({heavy!r})))"
