@@ -22,6 +22,11 @@ encoder: ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to
 ``dumps_canonical``, so the report is never held as a tree.  Each endpoint
 is rendered once per round: the fused levels reuse the text of the
 measurement endpoints they are read from.
+The rough documents come straight from block labels.  A partition's blocks
+are one grouping of its labels, and its names are checked once on its
+universe; a granular set's levels share one universe, so one check covers
+them all.  The object sets of one document are ordered through one
+position map.
 Canonical JSON has its keys sorted and no insignificant whitespace;
 blocks and objects are ordered by the partition's universe order (or
 lexicographically where no universe context exists), integral reals are
@@ -113,7 +118,7 @@ def _csv_real(field: str, where: str) -> float:
 
 def _names(value, where: str) -> list[str]:
     """The one name-string-array check, for graded levels, partition blocks,
-    approximation sets and object sets."""
+    approximation sets, object sets and the universe of a partition document."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ParseError(f"{where}: expected an array of name strings")
     return value
@@ -309,22 +314,26 @@ def parse_graded_family(text: str) -> GradedFamily:
     return GradedFamily([_names(level, f"level {i}") for i, level in enumerate(data, start=1)])
 
 
+def _object_sets(sets: Iterable[Iterable[str]], order: Sequence[str] | None) -> Iterator[list[str]]:
+    """The one ordering step: each set's names by position in `order` (one map for all), or sorted."""
+    position = {x: i for i, x in enumerate(order or ())}
+    for ids in sets:
+        names = _names(list(ids), "object set")
+        try:
+            yield sorted(names, key=None if order is None else position.__getitem__)
+        except KeyError as exc:
+            # the first missing in input order; a set iterates in hash-seed order, so name its least by repr
+            missing = min(set(names) - position.keys(), key=repr) if isinstance(ids, (set, frozenset)) else exc.args[0]
+            raise ParseError(f"identifier {missing!r} is not in the supplied order") from None
+
+
 def object_set_doc(ids: Iterable[str], order: Sequence[str] | None = None) -> list[str]:
-    names = _names(list(ids), "object set")
-    if order is None:
-        return sorted(names)
-    position = {x: i for i, x in enumerate(order)}
-    try:
-        return sorted(names, key=position.__getitem__)
-    except KeyError as exc:
-        # the first missing in input order; a set iterates in hash-seed order, so name its least by repr
-        missing = min(set(names) - position.keys(), key=repr) if isinstance(ids, (set, frozenset)) else exc.args[0]
-        raise ParseError(f"identifier {missing!r} is not in the supplied order") from None
+    return next(_object_sets([ids], order))
 
 
 def graded_family_doc(family: GradedFamily, order: Sequence[str] | None = None) -> list:
     # same wire shape parse_graded_family reads: an array of arrays of names
-    return [object_set_doc(level, order) for level in family.levels]
+    return list(_object_sets(family.levels, order))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +341,8 @@ def graded_family_doc(family: GradedFamily, order: Sequence[str] | None = None) 
 
 
 def partition_doc(partition: Partition) -> dict:
-    return {"blocks": [_names(list(block), "partition block") for block in partition.blocks]}
+    _names(list(partition.universe), "partition block")
+    return {"blocks": partition._groups()}
 
 
 def _partition_from(data, where: str) -> Partition:
@@ -349,13 +359,17 @@ def parse_partition(text: str) -> Partition:
 
 
 def granular_set_doc(granular: GranularSet) -> dict:
-    return {"levels": [partition_doc(level) for level in granular.levels]}
+    _names(list(granular.universe), "partition block")
+    return {"levels": [{"blocks": level._groups()} for level in granular.levels]}
 
 
 def parse_granular_set(text: str) -> GranularSet:
     data = _load_json(text)
     if not isinstance(data, dict) or "levels" not in data or not isinstance(data["levels"], list):
         raise ParseError("expected an object with a 'levels' array")
+    # the one other key is the marker granulate writes
+    if data.keys() - {"levels", "granular"} or data.get("granular", True) is not True:
+        raise ParseError("expected only 'levels' and an optional 'granular': true")
     parts = [
         _partition_from(item, f"level {i}") for i, item in enumerate(data["levels"], start=1)
     ]
@@ -367,10 +381,8 @@ def parse_granular_set(text: str) -> GranularSet:
 
 
 def approximation_pair_doc(pair: ApproximationPair, order: Sequence[str] | None = None) -> dict:
-    return {
-        "lower": object_set_doc(pair.lower, order),
-        "upper": object_set_doc(pair.upper, order),
-    }
+    lower, upper = _object_sets((pair.lower, pair.upper), order)
+    return {"lower": lower, "upper": upper}
 
 
 def parse_approximation_pair(text: str) -> ApproximationPair:

@@ -6,7 +6,8 @@ indiscernibility partition; a nested chain of attribute sets induces a
 granular set; a target set of objects gets lower/upper approximations that
 respond monotonically to growing targets and growing attribute sets.
 Classes are kept as the block labels of `partitions`: one kernel refines
-labels on added attributes, and one label scan reads off approximations.
+labels on added attributes, and one label scan, with class sizes counted on
+the labels, reads off approximations as the objects of the labels it picks.
 """
 
 from __future__ import annotations
@@ -160,11 +161,11 @@ def _label_scan(labels: tuple[int, ...], sizes: dict[int, int], target: frozense
 
 
 def _pair(part: Partition, target: frozenset[int]) -> ApproximationPair:
-    """The approximations as unions of the scanned classes' blocks."""
-    blocks = part.blocks
+    """The approximations as the objects whose labels the scan returns."""
+    labels = part._labels
     lower, upper = (
-        frozenset(itertools.chain.from_iterable(map(blocks.__getitem__, classes)))
-        for classes in _label_scan(part._labels, dict(enumerate(map(len, blocks))), target)
+        frozenset(itertools.compress(part.universe, map(classes.__contains__, labels)))
+        for classes in _label_scan(labels, Counter(labels), target)
     )
     return ApproximationPair(lower, upper)
 

@@ -37,8 +37,10 @@ class Partition:
     duplicate universe element, then per block a foreign element, an
     element of an earlier block or an empty block, then an uncovered one.
     An element repeated in one block is accepted; a set block is walked
-    least repr first.  The blocks and the element index that `block_of` and
-    equality read (one frozenset per block) are built on first use.
+    least repr first.  Compute reads the labels alone, and the documents
+    group them with `_groups`.  The `blocks` tuple, which `repr` reads, and
+    the element index that `block_of`, equality and hashing read (one
+    frozenset per block, made from `blocks`) are built on first use.
     """
 
     def __init__(self, universe: Iterable[Hashable], blocks: Iterable[Iterable[Hashable]]):
@@ -87,12 +89,16 @@ class Partition:
         blocks = [tuple(block) for block in blocks]
         return cls((x for block in blocks for x in block), blocks)
 
-    @cached_property
-    def blocks(self) -> tuple[tuple, ...]:
+    def _groups(self) -> list[list]:
+        """The one grouping of labels into blocks: each label's elements in universe order."""
         groups: list[list] = [[] for _ in range(max(self._labels, default=-1) + 1)]
         for x, label in zip(self.universe, self._labels):
             groups[label].append(x)
-        return tuple(map(tuple, groups))
+        return groups
+
+    @cached_property
+    def blocks(self) -> tuple[tuple, ...]:
+        return tuple(map(tuple, self._groups()))
 
     @cached_property
     def _index(self) -> dict:

@@ -11,6 +11,7 @@ from gsets import (
     FaultDistribution,
     GradedFamily,
     GradedIntervals,
+    GranularSet,
     Interval,
     ParseError,
     Partition,
@@ -23,6 +24,7 @@ from gsets import (
     sensitivity_profile,
     simulate_rounds,
 )
+from gsets import formats
 from gsets.formats import (
     _real,
     _token,
@@ -297,6 +299,44 @@ class TestCanonicalForm:
         with pytest.raises(ParseError, match="'x3' is not in the supplied order"):
             object_set_doc(["a", "x3", "x1"], ["a"])
 
+    def test_non_string_names_rejected(self):
+        p = Partition([1, 2], [[1], [2]])
+        with pytest.raises(ParseError) as info:
+            partition_doc(p)
+        assert str(info.value) == "partition block: expected an array of name strings"
+        # only the coarser level's one block mixes a name string with a number
+        g = GranularSet([Partition(["a", 1], [["a"], [1]]), Partition(["a", 1], [["a", 1]])])
+        with pytest.raises(ParseError) as info:
+            granular_set_doc(g)
+        assert str(info.value) == "partition block: expected an array of name strings"
+        with pytest.raises(ParseError) as info:
+            object_set_doc(frozenset({1, 2}))
+        assert str(info.value) == "object set: expected an array of name strings"
+
+    def test_rough_documents_check_names_once_per_universe(self, monkeypatch, sample_table, sample_chain_levels):
+        calls = []
+        monkeypatch.setattr(formats, "_names", lambda value, where: calls.append(where) or value)
+        g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
+        granular_set_doc(g)
+        partition_doc(g.levels[0])
+        assert calls == ["partition block", "partition block"]
+
+    def test_one_position_map_per_document(self):
+        class Order(tuple):
+            reads = 0
+
+            def __iter__(self):
+                Order.reads += 1
+                return super().__iter__()
+
+        order = Order(f"O{i}" for i in range(1, 11))
+        family = GradedFamily([{"O2"}, {"O2", "O1"}, {"O3", "O2", "O1"}])
+        assert graded_family_doc(family, order) == [["O2"], ["O1", "O2"], ["O1", "O2", "O3"]]
+        assert Order.reads == 1
+        pair = ApproximationPair(frozenset({"O10"}), frozenset({"O10", "O9"}))
+        assert approximation_pair_doc(pair, order) == {"lower": ["O10"], "upper": ["O9", "O10"]}
+        assert Order.reads == 2
+
     def test_no_insignificant_whitespace_and_sorted_keys(self):
         g = graded_fusion(FIX, 0, 1)
         text = dumps_canonical(graded_intervals_doc(g))
@@ -422,6 +462,28 @@ class TestParseRejections:
     def test_granular_set_requires_levels(self):
         with pytest.raises(ParseError, match="levels"):
             parse_granular_set('{"blocks":[]}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"levels":[{"blocks":[["a"]]}]}', None),
+            # the shape granulate writes
+            ('{"granular":true,"levels":[{"blocks":[["a"]]}]}', None),
+            ('{"levels":[{"blocks":[["a"]]}],"junk":1}', "expected only 'levels' and an optional 'granular': true"),
+            ('{"granular":false,"levels":[{"blocks":[["a"]]}]}', "expected only 'levels' and an optional 'granular': true"),
+            ('{"granular":1,"levels":[{"blocks":[["a"]]}]}', "expected only 'levels' and an optional 'granular': true"),
+            ('{"granular":true,"junk":1,"levels":[]}', "expected only 'levels' and an optional 'granular': true"),
+            ('{"granular":true}', "expected an object with a 'levels' array"),
+        ],
+        ids=["levels", "levels-granular", "extra-key", "granular-false", "granular-one", "both-and-extra", "no-levels"],
+    )
+    def test_granular_set_keys_are_levels_and_the_granulate_marker(self, text, message):
+        if message is None:
+            assert parse_granular_set(text) == GranularSet([Partition.from_blocks([["a"]])])
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_granular_set(text)
+            assert str(info.value) == message
 
     def test_approximation_pair_requires_both_sides(self):
         with pytest.raises(ParseError, match="lower"):

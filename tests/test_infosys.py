@@ -205,6 +205,20 @@ class TestApproximations:
                 assert side == covered
 
 
+class TestComputeReadsLabelsOnly:
+    def test_no_blocks_are_grouped(self, monkeypatch, sample_table, sample_chain_levels):
+        def group(self):
+            raise AssertionError("blocks grouped in compute")
+
+        monkeypatch.setattr(Partition, "_groups", group)
+        chain = GradedFamily(sample_chain_levels)
+        targets = GradedFamily([["O1"], ["O1", "O2", "O3"]])
+        granular_from_chain(sample_table, chain)
+        assert approximation_pair(sample_table, PE, ["O1", "O3"]).upper == {"O1", "O2", "O3", "O7", "O10"}
+        graded_approximations(sample_table, PE, targets)
+        sensitivity_profile(sample_table, chain, ["O1", "O3"])
+
+
 class TestGradedApproximations:
     def test_two_level_fixture(self, sample_table):
         targets = GradedFamily([["O1"], ["O1", "O2"]])
