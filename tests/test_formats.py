@@ -304,7 +304,7 @@ class TestCanonicalForm:
         with pytest.raises(ParseError) as info:
             partition_doc(p)
         assert str(info.value) == "partition block: expected an array of name strings"
-        # only the coarser level's one block mixes a name string with a number
+        # a universe that mixes a name string with a number, over two levels
         g = GranularSet([Partition(["a", 1], [["a"], [1]]), Partition(["a", 1], [["a", 1]])])
         with pytest.raises(ParseError) as info:
             granular_set_doc(g)
