@@ -115,13 +115,14 @@ def _cmd_partition(args: argparse.Namespace):
     return formats.partition_doc(indiscernibility_partition(table, attrs))
 
 
-@_one_document
 def _cmd_granulate(args: argparse.Namespace):
-    table = formats.parse_table(_read_file(args.table))
-    chain = formats.parse_graded_family(_read_source(args.chain))
-    doc = formats.granular_set_doc(granular_from_chain(table, chain))
-    doc["granular"] = True
-    return doc
+    # the parsed table is a temporary, freed before anything is rendered; it is parsed before the chain
+    granular = granular_from_chain(
+        formats.parse_table(_read_file(args.table)),
+        formats.parse_graded_family(_read_source(args.chain)),
+    )
+    # one level's blocks are held at a time, and nothing is written before the last level has rendered
+    return list(formats.granular_set_chunks(granular))
 
 
 @_one_document

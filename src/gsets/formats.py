@@ -25,8 +25,10 @@ measurement endpoints they are read from.
 The rough documents come straight from block labels.  A partition's blocks
 are one grouping of its labels, and its names are checked once on its
 universe; a granular set's levels share one universe, so one check covers
-them all.  The object sets of one document are ordered through one
-position map.
+them all.  ``granular_set_chunks`` writes the granular set as ``granulate``
+does, one level at a time: it holds one level's blocks, from the same
+per-level builder as ``granular_set_doc``, and keeps each level only as its
+text.  The object sets of one document are ordered through one position map.
 Canonical JSON has its keys sorted and no insignificant whitespace;
 blocks and objects are ordered by the partition's universe order (or
 lexicographically where no universe context exists), integral reals are
@@ -340,9 +342,14 @@ def graded_family_doc(family: GradedFamily, order: Sequence[str] | None = None) 
 # partitions and granular sets
 
 
+def _level_doc(partition: Partition) -> dict:
+    """The one per-level builder: a partition's blocks, its names unchecked."""
+    return {"blocks": partition._groups()}
+
+
 def partition_doc(partition: Partition) -> dict:
     _names(list(partition.universe), "partition block")
-    return {"blocks": partition._groups()}
+    return _level_doc(partition)
 
 
 def _partition_from(data, where: str) -> Partition:
@@ -360,7 +367,23 @@ def parse_partition(text: str) -> Partition:
 
 def granular_set_doc(granular: GranularSet) -> dict:
     _names(list(granular.universe), "partition block")
-    return {"levels": [{"blocks": level._groups()} for level in granular.levels]}
+    return {"levels": [_level_doc(level) for level in granular.levels]}
+
+
+def granular_set_chunks(granular: GranularSet) -> Iterator[str]:
+    """The document ``granulate`` writes, ``granular_set_doc`` marked
+    ``"granular": true``, as canonical JSON text one level per chunk.
+
+    The names are checked once on the universe.  Each level's blocks are
+    grouped, rendered and dropped before the next level is grouped, so only
+    one level's blocks are held at a time.  The marker sorts before
+    ``"levels"``, so it opens the text.
+    """
+    _names(list(granular.universe), "partition block")
+    yield '{"granular":true,"levels":['
+    for i, level in enumerate(granular.levels):
+        yield ("," if i else "") + dumps_canonical(_level_doc(level))
+    yield "]}"
 
 
 def parse_granular_set(text: str) -> GranularSet:

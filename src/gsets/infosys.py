@@ -160,14 +160,18 @@ def _label_scan(labels: tuple[int, ...], sizes: dict[int, int], target: frozense
     return {label for label, hit in hits.items() if hit == sizes[label]}, set(hits)
 
 
-def _pair(part: Partition, target: frozenset[int]) -> ApproximationPair:
-    """The approximations as the objects whose labels the scan returns."""
-    labels = part._labels
-    lower, upper = (
-        frozenset(itertools.compress(part.universe, map(classes.__contains__, labels)))
-        for classes in _label_scan(labels, Counter(labels), target)
+def _pair(part: Partition, sizes: dict[int, int], target: frozenset[int]) -> ApproximationPair:
+    """The approximations as the objects whose labels the scan returns, given
+    the partition's class sizes by label.  The lower approximation lies inside
+    the target, so it is read off the target rows; the upper one takes one
+    pass over the universe."""
+    labels, universe = part._labels, part.universe
+    lower, upper = _label_scan(labels, sizes, target)
+    in_lower = itertools.compress(target, map(lower.__contains__, map(labels.__getitem__, target)))
+    return ApproximationPair(
+        frozenset(map(universe.__getitem__, in_lower)),
+        frozenset(itertools.compress(universe, map(upper.__contains__, labels))),
     )
-    return ApproximationPair(lower, upper)
 
 
 def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) -> Partition:
@@ -207,7 +211,8 @@ def upper_approx(table: InformationTable, attrs: Iterable[str], target: Iterable
 def approximation_pair(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> ApproximationPair:
     """Lower and upper approximations computed from one shared partition."""
     rows = _target_rows(table, target)
-    return _pair(indiscernibility_partition(table, attrs), rows)
+    part = indiscernibility_partition(table, attrs)
+    return _pair(part, Counter(part._labels), rows)
 
 
 def graded_approximations(
@@ -215,13 +220,14 @@ def graded_approximations(
 ) -> tuple[GradedFamily, GradedFamily]:
     """Approximate every level of a nested target chain.
 
-    The indiscernibility classes of `attrs` are labelled once and scanned
-    for every level.  Each level's pair is checked (lower inside upper), and
-    both output chains are checked to nest as graded families, raising
-    `DomainError` on a failure.
+    The indiscernibility classes of `attrs` are labelled and counted once
+    and scanned for every level.  Each level's pair is checked (lower inside
+    upper), and both output chains are checked to nest as graded families,
+    raising `DomainError` on a failure.
     """
     part = indiscernibility_partition(table, attrs)
-    pairs = [_pair(part, _target_rows(table, level)) for level in targets.levels]
+    sizes = Counter(part._labels)
+    pairs = [_pair(part, sizes, _target_rows(table, level)) for level in targets.levels]
     return GradedFamily([p.lower for p in pairs]), GradedFamily([p.upper for p in pairs])
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsets import infosys
+from gsets import GranularSet, Partition, infosys
 from gsets.cli import main
 from gsets.formats import dumps_canonical
 
@@ -240,6 +241,46 @@ class TestGranulate:
     def test_bad_chain_json(self, capsys, table_csv):
         code, _, err = run_cli(capsys, "granulate", "--table", table_csv, "--chain", '[["P1"]')
         assert code == 2 and "invalid JSON" in err
+
+    def test_table_error_is_reported_before_a_chain_error(self, capsys, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("object,P1\nO1,\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "granulate", "--table", str(table), "--chain", '[["P1"]')
+        assert code == 2 and out == ""
+        assert err == "error: line 2: empty cell\n"
+
+    def test_non_string_universe_is_a_parse_error(self, capsys, monkeypatch, table_csv, chain_json):
+        def numbered(table, chain):
+            return GranularSet([Partition([0, 1, 2], [[0, 1], [2]]), Partition([0, 1, 2], [[0, 1, 2]])])
+
+        monkeypatch.setattr("gsets.cli.granular_from_chain", numbered)
+        code, out, err = run_cli(capsys, "granulate", "--table", table_csv, "--chain", chain_json)
+        assert code == 2 and out == ""
+        assert err == "error: partition block: expected an array of name strings\n"
+
+    def test_memory_is_bounded_by_the_output(self, tmp_path):
+        # one level's blocks are held at a time, and the parsed table is freed before
+        # the first level renders: about 6x the output, against about 13x for the whole tree
+        rng = random.Random(4000)
+        attrs = [f"A{j}" for j in range(12)]
+        rows = "".join(f"o{i}," + ",".join(str(rng.randrange(c)) for c in (2, 3, 4, 5) * 3) + "\n" for i in range(4000))
+        table = tmp_path / "table.csv"
+        table.write_text("object," + ",".join(attrs) + "\n" + rows, encoding="utf-8")
+        argv = ["granulate", "--table", str(table), "--chain", json.dumps([attrs[: k + 1] for k in range(12)])]
+        out_path = tmp_path / "granular.json"
+        with out_path.open("w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            main(argv)  # fills the import and regex caches of a first call
+            out.seek(0)
+            out.truncate()
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = out_path.stat().st_size
+        assert code == 0 and size > 400_000
+        assert peak <= 8 * size, f"peak {peak / size:.1f}x the output"
 
 
 class TestApprox:

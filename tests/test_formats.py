@@ -34,6 +34,7 @@ from gsets.formats import (
     fusion_result_doc,
     graded_family_doc,
     graded_intervals_doc,
+    granular_set_chunks,
     granular_set_doc,
     interval_distribution_doc,
     intervals_doc,
@@ -53,7 +54,7 @@ from gsets.formats import (
     sensitivity_profile_doc,
     simulation_chunks,
 )
-from strategies import intervals, table_with_attr_chain, tables
+from strategies import block_labelings, intervals, table_with_attr_chain, tables
 
 FIX = [Interval(0, 10), Interval(2, 8), Interval(4, 12)]
 
@@ -319,7 +320,8 @@ class TestCanonicalForm:
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
         granular_set_doc(g)
         partition_doc(g.levels[0])
-        assert calls == ["partition block", "partition block"]
+        list(granular_set_chunks(g))
+        assert calls == ["partition block"] * 3
 
     def test_one_position_map_per_document(self):
         class Order(tuple):
@@ -542,6 +544,49 @@ def _reference_report(config: SimConfig, outcomes) -> dict:
             for i, out in enumerate(outcomes)
         ],
     }
+
+
+def _marked_document(g: GranularSet) -> str:
+    # the document granulate writes, from the library's one granular-set document
+    return dumps_canonical({**granular_set_doc(g), "granular": True})
+
+
+class TestGranularSetChunks:
+    @given(table_with_attr_chain())
+    @settings(max_examples=200)
+    def test_chunks_join_to_the_marked_document(self, case):
+        table, chain_levels = case
+        g = granular_from_chain(table, GradedFamily(chain_levels))
+        chunks = list(granular_set_chunks(g))
+        assert "".join(chunks) == _marked_document(g)
+        # the opening, one chunk per level, the close
+        assert len(chunks) == len(g.levels) + 2
+
+    @given(block_labelings(max_size=12), st.data())
+    @settings(max_examples=100)
+    def test_levels_over_a_universe_in_any_order(self, case, data):
+        universe, blocks = case
+        order = data.draw(st.permutations(universe))
+        g = GranularSet([Partition(order, blocks), Partition(order, [universe])])
+        assert "".join(granular_set_chunks(g)) == _marked_document(g)
+
+    def test_one_level_is_grouped_at_a_time(self, monkeypatch, sample_table, sample_chain_levels):
+        g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
+        events = []
+        groups = Partition._groups
+        dumps = formats.dumps_canonical
+        monkeypatch.setattr(Partition, "_groups", lambda self: events.append("group") or groups(self))
+        monkeypatch.setattr(formats, "dumps_canonical", lambda doc: events.append("render") or dumps(doc))
+        text = "".join(granular_set_chunks(g))
+        assert events == ["group", "render"] * len(g.levels)
+        monkeypatch.undo()
+        assert text == _marked_document(g)
+
+    def test_non_string_names_rejected_before_any_text(self):
+        g = GranularSet([Partition(["a", 1], [["a"], [1]]), Partition(["a", 1], [["a", 1]])])
+        with pytest.raises(ParseError) as info:
+            next(granular_set_chunks(g))
+        assert str(info.value) == "partition block: expected an array of name strings"
 
 
 class TestSimulationChunks:

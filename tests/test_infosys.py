@@ -19,7 +19,7 @@ from gsets import (
     sensitivity_profile,
     upper_approx,
 )
-from gsets.formats import dumps_canonical, granular_set_doc, parse_granular_set
+from gsets.formats import dumps_canonical, granular_set_chunks, granular_set_doc, parse_granular_set
 from strategies import table_with_attr_chain, table_with_target_chain, tables
 
 ALL = [f"O{i}" for i in range(1, 11)]
@@ -455,3 +455,10 @@ class TestLargeTableInvariants:
         assert parsed == g
         # the same normalised blocks, so the same document bytes
         assert [p.blocks for p in parsed.levels] == [p.blocks for p in g.levels]
+
+    def test_granulate_text_is_the_marked_document(self, large_case):
+        # the level-at-a-time text of granulate, 12 levels of 10^4 objects
+        table, chain, _, _ = large_case
+        g = granular_from_chain(table, GradedFamily(chain))
+        text = "".join(granular_set_chunks(g))
+        assert text == dumps_canonical({**granular_set_doc(g), "granular": True})
