@@ -310,6 +310,10 @@ class TestCanonicalForm:
         with pytest.raises(ParseError) as info:
             granular_set_doc(g)
         assert str(info.value) == "partition block: expected an array of name strings"
+        # granulate's text, before its first chunk
+        with pytest.raises(ParseError) as info:
+            next(granular_set_chunks(g))
+        assert str(info.value) == "partition block: expected an array of name strings"
         with pytest.raises(ParseError) as info:
             object_set_doc(frozenset({1, 2}))
         assert str(info.value) == "object set: expected an array of name strings"
@@ -581,12 +585,6 @@ class TestGranularSetChunks:
         assert events == ["group", "render"] * len(g.levels)
         monkeypatch.undo()
         assert text == _marked_document(g)
-
-    def test_non_string_names_rejected_before_any_text(self):
-        g = GranularSet([Partition(["a", 1], [["a"], [1]]), Partition(["a", 1], [["a", 1]])])
-        with pytest.raises(ParseError) as info:
-            next(granular_set_chunks(g))
-        assert str(info.value) == "partition block: expected an array of name strings"
 
 
 class TestSimulationChunks:
