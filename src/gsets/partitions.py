@@ -30,17 +30,18 @@ class Partition:
     source data; blocks are normalised to that order (elements within a block
     by universe position, blocks by the position of their first element),
     which makes serialisation deterministic.  Equality and hashing ignore the
-    ordering and compare the blocks as sets.
+    ordering: two partitions are equal when they share a universe and each
+    refines the other.
 
     Construction from blocks is one pass in input order that gives each
     universe element its block index and raises at the first defect: a
     duplicate universe element, then per block a foreign element, an
     element of an earlier block or an empty block, then an uncovered one.
     An element repeated in one block is accepted; a set block is walked
-    least repr first.  Compute reads the labels alone, and the documents
-    group them with `_groups`.  The `blocks` tuple, which `repr` reads, and
-    the element index that `block_of`, equality and hashing read (one
-    frozenset per block, made from `blocks`) are built on first use.
+    least repr first.  Compute, equality and hashing read the labels alone,
+    and the documents and `blocks` group them with `_groups`.  Only
+    `block_of` keeps an element index (one frozenset per block), built on
+    first use.
     """
 
     def __init__(self, universe: Iterable[Hashable], blocks: Iterable[Iterable[Hashable]]):
@@ -96,13 +97,13 @@ class Partition:
             groups[label].append(x)
         return groups
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[tuple, ...]:
         return tuple(map(tuple, self._groups()))
 
     @cached_property
     def _index(self) -> dict:
-        sets = tuple(map(frozenset, self.blocks))
+        sets = tuple(map(frozenset, self._groups()))
         return dict(zip(self.universe, map(sets.__getitem__, self._labels)))
 
     def block_of(self, x: Hashable) -> frozenset:
@@ -114,12 +115,13 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        # the blocks determine the universe (their union), so they alone
-        # decide equality
-        return frozenset(self._index.values()) == frozenset(other._index.values())
+        try:
+            return refines(self, other) and refines(other, self)
+        except DomainError:  # universe mismatch
+            return False
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._index.values()))
+        return hash(frozenset(map(frozenset, self._groups())))
 
     def __repr__(self) -> str:
         return f"Partition({[list(block) for block in self.blocks]!r})"
@@ -151,7 +153,7 @@ class GranularSet(Value):
         levels = tuple(levels)
         self._init(levels)
         if not levels:
-            raise DomainError("granular set needs at least one level")
+            raise DomainError("no partitions")
         for i in range(len(levels) - 1):
             if not refines(levels[i], levels[i + 1]):
                 raise DomainError(f"partitions {i} and {i + 1} are not refinement-related")
@@ -166,7 +168,5 @@ class GranularSet(Value):
 
 def validate_granular(partitions: Sequence[Partition]) -> GranularSet:
     """Build a GranularSet from a nonempty list of partitions given finest
-    first; the refinement check is the one `GranularSet` runs."""
-    if not partitions:
-        raise DomainError("no partitions")
+    first; every check is the one `GranularSet` runs."""
     return GranularSet(partitions)

@@ -446,6 +446,10 @@ class TestParseRejections:
                 parse_graded_intervals, '{"f_min":0,"levels":[true]}',
                 "level 1: expected null or [lo, hi]",
             ),
+            (partial(parse_intervals, fmt="json"), '[["a",1]]', "item 1: expected a number, got 'a'"),
+            (parse_graded_intervals, '{"f_min":"0","levels":[]}', "'f_min' must be an integer"),
+            (parse_graded_intervals, '{"f_min":0,"levels":{}}', "'levels' must be an array"),
+            (parse_interval_distribution, '{"atoms":[{"p":1}]}', "atom 1: expected an object with keys 'p' and 'result'"),
         ],
     )
     def test_interval_messages_name_the_source(self, parse, text, message):
@@ -501,6 +505,22 @@ class TestParseRejections:
         doc[0]["lower_size"] = "2"
         with pytest.raises(ParseError, match="integer"):
             parse_sensitivity_profile(dumps_canonical(doc))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{}", "expected an array of sensitivity records"),
+            (
+                '[{"level_index":0}]',
+                "record 1: expected keys accuracy, attribute_count, boundary_size, level_index, lower_size, upper_size",
+            ),
+        ],
+        ids=["not-an-array", "wrong-keys"],
+    )
+    def test_sensitivity_profile_shape(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_sensitivity_profile(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "parse, text, message",

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsets import DomainError, GranularSet, Partition, refines, validate_granular
+from gsets import (
+    DomainError,
+    GranularSet,
+    InformationTable,
+    Partition,
+    indiscernibility_partition,
+    refines,
+    validate_granular,
+)
 from strategies import block_labelings
 
 
@@ -76,6 +84,23 @@ class TestPartitionConstruction:
     def test_block_of_shares_one_set_per_block(self):
         p = part(["a", "b", "c"], ["d"])
         assert p.block_of("a") is p.block_of("b") is p.block_of("c")
+
+    def test_equality_and_hash_keep_no_element_index(self):
+        # An element index kept for equality and hashing holds about 75 bytes
+        # per object and partition; comparing the labels keeps nothing.
+        n = 20000
+        objects = [f"o{i}" for i in range(n)]
+        rows = [(str(i % 7), str(i % 7)) for i in range(n)]
+        p = indiscernibility_partition(InformationTable(objects, ["A", "B"], rows), ["A"])
+        q = indiscernibility_partition(InformationTable(objects[::-1], ["A", "B"], rows[::-1]), ["B"])
+        tracemalloc.start()
+        try:
+            assert p == q
+            assert hash(p) == hash(q)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2 * n, f"{retained / n:.1f} bytes per object retained"
 
     def test_one_block_peak_memory_is_linear(self):
         # A frozenset per element instead of per block makes a one-block
@@ -157,9 +182,12 @@ class TestValidateGranular:
         with pytest.raises(DomainError, match="universe mismatch"):
             validate_granular([part(["1"], ["2"]), part(["1", "3"])])
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(DomainError, match="no partitions"):
-            validate_granular([])
+    @pytest.mark.parametrize(
+        "build", [lambda: validate_granular([]), lambda: GranularSet(())], ids=["validate_granular", "GranularSet"]
+    )
+    def test_empty_list_rejected(self, build):
+        with pytest.raises(DomainError, match="^no partitions$"):
+            build()
 
     @given(block_labelings())
     def test_refinement_tower_always_validates(self, labeled):

@@ -1,5 +1,6 @@
 """The shared value base: equality, hashing, repr, immutability and pickling
-for every value kind, and an import path free of the heavy stdlib modules."""
+for every value kind, the constructors' field checks, and an import path free
+of the heavy stdlib modules."""
 
 import copy
 import itertools
@@ -12,6 +13,7 @@ import pytest
 
 from gsets import (
     ApproximationPair,
+    DomainError,
     FaultDistribution,
     GradedFamily,
     GradedIntervals,
@@ -97,6 +99,31 @@ def test_repr_names_every_field(kind):
     value = make()
     fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
     assert repr(value) == f"{kind.__name__}({fields})"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: InformationTable(["O1", "O2"], ["P1"], [["x"]]), "expected 2 rows, got 1"),
+        (lambda: InformationTable(["O1"], ["P1"], [[0]]), "row for 'O1' has an empty or non-string cell"),
+        (lambda: SensitivityRecord(0, 1, 1, 4, 2, 0.25), "boundary size must be upper size minus lower size"),
+        (lambda: SensitivityRecord(0, 1, 4, 2, -2, 1.0), "boundary size must be nonnegative"),
+        (lambda: SensitivityRecord(0, 1, 1, 4, 3, 1.5), "accuracy must lie in [0, 1]"),
+        (lambda: GradedIntervals(-1, [None]), "f_min must be nonnegative"),
+        (lambda: IntervalDistribution((((0, 1), 1.0),)), "not a fusion result: (0, 1)"),
+        (lambda: IntervalDistribution(()), "interval distribution has no atoms"),
+        (lambda: IntervalDistribution(((None, 0.0), (Interval(0, 1), 1.0))), "probabilities must be positive"),
+        (lambda: IntervalDistribution(((None, 0.5),)), "probabilities sum to 0.5, expected 1"),
+    ],
+    ids=[
+        "table-row-count", "table-non-string-cell", "record-boundary-sum", "record-negative-boundary",
+        "record-accuracy", "graded-negative-f_min", "dist-not-a-result", "dist-no-atoms", "dist-zero-p", "dist-sum",
+    ],
+)
+def test_constructor_rejects_invalid_fields(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_interval_repr():
