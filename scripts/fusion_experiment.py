@@ -4,7 +4,9 @@ The script reads one canonical simulator report on stdin and reports, for
 each budget f, how often the fused interval recovered the ground truth,
 how often it was empty and how wide it was on average.  With the settings
 below the containment rate hits 1.0 exactly at f = number of injected
-faults, which is the guarantee the fusion rule provides.
+faults, which is the guarantee the fusion rule provides.  On an empty or
+non-JSON stdin, as when ``gsets simulate`` fails, it prints one ``error:``
+line to stderr and exits 2.
 
 Usage:
     gsets simulate --sensors 9 --faulty 3 --rounds 500 --seed 7 | python scripts/fusion_experiment.py
@@ -15,7 +17,12 @@ import sys
 
 
 def main(stdin=sys.stdin) -> int:
-    report = json.load(stdin)
+    try:
+        report = json.load(stdin)
+    except ValueError as exc:
+        # empty when gsets simulate failed, which has printed its own error line
+        print(f"error: stdin holds no simulate report: {exc}", file=sys.stderr)
+        return 2
     config, rounds = report["config"], report["rounds"]
     sensors, faulty = config["sensors"], config["faulty"]
     # per budget: rounds that contain the truth, rounds fused to the empty

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import formats
 from .errors import DomainError, ParseError
@@ -28,7 +28,7 @@ from .infosys import (
     indiscernibility_partition,
     sensitivity_profile,
 )
-from .intervals import MAX_SEED, IntervalDistribution, fuse, graded_fusion, random_graded, sample
+from .intervals import MAX_SEED, fuse, graded_fusion, random_graded, sample
 from .simulate import SimConfig, simulate_rounds
 
 
@@ -95,17 +95,10 @@ def _cmd_random(args: argparse.Namespace):
         formats.parse_intervals(_read_file(args.input), args.format),
         formats.parse_fault_distribution(_read_source(args.dist)),
     )
-    text = formats.dumps_canonical(formats.interval_distribution_doc(pushed))
-    return [text] if args.sample is None else _sample_chunks(text, pushed, args.seed, args.sample)
-
-
-def _sample_chunks(text: str, pushed: IntervalDistribution, seed: int, count: int) -> Iterator[str]:
-    """`text` with `count` draws added under ``samples``, one draw per chunk: O(1) memory in `count`."""
-    rendered = {atom: formats.dumps_canonical(formats.fusion_result_doc(atom)) for atom, _ in pushed.atoms}
-    yield text[:-1] + ',"samples":['
-    for i in range(count):
-        yield ("," if i else "") + rendered[sample(pushed, seed + i)]
-    yield "]}"
+    if args.sample is None:
+        return [formats.dumps_canonical(formats.interval_distribution_doc(pushed))]
+    draws = (sample(pushed, s) for s in range(args.seed, args.seed + args.sample))  # drawn as written
+    return formats.interval_distribution_chunks(pushed, draws)
 
 
 @_one_document

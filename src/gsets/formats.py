@@ -17,18 +17,18 @@ Output
 Each value kind X has one document builder ``X_doc`` that returns plain
 JSON data and one parser ``parse_X``, and ``dumps_canonical`` is the only
 encoder: ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to
-``v``.  The simulation report is written only, and not as one document:
-``simulation_chunks`` renders it one round at a time through
-``dumps_canonical``, so the report is never held as a tree.  Each endpoint
-is rendered once per round: the fused levels reuse the text of the
-measurement endpoints they are read from.
+``v``.  Three writers render a document through ``dumps_canonical`` a part
+at a time, so it is never held as a tree.  ``simulation_chunks`` writes the
+simulation report, which is written only, one round at a time; each endpoint
+is rendered once per round, and the fused levels reuse the text of the
+measurement endpoints they are read from.  ``granular_set_chunks`` writes
+``granular_set_doc``, the document ``granulate`` writes, one level at a
+time, from the same per-level builder.  ``interval_distribution_chunks``
+writes ``interval_distribution_doc`` with sampled draws, one per chunk.
 The rough documents come straight from block labels.  A partition's blocks
 are one grouping of its labels, and its names are checked once on its
 universe; a granular set's levels share one universe, so one check covers
-them all.  ``granular_set_chunks`` writes the granular set as ``granulate``
-does, one level at a time: it holds one level's blocks, from the same
-per-level builder as ``granular_set_doc``, and keeps each level only as its
-text.  The object sets of one document are ordered through one position map.
+them all.  The object sets of one document are ordered through one position map.
 Canonical JSON has its keys sorted and no insignificant whitespace;
 blocks and objects are ordered by the partition's universe order (or
 lexicographically where no universe context exists), integral reals are
@@ -260,6 +260,17 @@ def parse_interval_distribution(text: str) -> IntervalDistribution:
     return IntervalDistribution(tuple(atoms))
 
 
+def interval_distribution_chunks(dist: IntervalDistribution, draws: Iterable[FusionResult]) -> Iterator[str]:
+    """``interval_distribution_doc`` with the `draws`, atoms of `dist`, under
+    ``"samples"`` (which sorts last), as canonical JSON text one draw per
+    chunk.  Each atom is rendered once, so memory does not grow with the draws."""
+    rendered = {result: dumps_canonical(fusion_result_doc(result)) for result, _ in dist.atoms}
+    yield dumps_canonical({**interval_distribution_doc(dist), "samples": []})[:-2]
+    for i, result in enumerate(draws):
+        yield ("," if i else "") + rendered[result]
+    yield "]}"
+
+
 # ---------------------------------------------------------------------------
 # tables
 
@@ -367,12 +378,11 @@ def parse_partition(text: str) -> Partition:
 
 def granular_set_doc(granular: GranularSet) -> dict:
     _names(list(granular.universe), "partition block")
-    return {"levels": [_level_doc(level) for level in granular.levels]}
+    return {"granular": True, "levels": [_level_doc(level) for level in granular.levels]}
 
 
 def granular_set_chunks(granular: GranularSet) -> Iterator[str]:
-    """The document ``granulate`` writes, ``granular_set_doc`` marked
-    ``"granular": true``, as canonical JSON text one level per chunk.
+    """``granular_set_doc`` as canonical JSON text, one level per chunk.
 
     The names are checked once on the universe.  Each level's blocks are
     grouped, rendered and dropped before the next level is grouped, so only

@@ -116,11 +116,6 @@ def _positions(names: Iterable[str], pos: dict[str, int], what: str) -> frozense
         raise DomainError(f"unknown {what}: {unknown!r}") from None
 
 
-def _target_rows(table: InformationTable, target: Iterable[str]) -> frozenset[int]:
-    """Row positions of the target objects, rejecting an object not in the table."""
-    return _positions(target, table._obj_pos, "object")
-
-
 def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iterable[str]) -> tuple[int, ...]:
     """The one refinement kernel: split the classes `labels` (None for one
     class holding every object) by the rows' values on `attrs`.
@@ -210,7 +205,7 @@ def upper_approx(table: InformationTable, attrs: Iterable[str], target: Iterable
 
 def approximation_pair(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> ApproximationPair:
     """Lower and upper approximations computed from one shared partition."""
-    rows = _target_rows(table, target)
+    rows = _positions(target, table._obj_pos, "object")
     part = indiscernibility_partition(table, attrs)
     return _pair(part, Counter(part._labels), rows)
 
@@ -227,7 +222,7 @@ def graded_approximations(
     """
     part = indiscernibility_partition(table, attrs)
     sizes = Counter(part._labels)
-    pairs = [_pair(part, sizes, _target_rows(table, level)) for level in targets.levels]
+    pairs = [_pair(part, sizes, _positions(level, table._obj_pos, "object")) for level in targets.levels]
     return GradedFamily([p.lower for p in pairs]), GradedFamily([p.upper for p in pairs])
 
 
@@ -241,7 +236,7 @@ def sensitivity_profile(
     `granular_from_chain`, and each level gets one label scan; the sizes are
     counted on the labels, and the record checks lower inside upper.
     """
-    rows = _target_rows(table, target)
+    rows = _positions(target, table._obj_pos, "object")
     records = []
     for i, (attrs, labels) in enumerate(zip(chain.levels, _chain_labels(table, chain))):
         sizes = Counter(labels)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from functools import total_ordering
-from typing import Iterable
+from typing import Collection, Iterable
 
 from ._value import Value
 from .errors import DomainError
@@ -109,6 +109,15 @@ class GradedIntervals(Value):
         return self.levels[f - self.f_min]
 
 
+def _check_pmf(probabilities: Collection[float]) -> None:
+    """The one probability rule: every mass positive, summing to 1 within PROB_TOLERANCE."""
+    if any(not (p > 0) for p in probabilities):
+        raise DomainError("probabilities must be positive")
+    total = sum(probabilities)
+    if abs(total - 1.0) > PROB_TOLERANCE:
+        raise DomainError(f"probabilities sum to {total!r}, expected 1")
+
+
 class FaultDistribution(Value):
     """Discrete probability distribution over fault counts."""
 
@@ -127,11 +136,7 @@ class FaultDistribution(Value):
             raise DomainError("duplicate fault count in distribution")
         if counts[0] < 0:
             raise DomainError("fault counts must be nonnegative")
-        if any(not (p > 0) for _, p in support):
-            raise DomainError("probabilities must be positive")
-        total = sum(p for _, p in support)
-        if abs(total - 1.0) > PROB_TOLERANCE:
-            raise DomainError(f"probabilities sum to {total!r}, expected 1")
+        _check_pmf([p for _, p in support])
 
     @classmethod
     def from_dict(cls, pmf: dict[int, float]) -> FaultDistribution:
@@ -155,11 +160,7 @@ class IntervalDistribution(Value):
             merged[result] = merged.get(result, 0.0) + float(p)
         if not merged:
             raise DomainError("interval distribution has no atoms")
-        if any(not (p > 0) for p in merged.values()):
-            raise DomainError("probabilities must be positive")
-        total = sum(merged.values())
-        if abs(total - 1.0) > PROB_TOLERANCE:
-            raise DomainError(f"probabilities sum to {total!r}, expected 1")
+        _check_pmf(merged.values())
         self._init(tuple(sorted(merged.items(), key=lambda a: _result_key(a[0]))))
 
 

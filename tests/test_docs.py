@@ -28,16 +28,20 @@ def test_readme_quick_start_runs(monkeypatch):
     assert pair.upper == {"O1", "O2", "O3", "O7", "O10"}
 
 
+def fusion_experiment():
+    path = ROOT / "scripts" / "fusion_experiment.py"
+    spec = importlib.util.spec_from_file_location("fusion_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_fusion_experiment_reaches_full_containment_at_the_fault_count(capsys):
     # README: the containment rate reaches 1.0 exactly at the injected fault
     # count, read off the report of the pipe's first half
     assert cli.main(["simulate", "--sensors", "9", "--faulty", "3", "--rounds", "200", "--seed", "7"]) == 0
     report = capsys.readouterr().out
-    path = ROOT / "scripts" / "fusion_experiment.py"
-    spec = importlib.util.spec_from_file_location("fusion_experiment", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(io.StringIO(report)) == 0
+    assert fusion_experiment().main(io.StringIO(report)) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "sensors=9 faulty=3 rounds=200 seed=7"
     contain = {int(row.split()[0]): row.split()[1] for row in lines[2:]}
@@ -45,3 +49,10 @@ def test_fusion_experiment_reaches_full_containment_at_the_fault_count(capsys):
     assert all(contain[f] == "1.000" for f in range(3, 9))
     assert all(float(contain[f]) < 1.0 for f in range(3))
     assert lines[2 + 3].endswith("<- guarantee kicks in")
+
+
+def test_fusion_experiment_on_a_failed_pipe_is_one_error_line(capsys):
+    # a failed gsets simulate leaves stdin empty
+    assert fusion_experiment().main(io.StringIO("")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1

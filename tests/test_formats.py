@@ -13,6 +13,7 @@ from gsets import (
     GradedIntervals,
     GranularSet,
     Interval,
+    IntervalDistribution,
     ParseError,
     Partition,
     SensitivityRecord,
@@ -36,6 +37,7 @@ from gsets.formats import (
     graded_intervals_doc,
     granular_set_chunks,
     granular_set_doc,
+    interval_distribution_chunks,
     interval_distribution_doc,
     intervals_doc,
     object_set_doc,
@@ -54,7 +56,7 @@ from gsets.formats import (
     sensitivity_profile_doc,
     simulation_chunks,
 )
-from strategies import block_labelings, intervals, table_with_attr_chain, tables
+from strategies import block_labelings, grid_values, intervals, table_with_attr_chain, tables
 
 FIX = [Interval(0, 10), Interval(2, 8), Interval(4, 12)]
 
@@ -570,11 +572,6 @@ def _reference_report(config: SimConfig, outcomes) -> dict:
     }
 
 
-def _marked_document(g: GranularSet) -> str:
-    # the document granulate writes, from the library's one granular-set document
-    return dumps_canonical({**granular_set_doc(g), "granular": True})
-
-
 class TestGranularSetChunks:
     @given(table_with_attr_chain())
     @settings(max_examples=200)
@@ -582,7 +579,7 @@ class TestGranularSetChunks:
         table, chain_levels = case
         g = granular_from_chain(table, GradedFamily(chain_levels))
         chunks = list(granular_set_chunks(g))
-        assert "".join(chunks) == _marked_document(g)
+        assert "".join(chunks) == dumps_canonical(granular_set_doc(g))
         # the opening, one chunk per level, the close
         assert len(chunks) == len(g.levels) + 2
 
@@ -592,7 +589,7 @@ class TestGranularSetChunks:
         universe, blocks = case
         order = data.draw(st.permutations(universe))
         g = GranularSet([Partition(order, blocks), Partition(order, [universe])])
-        assert "".join(granular_set_chunks(g)) == _marked_document(g)
+        assert "".join(granular_set_chunks(g)) == dumps_canonical(granular_set_doc(g))
 
     def test_one_level_is_grouped_at_a_time(self, monkeypatch, sample_table, sample_chain_levels):
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
@@ -604,7 +601,34 @@ class TestGranularSetChunks:
         text = "".join(granular_set_chunks(g))
         assert events == ["group", "render"] * len(g.levels)
         monkeypatch.undo()
-        assert text == _marked_document(g)
+        assert text == dumps_canonical(granular_set_doc(g))
+
+
+# empty results, -0.0 and its twin 0.0, integral reals on both sides of 2**53
+_edge_results = st.one_of(
+    st.none(),
+    st.lists(
+        st.sampled_from([-0.0, 0.0, 0.5, -3.0, 2.0**53, 2.0**53 + 2, -(2.0**53) - 2, 2.0**60, 1e300]) | grid_values,
+        min_size=2,
+        max_size=2,
+    ).map(lambda ends: Interval(min(ends), max(ends))),
+)
+
+
+class TestIntervalDistributionChunks:
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    @given(results=st.lists(_edge_results, min_size=1, max_size=6), data=st.data())
+    @settings(max_examples=60)
+    def test_chunks_join_to_the_document_with_its_samples(self, count, results, data):
+        d = IntervalDistribution([(r, 1 / len(results)) for r in results])
+        atoms = [r for r, _ in d.atoms]
+        # a draw equal to an atom is written as the atom is, -0.0 as 0
+        draws = data.draw(st.lists(st.sampled_from(atoms + results), min_size=count, max_size=count))
+        chunks = list(interval_distribution_chunks(d, draws))
+        reference = {**interval_distribution_doc(d), "samples": [fusion_result_doc(r) for r in draws]}
+        assert "".join(chunks) == dumps_canonical(reference)
+        # the distribution, one chunk per draw, the close
+        assert len(chunks) == count + 2
 
 
 class TestSimulationChunks:

@@ -461,4 +461,4 @@ class TestLargeTableInvariants:
         table, chain, _, _ = large_case
         g = granular_from_chain(table, GradedFamily(chain))
         text = "".join(granular_set_chunks(g))
-        assert text == dumps_canonical({**granular_set_doc(g), "granular": True})
+        assert text == dumps_canonical(granular_set_doc(g))
