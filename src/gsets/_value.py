@@ -4,18 +4,19 @@ from operator import attrgetter
 
 
 class Value:
-    """An immutable value whose fields are its ``__slots__``, bar the ``_``-prefixed caches.
+    """An immutable value whose fields are its ``__slots__``, bar the ``_``-prefixed caches,
+    unless the class names them in ``_fields``.
 
     It equals only a value of its own class with equal fields, hashes as the
     tuple of its fields and prints as ``Name(field=value, ...)``.  Each class
-    writes its own checking ``__init__``, which stores the fields with
+    writes its own checking ``__init__``, which stores its slots in order with
     ``_init``; pickling and copying call that ``__init__`` again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        names = cls.__dict__.get("_fields") or tuple(n for n in cls.__slots__ if not n.startswith("_"))
         get = attrgetter(*names)
         cls._fields = names
         cls._key = staticmethod(get if len(names) > 1 else lambda value: (get(value),))

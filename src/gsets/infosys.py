@@ -1,32 +1,46 @@
 """Information tables, indiscernibility partitions, and rough approximations.
 
 Objects are rows, attributes are columns, and cells hold categorical tokens
-compared by exact string equality.  Choosing an attribute set induces an
+compared by exact string equality.  A table stores each column as its
+distinct values and one code per object: a byte per cell while the column
+has under 256 values, a tuple of ints (about eight bytes per cell, plus one
+int object per value) for a wider one.  Choosing an attribute set induces an
 indiscernibility partition; a nested chain of attribute sets induces a
 granular set; a target set of objects gets lower/upper approximations that
 respond monotonically to growing targets and growing attribute sets.
 Classes are kept as the block labels of `partitions`: one kernel refines
-labels on added attributes, and one label scan, with class sizes counted on
+labels on the codes of added attributes, and one label scan, with class sizes counted on
 the labels, reads off approximations as the objects of the labels it picks.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from operator import contains, itemgetter
-from typing import Iterable, Iterator
+from collections import Counter, defaultdict
+from operator import add, contains, mul
+from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
 from .chains import GradedFamily
 from .errors import DomainError
 from .partitions import GranularSet, Partition, _dense, validate_granular
 
+_KEY_LIMIT = 2**62
+
 
 class InformationTable(Value):
-    """Immutable objects-by-attributes table of categorical tokens."""
+    """Immutable objects-by-attributes table of categorical tokens.
 
-    __slots__ = ("objects", "attributes", "rows", "_obj_pos", "_attr_pos")
+    Each column is stored as its values, in order of first appearance, and
+    one code per object indexing them: ``bytes`` while the column has under
+    256 values, a tuple of ints for a wider one.  `value` and `rows` decode;
+    the fields, and so equality, hashing, the repr and pickling, are the
+    decoded ``(objects, attributes, rows)``.  `_obj_pos` maps each object to
+    its row, in row order, so its values are the ints 0, 1, 2, ...
+    """
+
+    __slots__ = ("objects", "attributes", "_values", "_codes", "_obj_pos", "_attr_pos")
+    _fields = ("objects", "attributes", "rows")
 
     def __init__(self, objects: Iterable[str], attributes: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
         objects = tuple(objects)
@@ -54,7 +68,45 @@ class InformationTable(Value):
                 for cell in row:
                     if not isinstance(cell, str) or not cell:
                         raise DomainError(f"row for {obj!r} has an empty or non-string cell")
-        self._init(objects, attributes, rows, obj_pos, attr_pos)
+        self._store(obj_pos, attr_pos, [zip(*rows)])
+
+    @classmethod
+    def _coded(
+        cls, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable[Iterable[Sequence[str]]]
+    ) -> InformationTable:
+        """The table whose rows arrive as `batches`, each holding one sequence
+        of cells per attribute; `obj_pos` maps each object to its row once the
+        batches are read.  The caller has checked the names and the cells."""
+        self = cls.__new__(cls)
+        self._store(obj_pos, attr_pos, batches)
+        return self
+
+    def _store(
+        self, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable[Iterable[Sequence[str]]]
+    ) -> None:
+        """Code the columns a batch at a time.  A column's values get codes in
+        order of first appearance from a `defaultdict` that hands the next code
+        to a new value, so each cell costs one C-level lookup; a batch's codes
+        are kept as ``bytes`` while they fit in one."""
+        ids = [defaultdict(itertools.count().__next__) for _ in attr_pos]
+        chunks: list[list] = [[] for _ in attr_pos]
+        for columns in batches:
+            for known, chunk, column in zip(ids, chunks, columns):
+                coded = tuple(map(known.__getitem__, column))
+                chunk.append(bytes(coded) if len(known) <= 256 else coded)
+        values = tuple(map(tuple, ids))
+        codes = tuple(
+            b"".join(chunk) if len(column) < 256 else tuple(itertools.chain.from_iterable(chunk))
+            for column, chunk in zip(values, chunks)
+        )
+        self._init(tuple(obj_pos), tuple(attr_pos), values, codes, obj_pos, attr_pos)
+
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """The cells row by row, decoded."""
+        if not self._codes:
+            return ((),) * len(self.objects)
+        return tuple(zip(*(map(values.__getitem__, codes) for values, codes in zip(self._values, self._codes))))
 
     def value(self, obj: str, attr: str) -> str:
         try:
@@ -65,7 +117,7 @@ class InformationTable(Value):
             j = self._attr_pos[attr]
         except KeyError:
             raise DomainError(f"unknown attribute: {attr!r}") from None
-        return self.rows[i][j]
+        return self._values[j][self._codes[j][i]]
 
 
 class ApproximationPair(Value):
@@ -120,17 +172,30 @@ def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iter
     """The one refinement kernel: split the classes `labels` (None for one
     class holding every object) by the rows' values on `attrs`.
 
-    Each row's new label is the id of its old label paired with its
-    signature on `attrs`, so the result is again a dense label vector and
-    refines `labels` by construction.
+    Each row is keyed on its label and its codes, one attribute at a time
+    (``key * card + code``, with ``card`` the attribute's value count), and
+    the keys are relabelled densely, so the result is again a dense label
+    vector and refines `labels` by construction.  A key stays below `size`,
+    the product of the counts, and the keys are relabelled on the way once
+    that passes `_KEY_LIMIT`, which keeps them machine-sized.  The labels
+    are the int objects of the table's object positions, so the levels of a
+    chain hold no ints of their own.
     """
     columns = _positions(attrs, table._attr_pos, "attribute")
     if not columns:
         return (0,) * len(table.objects) if labels is None else labels
     if labels and labels[-1] == len(labels) - 1:
         return labels  # dense labels ending at n - 1 are all distinct, and one object cannot split
-    signatures = map(itemgetter(*columns), table.rows)
-    return _dense(signatures if labels is None else zip(labels, signatures))
+    keys, size, ints = labels, len(table.objects), table._obj_pos.values()
+    for j in columns:
+        codes, card = table._codes[j], len(table._values[j])
+        if keys is None:
+            keys, size = codes, card
+            continue
+        keys, size = list(map(add, map(mul, keys, itertools.repeat(card)), codes)), size * card
+        if size > _KEY_LIMIT:
+            keys, size = _dense(keys, ints), len(keys)
+    return _dense(keys, ints)
 
 
 def _chain_labels(table: InformationTable, chain: GradedFamily) -> Iterator[tuple[int, ...]]:

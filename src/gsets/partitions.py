@@ -10,17 +10,21 @@ they are given, each coarser block a union of blocks of the level below.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from ._value import Value
 from .errors import DomainError
 
 
-def _dense(keys: Iterable[Hashable]) -> tuple[int, ...]:
+def _dense(keys: Collection[Hashable], ints: Iterable[int]) -> tuple[int, ...]:
     """Block labels for one key per element: equal keys share a label, and
-    labels count up from 0 in order of first appearance."""
-    ids: dict = {}
-    return tuple([ids.setdefault(key, len(ids)) for key in keys])
+    labels count up from 0 in order of first appearance.  `ints` yields
+    0, 1, 2, ... and supplies the label objects, so labels drawn from one
+    shared sequence share their ints.  C-level passes over one dict, so
+    `keys` is read twice."""
+    ids = dict.fromkeys(keys)
+    ids.update(zip(ids, ints))  # sets values only, so the iteration over `ids` stays valid
+    return tuple(map(ids.__getitem__, keys))
 
 
 class Partition:
@@ -73,7 +77,7 @@ class Partition:
             missing = next(x for x, j in index.items() if j < 0)
             raise DomainError(f"blocks do not cover the universe: {missing!r} unassigned")
         self.universe = universe
-        self._labels = _dense(index.values())
+        self._labels = _dense(index.values(), range(len(universe)))
 
     @classmethod
     def _from_labels(cls, universe: tuple, labels: tuple[int, ...]) -> Partition:

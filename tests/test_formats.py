@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -208,6 +210,83 @@ class TestParseTable:
             assert str(info.value) == str(exc)
         else:
             assert parse_table(text).rows == tuple(map(tuple, cells))
+
+
+def _table_error_by_line(lines):
+    """The first defect of a table body, checking line by line in order: the
+    field count, then each cell, then the object id (None when there is none)."""
+    width, seen = len(lines[0].split(",")), set()
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != width:
+                raise ParseError(f"line {n}: expected {width} fields, got {len(fields)}")
+            for field in fields:
+                _token(field, f"line {n}")
+        except ParseError as exc:
+            return str(exc)
+        if fields[0] in seen:
+            return f"line {n}: duplicate object id {fields[0]!r}"
+        seen.add(fields[0])
+    return None
+
+
+class TestParseTableBatches:
+    """Rows are checked and coded a batch at a time; the first defect in line
+    order is still the one named, wherever the batches break."""
+
+    N = 1300  # lines 2..1301: three batches of up to 512 rows
+
+    def _lines(self):
+        return ["object,P1,P2"] + [f"o{i},{i % 2},{i % 7}" for i in range(self.N)]
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {700: "o5,1,1"},  # a duplicate of an object of the first batch
+            {700: "o5,1,1", 701: "o701,1"},  # the duplicate comes first
+            {701: "o701,1", 702: "o5,1,1"},  # the short line comes first
+            {514: "o512,,1"},  # the first line of the second batch
+            {513: "o511,1, 2", 514: "o512"},  # the last line of the first batch
+            {1000: "o998,1,1", 1200: "o1198,0 ,1"},
+            {1301: "o1299,1,2,3"},  # the last line
+            {600: "o 598,1,1", 900: "o\u00a0898,1,x y"},  # inner whitespace only: no defect
+        ],
+    )
+    def test_first_defect_in_line_order(self, edits):
+        lines = self._lines()
+        for n, line in edits.items():
+            lines[n - 1] = line
+        text = "\n".join(lines) + "\n"
+        expected = _table_error_by_line(lines)
+        if expected is None:
+            table = parse_table(text)
+            assert table.rows == tuple(tuple(line.split(",")[1:]) for line in lines[1:])
+            assert table.objects == tuple(line.split(",")[0] for line in lines[1:])
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_table(text)
+            assert str(info.value) == expected
+
+    def test_held_and_peak_bytes_per_cell(self):
+        # 20000 x 12 cells of two characters: the codes take one byte a cell,
+        # and the rest is per object.  A table of one str per cell in a tuple
+        # per row held about 72 B a cell here and peaked at about 100 B.
+        n, cards = 20_000, (2, 3, 4, 5) * 3
+        rng = random.Random(7)
+        tokens = [[f"{chr(97 + j)}{v}" for v in range(card)] for j, card in enumerate(cards)]
+        header = ",".join(["object", *(f"A{j}" for j in range(len(cards)))])
+        text = "\n".join([header, *(",".join([f"o{i}", *map(rng.choice, tokens)]) for i in range(n))]) + "\n"
+        tracemalloc.start()
+        try:
+            table = parse_table(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cells = n * len(cards)
+        assert len(table.objects) == n
+        assert held <= 16 * cells, f"{held / cells:.1f} bytes held per cell"
+        assert peak <= 32 * cells, f"{peak / cells:.1f} bytes peak per cell"
 
 
 class TestParseChain:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsets import (
+    ApproximationPair,
     DomainError,
     GradedFamily,
     InformationTable,
@@ -19,7 +20,7 @@ from gsets import (
     sensitivity_profile,
     upper_approx,
 )
-from gsets.formats import dumps_canonical, granular_set_chunks, granular_set_doc, parse_granular_set
+from gsets.formats import dumps_canonical, granular_set_chunks, granular_set_doc, parse_granular_set, parse_table
 from strategies import table_with_attr_chain, table_with_target_chain, tables
 
 ALL = [f"O{i}" for i in range(1, 11)]
@@ -373,6 +374,87 @@ class TestIncrementalChainsMatchReference:
         finally:
             tracemalloc.stop()
         assert peak <= 1200 * len(table.objects), f"{peak / len(table.objects):.0f} bytes per object"
+
+
+def _approximation_oracle(table, attrs, target):
+    # lower and upper approximations read off the oracle's blocks, from the definition
+    target = set(target)
+    blocks = _signature_oracle(table, attrs).blocks
+    return (
+        frozenset(x for block in blocks if target.issuperset(block) for x in block),
+        frozenset(x for block in blocks if target.intersection(block) for x in block),
+    )
+
+
+def _check_against_oracle(table, chain_levels, target):
+    """Every partition, approximation pair and the granular set of the chain
+    equal the ones read off the signatures."""
+    _check_chain_levels(table, chain_levels)
+    for attrs in chain_levels:
+        assert indiscernibility_partition(table, attrs).blocks == _signature_oracle(table, attrs).blocks
+        pair = approximation_pair(table, attrs, target)
+        assert (pair.lower, pair.upper) == _approximation_oracle(table, attrs, target)
+
+
+def _csv(objects, attributes, rows):
+    return "\n".join([",".join(["object", *attributes]), *(",".join([o, *r]) for o, r in zip(objects, rows))]) + "\n"
+
+
+class TestColumnCodes:
+    """The per-column codes at their edges, parsed a batch of rows at a time
+    and built from rows, against the signature oracle."""
+
+    def _both(self, objects, attributes, rows):
+        built = InformationTable(objects, attributes, rows)
+        parsed = parse_table(_csv(objects, attributes, rows))
+        assert parsed == built and parsed.rows == tuple(map(tuple, rows))
+        return built, parsed
+
+    def test_column_of_300_values_crosses_to_wide_codes(self):
+        # value k first appears at row 2k: with batches of 512 rows the 257th
+        # value opens the second batch, so the parsed column turns wide there
+        n = 700
+        objects = [f"o{i}" for i in range(n)]
+        rows = [(f"v{min(i // 2, 299)}" if i < 600 else f"v{i % 300}", str(i % 3)) for i in range(n)]
+        for table in self._both(objects, ("wide", "narrow"), rows):
+            assert len(table._values[0]) == 300 and type(table._codes[0]) is tuple
+            assert len(table._values[1]) == 3 and type(table._codes[1]) is bytes
+            assert table.value("o598", "wide") == "v299" and table.value("o699", "wide") == "v99"
+            _check_against_oracle(table, [["narrow"], ["narrow", "wide"]], objects[::3])
+
+    def test_column_of_256_values_is_wide(self):
+        rows = [(f"v{i}",) for i in range(256)]
+        for table in self._both([f"o{i}" for i in range(256)], ("p",), rows):
+            assert type(table._codes[0]) is tuple and table.value("o255", "p") == "v255"
+
+    def test_value_first_seen_after_the_first_batch(self):
+        n = 1200
+        objects = [f"o{i}" for i in range(n)]
+        rows = [("late" if i in (900, 1100) else str(i % 2), str(i % 5)) for i in range(n)]
+        for table in self._both(objects, ("p", "q"), rows):
+            assert table.value("o900", "p") == table.value("o1100", "p") == "late"
+            _check_against_oracle(table, [["p"], ["p", "q"]], objects[:600])
+            assert indiscernibility_partition(table, ["p"]).block_of("o900") == {"o900", "o1100"}
+
+    def test_table_with_no_rows(self):
+        table = InformationTable((), ("p",), ())
+        assert table.rows == () and table == InformationTable([], ["p"], [])
+        _check_against_oracle(table, [[], ["p"]], [])
+        assert granular_from_chain(table, GradedFamily([["p"]])).levels == (Partition((), ()),)
+        with pytest.raises(DomainError, match="unknown object"):
+            table.value("a", "p")
+
+    @pytest.mark.parametrize("objects", [("a",), ("a", "b")])
+    def test_table_with_no_attributes(self, objects):
+        table = InformationTable(objects, (), ((),) * len(objects))
+        assert table.rows == ((),) * len(objects)
+        _check_against_oracle(table, [[]], ["a"])
+        assert indiscernibility_partition(table, []).blocks == (objects,)
+        # one block holding every object: inside the target only when it is just "a"
+        lower = objects if objects == ("a",) else ()
+        assert approximation_pair(table, [], ["a"]) == ApproximationPair(lower, objects)
+        with pytest.raises(DomainError, match="unknown attribute"):
+            table.value("a", "p")
 
 
 def _refines_by_definition(finer, coarser):

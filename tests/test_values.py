@@ -27,6 +27,7 @@ from gsets import (
     SimOutcome,
     simulate_round,
 )
+from gsets.formats import parse_table
 
 CONFIG = dict(num_sensors=4, truth=0.5, correct_halfwidth_max=1.0, num_faulty=1, fault_offset_min=2.5, seed=7)
 
@@ -157,6 +158,18 @@ def test_restored_table_keeps_its_lookups():
     table = pickle.loads(pickle.dumps(make()))
     assert table.value("O2", "P2") == "z"
     assert "_obj_pos" not in repr(table)
+
+
+def test_parsed_table_is_the_value_of_its_rows():
+    # the table stores codes, but its fields stay (objects, attributes, rows)
+    rows = [["x", "y"], ["x", "z"], ["w", "y"]]
+    built = InformationTable(["O1", "O2", "O3"], ["P1", "P2"], rows)
+    parsed = parse_table("object,P1,P2\nO1,x,y\nO2,x,z\nO3,w,y\n")
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    for twin in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed), copy.copy(parsed)):
+        assert twin == built and hash(twin) == hash(built)
+        assert twin.rows == tuple(map(tuple, rows)) and twin.value("O3", "P1") == "w"
+    assert "_codes" not in repr(parsed) and "_values" not in repr(parsed)
 
 
 def test_interval_order_is_endpoint_tuple_order():
