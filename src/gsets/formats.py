@@ -278,9 +278,8 @@ def interval_distribution_chunks(dist: IntervalDistribution, draws: Iterable[Fus
 
 
 def _table_lines(lines: Sequence[str], first: int, width: int, objects: dict[str, int]) -> None:
-    """Check table lines one by one, numbered from `first`, against earlier
-    `objects`, and raise at the first defect: a field count, a cell, then a
-    duplicate object id."""
+    """Raise at the first defect of table lines numbered from `first`: per
+    line the field count, each cell, then the object id against `objects`."""
     seen = set()
     for n, line in enumerate(lines, start=first):
         fields = line.split(",")
@@ -296,12 +295,10 @@ def _table_lines(lines: Sequence[str], first: int, width: int, objects: dict[str
 def parse_table(text: str) -> InformationTable:
     """Read an information table from CSV with header ``object,<attrs...>``.
 
-    The rows are read `_TABLE_BATCH` lines at a time: one split of the
-    joined lines gives the batch's cells, C-level passes check them, and
-    each attribute's cells are handed to the table's coder, so no per-row
-    table is ever held.  Only a batch that fails a pass, or holds a token
-    with inner whitespace, is checked line by line, which names the first
-    defect.
+    The rows are read `_TABLE_BATCH` lines at a time: C-level passes check
+    the cells of the joined lines, and each column goes to the table's
+    coder.  A batch that fails a pass, or has a token with inner
+    whitespace, is checked line by line, which names the first defect.
     """
     lines = text.splitlines()
     if not lines:

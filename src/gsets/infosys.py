@@ -2,15 +2,16 @@
 
 Objects are rows, attributes are columns, and cells hold categorical tokens
 compared by exact string equality.  A table stores each column as its
-distinct values and one code per object: a byte per cell while the column
-has under 256 values, a tuple of ints (about eight bytes per cell, plus one
-int object per value) for a wider one.  Choosing an attribute set induces an
+distinct values, in order of first appearance, and one code per object: a
+byte per cell while the column has under 256 values, a tuple of ints (eight
+bytes per cell) for a wider one.  Choosing an attribute set induces an
 indiscernibility partition; a nested chain of attribute sets induces a
 granular set; a target set of objects gets lower/upper approximations that
 respond monotonically to growing targets and growing attribute sets.
 Classes are kept as the block labels of `partitions`: one kernel refines
-labels on the codes of added attributes, and one label scan, with class sizes counted on
-the labels, reads off approximations as the objects of the labels it picks.
+labels on the codes of added attributes, and one label scan, with class
+sizes counted on the labels, reads off approximations as the objects of the
+labels it picks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from operator import add, contains, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ._value import Value
 from .chains import GradedFamily
@@ -29,14 +30,10 @@ _KEY_LIMIT = 2**62
 
 
 class InformationTable(Value):
-    """Immutable objects-by-attributes table of categorical tokens.
-
-    Each column is stored as its values, in order of first appearance, and
-    one code per object indexing them: ``bytes`` while the column has under
-    256 values, a tuple of ints for a wider one.  `value` and `rows` decode;
-    the fields, and so equality, hashing, the repr and pickling, are the
-    decoded ``(objects, attributes, rows)``.  `_obj_pos` maps each object to
-    its row, in row order, so its values are the ints 0, 1, 2, ...
+    """Immutable objects-by-attributes table of categorical tokens, stored as
+    per-column codes.  `value` and `rows` decode; the fields, and so equality,
+    hashing, the repr and pickling, are ``(objects, attributes, rows)``.
+    `_obj_pos` maps each object to its row, in row order.
     """
 
     __slots__ = ("objects", "attributes", "_values", "_codes", "_obj_pos", "_attr_pos")
@@ -71,23 +68,16 @@ class InformationTable(Value):
         self._store(obj_pos, attr_pos, [zip(*rows)])
 
     @classmethod
-    def _coded(
-        cls, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable[Iterable[Sequence[str]]]
-    ) -> InformationTable:
-        """The table whose rows arrive as `batches`, each holding one sequence
-        of cells per attribute; `obj_pos` maps each object to its row once the
-        batches are read.  The caller has checked the names and the cells."""
+    def _coded(cls, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable) -> InformationTable:
+        """The table of `batches`, each one cell sequence per attribute, with
+        `obj_pos` filled as they are read; nothing is checked."""
         self = cls.__new__(cls)
         self._store(obj_pos, attr_pos, batches)
         return self
 
-    def _store(
-        self, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable[Iterable[Sequence[str]]]
-    ) -> None:
-        """Code the columns a batch at a time.  A column's values get codes in
-        order of first appearance from a `defaultdict` that hands the next code
-        to a new value, so each cell costs one C-level lookup; a batch's codes
-        are kept as ``bytes`` while they fit in one."""
+    def _store(self, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable) -> None:
+        """Code the columns a batch at a time: a `defaultdict` hands each new
+        value the next code, so a cell costs one C-level lookup."""
         ids = [defaultdict(itertools.count().__next__) for _ in attr_pos]
         chunks: list[list] = [[] for _ in attr_pos]
         for columns in batches:
@@ -172,14 +162,11 @@ def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iter
     """The one refinement kernel: split the classes `labels` (None for one
     class holding every object) by the rows' values on `attrs`.
 
-    Each row is keyed on its label and its codes, one attribute at a time
-    (``key * card + code``, with ``card`` the attribute's value count), and
-    the keys are relabelled densely, so the result is again a dense label
-    vector and refines `labels` by construction.  A key stays below `size`,
-    the product of the counts, and the keys are relabelled on the way once
-    that passes `_KEY_LIMIT`, which keeps them machine-sized.  The labels
-    are the int objects of the table's object positions, so the levels of a
-    chain hold no ints of their own.
+    Each row is keyed ``key * card + code`` one attribute at a time and the
+    keys are relabelled densely, so the result refines `labels` by
+    construction.  Keys stay below `size`, and are relabelled early once it
+    passes `_KEY_LIMIT`.  The labels are the ints of the table's object
+    positions, so the levels of a chain share them.
     """
     columns = _positions(attrs, table._attr_pos, "attribute")
     if not columns:

@@ -18,10 +18,8 @@ from .errors import DomainError
 
 def _dense(keys: Collection[Hashable], ints: Iterable[int]) -> tuple[int, ...]:
     """Block labels for one key per element: equal keys share a label, and
-    labels count up from 0 in order of first appearance.  `ints` yields
-    0, 1, 2, ... and supplies the label objects, so labels drawn from one
-    shared sequence share their ints.  C-level passes over one dict, so
-    `keys` is read twice."""
+    labels count up from 0 in order of first appearance, taken from `ints`
+    (0, 1, 2, ...).  C-level passes over one dict; `keys` is read twice."""
     ids = dict.fromkeys(keys)
     ids.update(zip(ids, ints))  # sets values only, so the iteration over `ids` stays valid
     return tuple(map(ids.__getitem__, keys))
