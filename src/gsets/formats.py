@@ -38,7 +38,6 @@ and the empty fused result is rendered as ``null``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Iterable, Iterator, Sequence
@@ -57,7 +56,6 @@ from .partitions import GranularSet, Partition, validate_granular
 from .simulate import SimConfig, SimOutcome
 
 _INT_RENDER_LIMIT = 2**53
-_TABLE_BATCH = 512
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
@@ -277,28 +275,11 @@ def interval_distribution_chunks(dist: IntervalDistribution, draws: Iterable[Fus
 # tables
 
 
-def _table_lines(lines: Sequence[str], first: int, width: int, objects: dict[str, int]) -> None:
-    """Raise at the first defect of table lines numbered from `first`: per
-    line the field count, each cell, then the object id against `objects`."""
-    seen = set()
-    for n, line in enumerate(lines, start=first):
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ParseError(f"line {n}: expected {width} fields, got {len(fields)}")
-        for field in fields:
-            _token(field, f"line {n}")
-        if fields[0] in objects or fields[0] in seen:
-            raise ParseError(f"line {n}: duplicate object id {fields[0]!r}")
-        seen.add(fields[0])
-
-
 def parse_table(text: str) -> InformationTable:
     """Read an information table from CSV with header ``object,<attrs...>``.
 
-    The rows are read `_TABLE_BATCH` lines at a time: C-level passes check
-    the cells of the joined lines, and each column goes to the table's
-    coder.  A batch that fails a pass, or has a token with inner
-    whitespace, is checked line by line, which names the first defect.
+    Each line is checked as it is read and handed to the table's coder, so
+    no per-row table is held.
     """
     lines = text.splitlines()
     if not lines:
@@ -313,27 +294,25 @@ def parse_table(text: str) -> InformationTable:
         if name in attr_pos:
             raise ParseError(f"line 1: duplicate attribute {name!r}")
         attr_pos[name] = len(attr_pos)
-    width = len(header)
     obj_pos: dict[str, int] = {}  # each object's row; also the duplicate check
 
-    def batches() -> Iterator[list[list[str]]]:
-        for start in range(1, len(lines), _TABLE_BATCH):
-            batch = lines[start : start + _TABLE_BATCH]
-            joined = ",".join(batch)
-            cells = joined.split(",")
-            objects = cells[::width]
-            if (
-                set(map(str.count, batch, itertools.repeat(","))) != {width - 1}
-                or "" in cells
-                or joined.split() != [joined]  # no whitespace in any cell
-                or len(set(objects)) != len(objects)
-                or not obj_pos.keys().isdisjoint(objects)
-            ):
-                _table_lines(batch, start + 1, width, obj_pos)
-            obj_pos.update(zip(objects, itertools.count(len(obj_pos))))
-            yield [cells[j::width] for j in range(1, width)]
+    def rows() -> Iterator[list[str]]:
+        for n, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ParseError(f"line {n}: expected {len(header)} fields, got {len(fields)}")
+            # a line with no whitespace and no empty field is all tokens; only
+            # another line needs the per-cell scan, which names its first defect
+            if "" in fields or line.split() != [line]:
+                for field in fields:
+                    _token(field, f"line {n}")
+            obj = fields.pop(0)
+            if obj in obj_pos:
+                raise ParseError(f"line {n}: duplicate object id {obj!r}")
+            obj_pos[obj] = len(obj_pos)
+            yield fields
 
-    table = InformationTable._coded(obj_pos, attr_pos, batches())
+    table = InformationTable._coded(obj_pos, attr_pos, rows())
     if not table.objects:
         raise ParseError("no objects")
     return table

@@ -19,14 +19,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from operator import add, contains, mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
 from .chains import GradedFamily
 from .errors import DomainError
 from .partitions import GranularSet, Partition, _dense, validate_granular
 
-_KEY_LIMIT = 2**62
+_BATCH = 512
 
 
 class InformationTable(Value):
@@ -65,23 +65,24 @@ class InformationTable(Value):
                 for cell in row:
                     if not isinstance(cell, str) or not cell:
                         raise DomainError(f"row for {obj!r} has an empty or non-string cell")
-        self._store(obj_pos, attr_pos, [zip(*rows)])
+        self._store(obj_pos, attr_pos, iter(rows))
 
     @classmethod
-    def _coded(cls, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable) -> InformationTable:
-        """The table of `batches`, each one cell sequence per attribute, with
-        `obj_pos` filled as they are read; nothing is checked."""
+    def _coded(
+        cls, obj_pos: dict[str, int], attr_pos: dict[str, int], rows: Iterator[Sequence[str]]
+    ) -> InformationTable:
+        """The table of `rows`, with `obj_pos` filled as they are read; nothing is checked."""
         self = cls.__new__(cls)
-        self._store(obj_pos, attr_pos, batches)
+        self._store(obj_pos, attr_pos, rows)
         return self
 
-    def _store(self, obj_pos: dict[str, int], attr_pos: dict[str, int], batches: Iterable) -> None:
-        """Code the columns a batch at a time: a `defaultdict` hands each new
-        value the next code, so a cell costs one C-level lookup."""
+    def _store(self, obj_pos: dict[str, int], attr_pos: dict[str, int], rows: Iterator[Sequence[str]]) -> None:
+        """Code the columns `_BATCH` rows at a time: a `defaultdict` hands each
+        new value the next code, so a cell costs one C-level lookup."""
         ids = [defaultdict(itertools.count().__next__) for _ in attr_pos]
         chunks: list[list] = [[] for _ in attr_pos]
-        for columns in batches:
-            for known, chunk, column in zip(ids, chunks, columns):
+        for batch in iter(lambda: list(itertools.islice(rows, _BATCH)), []):
+            for known, chunk, column in zip(ids, chunks, zip(*batch)):
                 coded = tuple(map(known.__getitem__, column))
                 chunk.append(bytes(coded) if len(known) <= 256 else coded)
         values = tuple(map(tuple, ids))
@@ -164,25 +165,19 @@ def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iter
 
     Each row is keyed ``key * card + code`` one attribute at a time and the
     keys are relabelled densely, so the result refines `labels` by
-    construction.  Keys stay below `size`, and are relabelled early once it
-    passes `_KEY_LIMIT`.  The labels are the ints of the table's object
-    positions, so the levels of a chain share them.
+    construction.  The labels are the ints of the table's object positions,
+    so the levels of a chain share them.
     """
     columns = _positions(attrs, table._attr_pos, "attribute")
     if not columns:
         return (0,) * len(table.objects) if labels is None else labels
     if labels and labels[-1] == len(labels) - 1:
         return labels  # dense labels ending at n - 1 are all distinct, and one object cannot split
-    keys, size, ints = labels, len(table.objects), table._obj_pos.values()
+    keys = labels
     for j in columns:
         codes, card = table._codes[j], len(table._values[j])
-        if keys is None:
-            keys, size = codes, card
-            continue
-        keys, size = list(map(add, map(mul, keys, itertools.repeat(card)), codes)), size * card
-        if size > _KEY_LIMIT:
-            keys, size = _dense(keys, ints), len(keys)
-    return _dense(keys, ints)
+        keys = codes if keys is None else list(map(add, map(mul, keys, itertools.repeat(card)), codes))
+    return _dense(keys, table._obj_pos.values())
 
 
 def _chain_labels(table: InformationTable, chain: GradedFamily) -> Iterator[tuple[int, ...]]:

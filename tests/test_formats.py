@@ -232,8 +232,8 @@ def _table_error_by_line(lines):
 
 
 class TestParseTableBatches:
-    """Rows are checked and coded a batch at a time; the first defect in line
-    order is still the one named, wherever the batches break."""
+    """Rows are coded a batch at a time; the first defect in line order is
+    still the one named, wherever the batches break."""
 
     N = 1300  # lines 2..1301: three batches of up to 512 rows
 
