@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from operator import add, contains, mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -26,7 +26,7 @@ from .chains import GradedFamily
 from .errors import DomainError
 from .partitions import GranularSet, Partition, _dense, validate_granular
 
-_BATCH = 512
+_BATCH = 256
 
 
 class InformationTable(Value):
@@ -51,20 +51,13 @@ class InformationTable(Value):
             raise DomainError("duplicate attribute name")
         if len(rows) != len(objects):
             raise DomainError(f"expected {len(objects)} rows, got {len(rows)}")
-        # C-level passes: row lengths, empty cells, and str.join, which rejects a non-string
-        # cell; only a table that fails one needs the per-cell scan that names the defect
-        try:
-            clean = set(map(len, rows)) <= {len(attributes)} and not any(map(contains, rows, itertools.repeat("")))
-            "".join(map("".join, rows))
-        except TypeError:
-            clean = False
-        if not clean:
-            for obj, row in zip(objects, rows):
-                if len(row) != len(attributes):
-                    raise DomainError(f"row for {obj!r} has {len(row)} cells, expected {len(attributes)}")
-                for cell in row:
-                    if not isinstance(cell, str) or not cell:
-                        raise DomainError(f"row for {obj!r} has an empty or non-string cell")
+        # one cell at a time: parse_table codes its rows without this constructor
+        for obj, row in zip(objects, rows):
+            if len(row) != len(attributes):
+                raise DomainError(f"row for {obj!r} has {len(row)} cells, expected {len(attributes)}")
+            for cell in row:
+                if not isinstance(cell, str) or not cell:
+                    raise DomainError(f"row for {obj!r} has an empty or non-string cell")
         self._store(obj_pos, attr_pos, iter(rows))
 
     @classmethod

@@ -235,7 +235,7 @@ class TestParseTableBatches:
     """Rows are coded a batch at a time; the first defect in line order is
     still the one named, wherever the batches break."""
 
-    N = 1300  # lines 2..1301: three batches of up to 512 rows
+    N = 1300  # lines 2..1301: six batches of up to 256 rows
 
     def _lines(self):
         return ["object,P1,P2"] + [f"o{i},{i % 2},{i % 7}" for i in range(self.N)]
@@ -246,8 +246,8 @@ class TestParseTableBatches:
             {700: "o5,1,1"},  # a duplicate of an object of the first batch
             {700: "o5,1,1", 701: "o701,1"},  # the duplicate comes first
             {701: "o701,1", 702: "o5,1,1"},  # the short line comes first
-            {514: "o512,,1"},  # the first line of the second batch
-            {513: "o511,1, 2", 514: "o512"},  # the last line of the first batch
+            {514: "o512,,1"},  # the first line of the third batch
+            {513: "o511,1, 2", 514: "o512"},  # the last line of the second batch
             {1000: "o998,1,1", 1200: "o1198,0 ,1"},
             {1301: "o1299,1,2,3"},  # the last line
             {600: "o 598,1,1", 900: "o\u00a0898,1,x y"},  # inner whitespace only: no defect

@@ -412,8 +412,8 @@ class TestColumnCodes:
         return built, parsed
 
     def test_column_of_300_values_crosses_to_wide_codes(self):
-        # value k first appears at row 2k: with batches of 512 rows the 257th
-        # value opens the second batch, so the parsed column turns wide there
+        # value k first appears at row 2k: with batches of 256 rows the 257th
+        # value opens the third batch, so the parsed column turns wide there
         n = 700
         objects = [f"o{i}" for i in range(n)]
         rows = [(f"v{min(i // 2, 299)}" if i < 600 else f"v{i % 300}", str(i % 3)) for i in range(n)]
