@@ -16,9 +16,7 @@ from .infosys import (
     graded_approximations,
     granular_from_chain,
     indiscernibility_partition,
-    lower_approx,
     sensitivity_profile,
-    upper_approx,
 )
 from .intervals import (
     FaultDistribution,
@@ -42,7 +40,7 @@ __all__ = [
     "GradedFamily", "is_rough_family",
     "DomainError", "ParseError",
     "ApproximationPair", "InformationTable", "SensitivityRecord", "approximation_pair", "graded_approximations",
-    "granular_from_chain", "indiscernibility_partition", "lower_approx", "sensitivity_profile", "upper_approx",
+    "granular_from_chain", "indiscernibility_partition", "sensitivity_profile",
     "FaultDistribution", "FusionResult", "GradedIntervals", "Interval", "IntervalDistribution", "as_rough_pair",
     "fuse", "fused_subset", "graded_fusion", "random_graded", "sample",
     "GranularSet", "Partition", "refines", "validate_granular",

@@ -14,26 +14,28 @@ else is rejected with a 1-based location.
 
 Output
 ------
-Each value kind X has one document builder ``X_doc`` that returns plain
-JSON data and one parser ``parse_X``, and ``dumps_canonical`` is the only
-encoder: ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to
-``v``.  Three writers render a document through ``dumps_canonical`` a part
-at a time, so it is never held as a tree.  ``simulation_chunks`` writes the
+Each value kind X has one document builder ``X_doc`` that returns plain JSON
+data and one parser ``parse_X`` (a table is read only, by ``parse_table``),
+and ``dumps_canonical`` is the only encoder:
+``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
+Three writers render a document through ``dumps_canonical`` a part at a
+time, so it is never held as a tree.  ``simulation_chunks`` writes the
 simulation report, which is written only, one round at a time; each endpoint
 is rendered once per round, and the fused levels reuse the text of the
 measurement endpoints they are read from.  ``granular_set_chunks`` writes
-``granular_set_doc``, the document ``granulate`` writes, one level at a
-time, from the same per-level builder.  ``interval_distribution_chunks``
-writes ``interval_distribution_doc`` with sampled draws, one per chunk.
-The rough documents come straight from block labels.  A partition's blocks
-are one grouping of its labels, and its names are checked once on its
-universe; a granular set's levels share one universe, so one check covers
-them all.  The object sets of one document are ordered through one position map.
-Canonical JSON has its keys sorted and no insignificant whitespace;
-blocks and objects are ordered by the partition's universe order (or
-lexicographically where no universe context exists), integral reals are
-rendered as integers and all other reals in shortest round-trip form,
-and the empty fused result is rendered as ``null``.
+``granular_set_doc``, the document ``granulate`` writes and the one shape
+``parse_granular_set`` reads, one level at a time, from the same per-level
+builder.  ``interval_distribution_chunks`` writes
+``interval_distribution_doc`` with sampled draws, one per chunk.  The rough
+documents come straight from block labels.  A partition's blocks are one
+grouping of its labels, and its names are checked once on its universe; a
+granular set's levels share one universe, so one check covers them all.  The
+object sets of one document are ordered through one position map.  Canonical
+JSON has its keys sorted and no insignificant whitespace; blocks and objects
+are ordered by the partition's universe order (or lexicographically where no
+universe context exists), integral reals are rendered as integers and all
+other reals in shortest round-trip form, and the empty fused result is
+rendered as ``null``.
 """
 
 from __future__ import annotations
@@ -331,21 +333,17 @@ def parse_graded_family(text: str) -> GradedFamily:
     return GradedFamily([_names(level, f"level {i}") for i, level in enumerate(data, start=1)])
 
 
-def _object_sets(sets: Iterable[Iterable[str]], order: Sequence[str] | None) -> Iterator[list[str]]:
+def _object_sets(sets: Iterable[frozenset[str]], order: Sequence[str] | None) -> Iterator[list[str]]:
     """The one ordering step: each set's names by position in `order` (one map for all), or sorted."""
     position = {x: i for i, x in enumerate(order or ())}
     for ids in sets:
         names = _names(list(ids), "object set")
         try:
             yield sorted(names, key=None if order is None else position.__getitem__)
-        except KeyError as exc:
-            # the first missing in input order; a set iterates in hash-seed order, so name its least by repr
-            missing = min(set(names) - position.keys(), key=repr) if isinstance(ids, (set, frozenset)) else exc.args[0]
+        except KeyError:
+            # a set iterates in hash-seed order, so name its least missing by repr
+            missing = min(ids - position.keys(), key=repr)
             raise ParseError(f"identifier {missing!r} is not in the supplied order") from None
-
-
-def object_set_doc(ids: Iterable[str], order: Sequence[str] | None = None) -> list[str]:
-    return next(_object_sets([ids], order))
 
 
 def graded_family_doc(family: GradedFamily, order: Sequence[str] | None = None) -> list:
@@ -402,11 +400,9 @@ def granular_set_chunks(granular: GranularSet) -> Iterator[str]:
 
 def parse_granular_set(text: str) -> GranularSet:
     data = _load_json(text)
-    if not isinstance(data, dict) or "levels" not in data or not isinstance(data["levels"], list):
-        raise ParseError("expected an object with a 'levels' array")
-    # the one other key is the marker granulate writes
-    if data.keys() - {"levels", "granular"} or data.get("granular", True) is not True:
-        raise ParseError("expected only 'levels' and an optional 'granular': true")
+    if not (isinstance(data, dict) and data.keys() == {"granular", "levels"} and data["granular"] is True
+            and isinstance(data["levels"], list)):
+        raise ParseError("expected an object with 'granular': true and a 'levels' array")
     parts = [
         _partition_from(item, f"level {i}") for i, item in enumerate(data["levels"], start=1)
     ]

@@ -42,6 +42,10 @@ class InformationTable(Value):
     def __init__(self, objects: Iterable[str], attributes: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
         objects = tuple(objects)
         attributes = tuple(attributes)
+        for what, names in (("object id", objects), ("attribute name", attributes)):
+            for name in names:
+                if not isinstance(name, str) or not name:
+                    raise DomainError(f"{what} must be a nonempty string, got {name!r}")
         rows = tuple(map(tuple, rows))  # a tuple row is kept, not copied
         obj_pos = {o: i for i, o in enumerate(objects)}
         attr_pos = {a: j for j, a in enumerate(attributes)}
@@ -105,7 +109,8 @@ class InformationTable(Value):
 
 
 class ApproximationPair(Value):
-    """Lower and upper approximations of a target set of objects."""
+    """Lower and upper approximations of a target set of objects: the unions of
+    the indiscernibility blocks fully contained in the target and of those that meet it."""
 
     __slots__ = ("lower", "upper")
 
@@ -231,16 +236,6 @@ def granular_from_chain(table: InformationTable, chain: GradedFamily) -> Granula
     """
     parts = [Partition._from_labels(table.objects, labels) for labels in _chain_labels(table, chain)]
     return validate_granular(parts[::-1])
-
-
-def lower_approx(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> frozenset[str]:
-    """Union of the indiscernibility blocks fully contained in the target."""
-    return approximation_pair(table, attrs, target).lower
-
-
-def upper_approx(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> frozenset[str]:
-    """Union of the indiscernibility blocks that intersect the target."""
-    return approximation_pair(table, attrs, target).upper
 
 
 def approximation_pair(table: InformationTable, attrs: Iterable[str], target: Iterable[str]) -> ApproximationPair:

@@ -138,10 +138,6 @@ class FaultDistribution(Value):
             raise DomainError("fault counts must be nonnegative")
         _check_pmf([p for _, p in support])
 
-    @classmethod
-    def from_dict(cls, pmf: dict[int, float]) -> FaultDistribution:
-        return cls(tuple(pmf.items()))
-
 
 class IntervalDistribution(Value):
     """Discrete distribution over fused results.

@@ -287,7 +287,7 @@ def test_criterion_7_graded_approximations():
 @criterion(8, "pushforward pmf exact on the three-interval fixture; sampling within 0.01", 5.0)
 def test_criterion_8_random_graded_set():
     items = parse_intervals((FIXTURES / "three_intervals.csv").read_text())
-    dist = random_graded(items, FaultDistribution.from_dict({0: 0.5, 1: 0.3, 2: 0.2}))
+    dist = random_graded(items, FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items()))
     expected = {
         Interval(4, 8): 0.5,
         Interval(2, 10): 0.3,

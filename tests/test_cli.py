@@ -618,8 +618,8 @@ HASH_SEED_CASES = {
         0, "block element 'x1' is not in the universe\n", "",
     ),
     "object-set-missing-identifier": (
-        ["-c", "from gsets import ParseError\nfrom gsets.formats import object_set_doc\ntry:\n"
-               "    object_set_doc(frozenset({'x1', 'x2', 'x3'}), order=['a'])\n"
+        ["-c", "from gsets import ApproximationPair, ParseError\nfrom gsets.formats import approximation_pair_doc\n"
+               "try:\n    approximation_pair_doc(ApproximationPair(set(), {'x1', 'x2', 'x3'}), order=['a'])\n"
                "except ParseError as exc:\n    print(exc)"],
         0, "identifier 'x1' is not in the supplied order\n", "",
     ),

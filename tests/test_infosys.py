@@ -16,10 +16,8 @@ from gsets import (
     graded_approximations,
     granular_from_chain,
     indiscernibility_partition,
-    lower_approx,
     refines,
     sensitivity_profile,
-    upper_approx,
 )
 from gsets.formats import dumps_canonical, granular_set_chunks, granular_set_doc, parse_granular_set, parse_table
 from strategies import table_with_attr_chain, table_with_target_chain, tables
@@ -54,6 +52,22 @@ class TestInformationTable:
     def test_empty_cell_rejected(self):
         with pytest.raises(DomainError, match="empty"):
             InformationTable(("a",), ("p",), (("",),))
+
+    @pytest.mark.parametrize(
+        "objects, attributes, message",
+        [
+            ([1, 2], ["p"], "object id must be a nonempty string, got 1"),
+            (["a", "b"], [""], "attribute name must be a nonempty string, got ''"),
+            (["a", ["b"]], ["p"], "object id must be a nonempty string, got ['b']"),
+            # ids are checked before names
+            (["a", ""], [3], "object id must be a nonempty string, got ''"),
+        ],
+        ids=["int-id", "empty-name", "list-id", "id-before-name"],
+    )
+    def test_ids_and_names_must_be_nonempty_strings(self, objects, attributes, message):
+        with pytest.raises(DomainError) as info:
+            InformationTable(objects, attributes, [["x"] * len(attributes)] * len(objects))
+        assert str(info.value) == message
 
 
 class TestIndiscernibility:
@@ -143,24 +157,24 @@ class TestGranularFromChain:
 
 class TestApproximations:
     def test_lower_of_small_target(self, sample_table):
-        assert lower_approx(sample_table, PE, ["O1", "O2", "O3"]) == {"O1", "O2"}
+        assert approximation_pair(sample_table, PE, ["O1", "O2", "O3"]).lower == {"O1", "O2"}
 
     def test_upper_of_small_target(self, sample_table):
-        assert upper_approx(sample_table, PE, ["O1", "O2", "O3"]) == {
+        assert approximation_pair(sample_table, PE, ["O1", "O2", "O3"]).upper == {
             "O1", "O2", "O3", "O7", "O10",
         }
 
     def test_full_universe_is_exact(self, sample_table):
-        assert lower_approx(sample_table, PE, ALL) == set(ALL)
-        assert upper_approx(sample_table, PE, ALL) == set(ALL)
+        assert approximation_pair(sample_table, PE, ALL).lower == set(ALL)
+        assert approximation_pair(sample_table, PE, ALL).upper == set(ALL)
 
     def test_empty_target_is_exact(self, sample_table):
-        assert lower_approx(sample_table, PE, []) == set()
-        assert upper_approx(sample_table, PE, []) == set()
+        assert approximation_pair(sample_table, PE, []).lower == set()
+        assert approximation_pair(sample_table, PE, []).upper == set()
 
     def test_unknown_target_object_rejected(self, sample_table):
         with pytest.raises(DomainError, match="unknown object"):
-            lower_approx(sample_table, PE, ["O99"])
+            approximation_pair(sample_table, PE, ["O99"])
 
     def test_pair_combines_both_sides(self, sample_table):
         pair = approximation_pair(sample_table, PE, ["O1", "O2", "O3"])

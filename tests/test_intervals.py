@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -197,9 +198,6 @@ class TestFaultDistribution:
         d = FaultDistribution(((2, 0.2), (0, 0.5), (1, 0.3)))
         assert d.support == ((0, 0.5), (1, 0.3), (2, 0.2))
 
-    def test_from_dict(self):
-        assert FaultDistribution.from_dict({0: 0.5, 1: 0.5}).support == ((0, 0.5), (1, 0.5))
-
     def test_empty_support_rejected(self):
         with pytest.raises(DomainError, match="empty support"):
             FaultDistribution(())
@@ -225,17 +223,12 @@ class TestFaultDistribution:
         FaultDistribution(((0, 0.1 + 0.2), (1, 0.7)))
 
     @pytest.mark.parametrize("count", [1.5, 1.0, True, "3"])
-    @pytest.mark.parametrize(
-        "build",
-        [lambda count: FaultDistribution(((count, 1.0),)), lambda count: FaultDistribution.from_dict({count: 1.0})],
-        ids=["init", "from_dict"],
-    )
-    def test_a_count_that_is_not_an_int_is_rejected_not_truncated(self, build, count):
+    def test_a_count_that_is_not_an_int_is_rejected_not_truncated(self, count):
         with pytest.raises(DomainError, match="^fault count must be an integer$"):
-            build(count)
+            FaultDistribution(((count, 1.0),))
 
 
-UNIFORM_OVER_FOUR = FaultDistribution.from_dict(dict.fromkeys(range(4), 0.25))
+UNIFORM_OVER_FOUR = FaultDistribution(dict.fromkeys(range(4), 0.25).items())
 
 
 @pytest.mark.parametrize(
@@ -261,7 +254,7 @@ def test_fused_levels_are_plain_intervals(read):
 
 class TestRandomGraded:
     def test_fixture_distribution(self):
-        d = FaultDistribution.from_dict({0: 0.5, 1: 0.3, 2: 0.2})
+        d = FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items())
         out = random_graded(FIX, d)
         assert out.atoms == (
             (Interval(0, 12), 0.2),
@@ -270,19 +263,19 @@ class TestRandomGraded:
         )
 
     def test_identical_intervals_merge_to_point_mass(self):
-        d = FaultDistribution.from_dict({0: 0.4, 1: 0.6})
+        d = FaultDistribution({0: 0.4, 1: 0.6}.items())
         out = random_graded([Interval(0, 10), Interval(0, 10)], d)
         assert len(out.atoms) == 1
         result, p = out.atoms[0]
         assert result == Interval(0, 10) and p == pytest.approx(1.0)
 
     def test_point_mass_passes_through(self):
-        d = FaultDistribution.from_dict({0: 1.0})
+        d = FaultDistribution({0: 1.0}.items())
         out = random_graded(FIX, d)
         assert out.atoms == ((fuse(FIX, 0), 1.0),)
 
     def test_out_of_range_support_rejected(self):
-        d = FaultDistribution.from_dict({0: 0.5, 3: 0.5})
+        d = FaultDistribution({0: 0.5, 3: 0.5}.items())
         with pytest.raises(DomainError, match="fault count exceeds measurement count"):
             random_graded(FIX, d)
 
@@ -311,7 +304,7 @@ class TestIntervalDistribution:
         assert sample(d, 12345) == Interval(1, 2)
 
     def test_sample_is_deterministic_per_seed(self):
-        d = random_graded(FIX, FaultDistribution.from_dict({0: 0.5, 1: 0.3, 2: 0.2}))
+        d = random_graded(FIX, FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items()))
         assert sample(d, 7) == sample(d, 7)
 
     def test_sample_rejects_out_of_range_seed(self):
@@ -322,7 +315,7 @@ class TestIntervalDistribution:
             sample(d, 2**64)
 
     def test_sample_hits_every_atom(self):
-        d = random_graded(FIX, FaultDistribution.from_dict({0: 0.5, 1: 0.3, 2: 0.2}))
+        d = random_graded(FIX, FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items()))
         seen = {sample(d, s) for s in range(200)}
         assert seen == {Interval(4, 8), Interval(2, 10), Interval(0, 12)}
 
@@ -444,3 +437,70 @@ def test_containment_is_tight_at_scale(n, side):
         levels = graded_fusion(items, 0, n - 1).levels
         assert all(level is not None and level.contains_point(truth) for level in levels[k:]), k
         assert levels[k - 1] is None or not levels[k - 1].contains_point(truth), k
+
+
+# The fault-minority bound: if at most f of n intervals miss the truth and
+# n > 2f, the fused interval at budget f holds the truth and lies inside the
+# hull of the intervals that hold it.  The faulty intervals are drawn to do
+# the most harm: touching the truth's neighbouring float, of zero width, at
+# +-0.0 or magnitudes near 1e308, and all on one side of the truth.
+MAX = sys.float_info.max
+ADVERSARIAL_TRUTHS = (0.0, -0.0, 5e-324, -5e-324, 1.0, 1e308, -1e308)
+
+
+def _assert_minority_bound(truth, correct, results):
+    lo, hi = min(iv.lo for iv in correct), max(iv.hi for iv in correct)
+    for result in results:
+        assert result is not None and result.contains_point(truth) and lo <= result.lo and result.hi <= hi
+
+
+@st.composite
+def minority_faults(draw, max_size: int = 12):
+    """A truth, the intervals that hold it, those plus the faulty ones in
+    some order, and a budget f at least the fault count with 2f < n."""
+    truth = draw(st.sampled_from(ADVERSARIAL_TRUTHS) | st.floats(-1e308, 1e308))
+    n = draw(st.integers(1, max_size))
+    f = draw(st.integers(0, (n - 1) // 2))
+    k = draw(st.integers(0, f))
+    correct = [Interval(draw(st.floats(-MAX, truth)), draw(st.floats(truth, MAX))) for _ in range(n - k)]
+    one_side = draw(st.sampled_from([1.0, -1.0, None]))
+    faulty = []
+    for _ in range(k):
+        side = one_side or draw(st.sampled_from([1.0, -1.0]))
+        near = math.nextafter(truth, side * math.inf)
+        a = draw(st.just(near) | st.floats(*sorted((near, side * MAX))))
+        b = draw(st.just(a) | st.floats(*sorted((a, side * MAX))))
+        faulty.append(Interval(min(a, b), max(a, b)))
+    return truth, correct, draw(st.permutations(correct + faulty)), f
+
+
+@given(minority_faults())
+def test_minority_faults_stay_inside_the_correct_hull(case):
+    truth, correct, items, f = case
+    _assert_minority_bound(truth, correct, [fuse(items, f)])
+
+
+@pytest.mark.parametrize("n", [101, 1001])
+def test_minority_faults_stay_inside_the_correct_hull_at_scale(n):
+    rng = random.Random(f"minority {n}")
+
+    def toward(x, side, spread):
+        return min(MAX, max(-MAX, x + side * spread * rng.random()))
+
+    for truth in (*ADVERSARIAL_TRUTHS, rng.uniform(-100, 100)):
+        for k in sorted({0, 1, n // 4, (n - 1) // 2}):
+            for one_side in (1.0, -1.0, None):
+                spread = rng.choice([0.0, 1e-9, 1.0, MAX])
+                correct = [Interval(toward(truth, -1, spread), toward(truth, 1, spread)) for _ in range(n - k)]
+                items = list(correct)
+                for _ in range(k):
+                    side = one_side or rng.choice([1.0, -1.0])
+                    near = math.nextafter(truth, side * math.inf)
+                    a = near if rng.random() < 0.3 else toward(near, side, spread)
+                    b = a if rng.random() < 0.3 else toward(a, side, spread)
+                    items.append(Interval(min(a, b), max(a, b)))
+                rng.shuffle(items)
+                # every budget from the fault count up to the largest minority
+                levels = graded_fusion(items, k, (n - 1) // 2).levels
+                assert fuse(items, k) == levels[0]
+                _assert_minority_bound(truth, correct, levels)
