@@ -29,7 +29,7 @@ from .infosys import (
     sensitivity_profile,
 )
 from .intervals import MAX_SEED, fuse, graded_fusion, random_graded, sample
-from .simulate import SimConfig, simulate_rounds
+from .simulate import SimConfig, _draw_round
 
 
 def _read_file(path: str) -> str:
@@ -159,7 +159,7 @@ def _cmd_simulate(args: argparse.Namespace):
         seed=args.seed,
     )
     # every round runs before the first write, so a late round's error leaves stdout empty
-    return list(formats.simulation_chunks(config, simulate_rounds(config, args.rounds)))
+    return list(formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds))))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -20,9 +20,9 @@ and ``dumps_canonical`` is the only encoder:
 ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
 Three writers render a document through ``dumps_canonical`` a part at a
 time, so it is never held as a tree.  ``simulation_chunks`` writes the
-simulation report, which is written only, one round at a time; each endpoint
-is rendered once per round, and the fused levels reuse the text of the
-measurement endpoints they are read from.  ``granular_set_chunks`` writes
+simulation report, which is written only, one chunk per round straight off
+the simulator's plain floats, each round's endpoints in one encoder call and
+its fused levels in the text of the endpoints.  ``granular_set_chunks`` writes
 ``granular_set_doc``, the document ``granulate`` writes and the one shape
 ``parse_granular_set`` reads, one level at a time, from the same per-level
 builder.  ``interval_distribution_chunks`` writes
@@ -55,7 +55,7 @@ from .intervals import (
     IntervalDistribution,
 )
 from .partitions import GranularSet, Partition, validate_granular
-from .simulate import SimConfig, SimOutcome
+from .simulate import SimConfig
 
 _INT_RENDER_LIMIT = 2**53
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
@@ -160,7 +160,10 @@ def parse_intervals(text: str, fmt: str = "csv") -> list[Interval]:
             fields = line.split(",")
             if len(fields) != 2:
                 raise ParseError(f"line {n}: expected 2 fields, got {len(fields)}")
-            out.append(_interval(fields, f"line {n}", _csv_real))
+            try:
+                out.append(_interval(fields, "", _csv_real))
+            except ParseError:
+                _interval(fields, f"line {n}", _csv_real)  # the same row raises again, now located
         return out
     if fmt == "json":
         data = _load_json(text)
@@ -458,30 +461,15 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
 # simulation reports
 
 
-class _EndpointTexts(dict):
-    """The canonical text of each endpoint value of a round's measurements.
-
-    Equal floats render alike (``_real`` renders -0.0 and 0.0 both as ``0``),
-    so a fused endpoint, which is always one of the measurement endpoints,
-    is looked up by value; any other value is rendered on the spot.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, x: float) -> str:
-        return dumps_canonical(_real(x))
+def _round_head_doc(faulty: list[int], containment: list[bool]) -> dict:
+    return {"contains_truth": containment, "faulty": faulty, "fused": {"f_min": 0, "levels": []}}
 
 
-def simulation_chunks(config: SimConfig, outcomes: Iterable[SimOutcome]) -> Iterator[str]:
-    """The simulator's report as canonical JSON text, one chunk per round:
-    its configuration, then each round's sensors, fused chain and per-budget
-    truth containment, rendered as soon as the round is drawn.
-
-    The chunks join to ``dumps_canonical`` of the whole report.  Its keys,
-    the two outer ones and each round's, are written in sorted order around
-    the encoder's output.  A round's measurements are rendered once, and its
-    fused levels reuse their endpoint texts.
-    """
+def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[str]:
+    """The simulator's report as canonical JSON text: its configuration, then one chunk per
+    round, rendered as soon as ``simulate._draw_round`` draws it in plain floats.  The chunks
+    join to ``dumps_canonical`` of the whole report, its keys written in sorted order around the
+    encoder's output; a round's endpoints take one encoder call, and its levels reuse their text."""
     config_doc = {
         "sensors": config.num_sensors,
         "truth": _real(config.truth),
@@ -491,25 +479,18 @@ def simulation_chunks(config: SimConfig, outcomes: Iterable[SimOutcome]) -> Iter
         "seed": config.seed,
     }
     yield '{"config":' + dumps_canonical(config_doc) + ',"rounds":['
-    for i, outcome in enumerate(outcomes):
-        if i:
-            yield ","
-        intervals = outcome.intervals
-        measured = dumps_canonical(intervals_doc(intervals))
+    for i, (faulty, ends, lows, highs, containment) in enumerate(rounds):
+        measured = dumps_canonical(ends)
+        # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a round through _real
+        if ".0," in measured or ".0]" in measured:
+            measured = dumps_canonical([[_real(lo), _real(hi)] for lo, hi in ends])
         # "[[lo,hi],[lo,hi]]" -> lo, hi, lo, hi: no rendered real holds a comma or a bracket
         tokens = measured[2:-2].replace("],[", ",").split(",")
-        text = _EndpointTexts(zip([iv.lo for iv in intervals], tokens[::2]))
-        text.update(zip([iv.hi for iv in intervals], tokens[1::2]))
-        fused = outcome.fused
-        levels = ",".join(["null" if lv is None else f"[{text[lv.lo]},{text[lv.hi]}]" for lv in fused.levels])
-        head = dumps_canonical(
-            {
-                "contains_truth": list(outcome.truth_containment),
-                "faulty": sorted(outcome.faulty_indices),
-                "fused": {"f_min": fused.f_min, "levels": []},
-            }
-        )
+        # a fused endpoint is one of the round's endpoints, and equal reals render alike
+        text = dict(zip([x for end in ends for x in end], tokens))
+        levels = ",".join(["null" if lo > hi else f"[{text[lo]},{text[hi]}]" for lo, hi in zip(lows, highs)])
+        head = dumps_canonical(_round_head_doc(sorted(faulty), containment))
         # the head's text ends in "levels":[]}}, since "fused" and "levels" sort last; the
         # levels go inside that array, and the keys that sort after "fused" follow it
-        yield head[:-3] + levels + ']},"intervals":' + measured + ',"round":' + str(i) + "}"
+        yield ("," if i else "") + head[:-3] + levels + ']},"intervals":' + measured + f',"round":{i}}}'
     yield "]}"

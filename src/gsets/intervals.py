@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from functools import total_ordering
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 from ._value import Value
 from .errors import DomainError
@@ -94,10 +94,9 @@ class GradedIntervals(Value):
             raise DomainError("f_min must be nonnegative")
         if not levels:
             raise DomainError("graded intervals need at least one level")
-        # fused_subset on each adjacent pair, inlined: a chain is checked per simulated round
-        for i, (inner, outer) in enumerate(zip(levels, levels[1:])):
-            if inner is not None and (outer is None or not (outer.lo <= inner.lo and inner.hi <= outer.hi)):
-                raise DomainError(f"levels {i} and {i + 1} are not nested")
+        # the empty level as [inf, -inf]: empty, and inside no nonempty level
+        _check_nested([math.inf if lv is None else lv.lo for lv in levels],
+                      [-math.inf if lv is None else lv.hi for lv in levels])
 
     @property
     def f_max(self) -> int:
@@ -160,13 +159,25 @@ class IntervalDistribution(Value):
         self._init(tuple(sorted(merged.items(), key=lambda a: _result_key(a[0]))))
 
 
-def _order_statistics(intervals: Iterable[Interval]) -> tuple[list[float], list[float]]:
+def _check_nested(lows: Sequence[float], highs: Sequence[float]) -> None:
+    """The one chain condition: each nonempty level [lows[i], highs[i]] (empty if lo > hi) lies inside the next."""
+    for i, (lo, hi, outer_lo, outer_hi) in enumerate(zip(lows, highs, lows[1:], highs[1:])):
+        if lo <= hi and not (outer_lo <= lo and hi <= outer_hi):
+            raise DomainError(f"levels {i} and {i + 1} are not nested")
+
+
+def _order_statistics(lows: Iterable[float], highs: Iterable[float]) -> tuple[list[float], list[float]]:
     """The one fusion kernel: the lower endpoints sorted descending and the
     upper endpoints ascending, so that level f is read off index f of each."""
-    items = list(intervals)
-    if not items:
+    lows = sorted(lows, reverse=True)
+    if not lows:
         raise DomainError("no measurements")
-    return sorted((iv.lo for iv in items), reverse=True), sorted(iv.hi for iv in items)
+    return lows, sorted(highs)
+
+
+def _sorted_ends(intervals: Iterable[Interval]) -> tuple[list[float], list[float]]:
+    items = list(intervals)
+    return _order_statistics([iv.lo for iv in items], [iv.hi for iv in items])
 
 
 def _level(lows: list[float], highs: list[float], f: int) -> FusionResult:
@@ -186,7 +197,7 @@ def fuse(intervals: Iterable[Interval], f: int) -> FusionResult:
     endpoint the (f+1)-th smallest upper bound; an inverted pair yields the
     empty result.  Invariant under permutation of the input.
     """
-    return _level(*_order_statistics(intervals), f)
+    return _level(*_sorted_ends(intervals), f)
 
 
 def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> GradedIntervals:
@@ -196,7 +207,7 @@ def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> Grad
     the sorted slices.  They are nested by the fusion rule itself; the
     GradedIntervals constructor re-asserts the chain condition.
     """
-    lows, highs = _order_statistics(intervals)
+    lows, highs = _sorted_ends(intervals)
     if not 0 <= f_min <= f_max <= len(lows) - 1:
         raise DomainError("invalid fault range")
     new = Interval._unchecked  # the endpoints come from checked intervals; the reader decides lo <= hi
@@ -218,7 +229,7 @@ def random_graded(intervals: Iterable[Interval], dist: FaultDistribution) -> Int
     Every result is read off one pair of endpoint sorts; the IntervalDistribution
     constructor pools fault counts that fuse to the same result into one atom.
     """
-    lows, highs = _order_statistics(intervals)
+    lows, highs = _sorted_ends(intervals)
     return IntervalDistribution(tuple((_level(lows, highs, f), p) for f, p in dist.support))
 
 

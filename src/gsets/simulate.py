@@ -3,6 +3,8 @@
 Each round plants a known truth, draws correct intervals around it and
 faulty intervals displaced far enough to provably exclude it, then fuses
 the lot for every fault budget and records which budgets recover the truth.
+One kernel draws a round in plain floats: ``simulate_round`` builds its
+``SimOutcome`` from it, and ``formats.simulation_chunks`` writes it as drawn.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterator
 
 from ._value import Value
 from .errors import DomainError
-from .intervals import MAX_SEED, GradedIntervals, Interval, graded_fusion
+from .intervals import MAX_SEED, GradedIntervals, Interval, _check_nested, _order_statistics, graded_fusion
 
 
 class SimConfig(Value):
@@ -78,6 +80,36 @@ def _round_rng(seed: int, round_index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _draw_round(config: SimConfig, round_index: int) -> tuple:
+    """``simulate_round`` in plain floats: the faulty set, each sensor's (lo, hi) in sensor order, the
+    order statistics that levels 0 .. num_sensors - 1 are read off, and whether each holds the truth."""
+    if round_index < 0:
+        raise DomainError("round index must be nonnegative")
+    rng = _round_rng(config.seed, round_index)
+    faulty = set(rng.sample(range(config.num_sensors), config.num_faulty))
+    uniform, choice = rng.random, rng.choice
+    truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
+    ends = []
+    for i in range(config.num_sensors):
+        # u, v uniform over (0, width]: 1 - random() lies in (0, 1]
+        u = width * (1.0 - uniform())
+        v = width * (1.0 - uniform())
+        if i in faulty:
+            center = truth + choice((-1.0, 1.0)) * (offset_min * (1.0 + uniform()))
+            lo, hi = center - u, center + v
+        else:
+            lo, hi = truth - u, truth + v
+        if not -math.inf < lo <= hi < math.inf:
+            Interval(lo, hi)  # the checked constructor raises its own message
+        if (lo <= truth <= hi) is (i in faulty):
+            raise DomainError(f"round {round_index}: " + (f"faulty sensor {i} contains the truth after float rounding"
+                                                          if i in faulty else f"correct sensor {i} misses the truth"))
+        ends.append((lo, hi))
+    lows, highs = _order_statistics(*zip(*ends))
+    _check_nested(lows, highs)
+    return faulty, ends, lows, highs, [lo <= truth <= hi for lo, hi in zip(lows, highs)]
+
+
 def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     """Run one deterministic round.
 
@@ -86,33 +118,9 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     same width class whose centre sits at least fault_offset_min away from
     the truth, on a random side.
     """
-    if round_index < 0:
-        raise DomainError("round index must be nonnegative")
-    rng = _round_rng(config.seed, round_index)
-    faulty = frozenset(rng.sample(range(config.num_sensors), config.num_faulty))
-    uniform, choice = rng.random, rng.choice
-    truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
-    intervals = []
-    for i in range(config.num_sensors):
-        # u, v uniform over (0, width]: 1 - random() lies in (0, 1]
-        u = width * (1.0 - uniform())
-        v = width * (1.0 - uniform())
-        if i in faulty:
-            side = choice((-1.0, 1.0))
-            offset = offset_min * (1.0 + uniform())
-            center = truth + side * offset
-            lo, hi = center - u, center + v
-            intervals.append(Interval(lo, hi))
-            if lo <= truth <= hi:
-                raise DomainError(f"round {round_index}: faulty sensor {i} contains the truth after float rounding")
-        else:
-            lo, hi = truth - u, truth + v
-            intervals.append(Interval(lo, hi))
-            if not lo <= truth <= hi:
-                raise DomainError(f"round {round_index}: correct sensor {i} misses the truth")
-    fused = graded_fusion(intervals, 0, config.num_sensors - 1)
-    containment = tuple(level is not None and level.lo <= truth <= level.hi for level in fused.levels)
-    return SimOutcome(tuple(intervals), faulty, fused, containment)
+    faulty, ends, _, _, containment = _draw_round(config, round_index)
+    intervals = tuple(Interval._unchecked(lo, hi) for lo, hi in ends)
+    return SimOutcome(intervals, frozenset(faulty), graded_fusion(intervals, 0, len(ends) - 1), tuple(containment))
 
 
 def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:

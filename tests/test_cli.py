@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -388,6 +389,25 @@ class TestSimulate:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: round 5: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, sha256",
+        [
+            (["--sensors", "9", "--faulty", "3", "--rounds", "2000", "--seed", "17"],
+             "8672d86e56d3d943d322907ffea0b4cd3911cd7e158ed790c104122a3d7e5606"),
+            (["--sensors", "31", "--faulty", "10", "--rounds", "800", "--seed", "18"],
+             "2e834d2c5f56e8e8b0cef99a54ff179feb17c281b33c4e996cc8a81e33d486d8"),
+            (["--sensors", "101", "--faulty", "33", "--rounds", "200", "--seed", "19", "--truth", "-40",
+              "--halfwidth", "2", "--offset", "5"],
+             "d4c9c58d734a275f9374fbaf8a2a26573892e0f97c31dad1c6146e0b4b9d91fd"),
+        ],
+        ids=["9x2000", "31x800", "101x200"],
+    )
+    def test_bench_scale_reports_keep_their_bytes(self, capsys, flags, sha256):
+        # the three shapes the benchmark runs, a third of the sensors faulty
+        code, out, err = run_cli(capsys, "simulate", *flags)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
     @pytest.mark.parametrize("sensors, faulty, rounds", [(9, 2, 2000), (31, 10, 800)])
     def test_memory_is_bounded_by_the_output(self, tmp_path, sensors, faulty, rounds):

@@ -12,7 +12,6 @@ from gsets import (
     DomainError,
     FaultDistribution,
     GradedFamily,
-    GradedIntervals,
     GranularSet,
     Interval,
     IntervalDistribution,
@@ -27,7 +26,7 @@ from gsets import (
     sensitivity_profile,
     simulate_rounds,
 )
-from gsets import formats
+from gsets import formats, simulate
 from gsets.formats import (
     _real,
     _token,
@@ -57,6 +56,7 @@ from gsets.formats import (
     sensitivity_profile_doc,
     simulation_chunks,
 )
+from gsets.intervals import _order_statistics
 from strategies import block_labelings, grid_values, intervals, table_with_attr_chain, tables
 
 FIX = [Interval(0, 10), Interval(2, 8), Interval(4, 12)]
@@ -686,15 +686,13 @@ class TestGranularSetChunks:
         assert text == dumps_canonical(granular_set_doc(g))
 
 
-# empty results, -0.0 and its twin 0.0, integral reals on both sides of 2**53
-_edge_results = st.one_of(
-    st.none(),
-    st.lists(
-        st.sampled_from([-0.0, 0.0, 0.5, -3.0, 2.0**53, 2.0**53 + 2, -(2.0**53) - 2, 2.0**60, 1e300]) | grid_values,
-        min_size=2,
-        max_size=2,
-    ).map(lambda ends: Interval(min(ends), max(ends))),
-)
+# -0.0 and its twin 0.0, integral reals on both sides of 2**53, and an empty result
+_edge_intervals = st.lists(
+    st.sampled_from([-0.0, 0.0, 0.5, -3.0, 2.0**53, 2.0**53 + 2, -(2.0**53) - 2, 2.0**60, 1e300]) | grid_values,
+    min_size=2,
+    max_size=2,
+).map(lambda ends: Interval(min(ends), max(ends)))
+_edge_results = st.one_of(st.none(), _edge_intervals)
 
 
 class TestIntervalDistributionChunks:
@@ -713,6 +711,20 @@ class TestIntervalDistributionChunks:
         assert len(chunks) == count + 2
 
 
+def _drawn(config: SimConfig, rounds: int):
+    """The writer's input: the simulator's rounds in plain floats."""
+    return (simulate._draw_round(config, k) for k in range(rounds))
+
+
+def _float_round(items, faulty, truth):
+    """A round of given measurements in the writer's input form, and as a SimOutcome."""
+    ends = [(iv.lo, iv.hi) for iv in items]
+    lows, highs = _order_statistics(*zip(*ends))
+    containment = [lo <= truth <= hi for lo, hi in zip(lows, highs)]
+    outcome = SimOutcome(tuple(items), frozenset(faulty), graded_fusion(items, 0, len(items) - 1), tuple(containment))
+    return (set(faulty), ends, lows, highs, containment), outcome
+
+
 class TestSimulationChunks:
     @pytest.mark.parametrize("rounds", [0, 1, 4])
     # integral reals are rendered as integers
@@ -723,35 +735,44 @@ class TestSimulationChunks:
         assert report["config"] == {
             "sensors": 5, "truth": rendered, "halfwidth": 1.5, "faulty": 2, "offset": 2.5, "seed": 9,
         }
-        chunks = list(simulation_chunks(config, simulate_rounds(config, rounds)))
+        chunks = list(simulation_chunks(config, _drawn(config, rounds)))
         assert "".join(chunks) == dumps_canonical(report)
-        # the configuration, each round with a separator between rounds, the close
-        assert len(chunks) == 1 + rounds + max(rounds - 1, 0) + 1
+        # the configuration, one chunk per round with its separator, the close
+        assert len(chunks) == 1 + rounds + 1
 
     def test_fused_endpoints_render_as_the_measurements_do(self):
         # each fused endpoint's text is looked up by value among the rendered measurements:
         # ties, -0.0 against 0.0, and integral reals on both sides of 2**53 must all come out
-        # as the document builders render them
+        # as the document builders render them; a round whose raw text has a ".0" is re-rendered
         big = 2.0**53
-        items = (
-            Interval(-0.0, 0.0), Interval(0.0, 2.0), Interval(-0.0, big), Interval(2.0, big + 2.0),
-            Interval(0.5, big + 2.0), Interval(-3.5, 0.0), Interval(1e300, 1e300), Interval(-0.0, 1e300),
-        )
-        fused = graded_fusion(items, 0, len(items) - 1)
-        assert fused.levels[0] is None and fused.levels[-1] is not None
-        outcomes = [
-            SimOutcome(items, frozenset({6, 0}), fused, tuple(level is not None for level in fused.levels)),
-            # endpoints that no measurement has are rendered on the spot
-            SimOutcome(
-                items[:2], frozenset(), GradedIntervals(1, [None, Interval(0.25, 0.75), Interval(-0.0, 2.0**60)]),
-                (False, True, True),
+        rounds = [
+            _float_round(
+                (Interval(-0.0, 0.0), Interval(0.0, 2.0), Interval(-0.0, big), Interval(2.0, big + 2.0),
+                 Interval(0.5, big + 2.0), Interval(-3.5, 0.0), Interval(1e300, 1e300), Interval(-0.0, 1e300)),
+                {6, 0}, 0.0,
             ),
-            SimOutcome((), frozenset(), GradedIntervals(0, [None]), (False,)),
+            # no integral endpoint: the raw text stands
+            _float_round((Interval(0.25, 0.75), Interval(-1.5, 0.5), Interval(2.5e-300, 0.25)), {1}, 0.5),
+            # integral only past 1e16, whose shortest form has no ".0"
+            _float_round((Interval(-(2.0**60), 1e300), Interval(2.0**60, 2.0**60)), set(), 0.0),
+            _float_round((Interval(-0.0, -0.0),), set(), 0.0),
+            # the one integral endpoint closes the round's text
+            _float_round((Interval(0.25, 0.5), Interval(0.5, 2.0)), {0}, 1.0),
         ]
         config = SimConfig(8, -0.0, 1.0, 2, 2.5, 0)
-        text = "".join(simulation_chunks(config, outcomes))
-        assert text == dumps_canonical(_reference_report(config, outcomes))
+        text = "".join(simulation_chunks(config, [drawn for drawn, _ in rounds]))
+        assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
         assert '"fused":{"f_min":0,"levels":[null,' in text and "[0,9007199254740994.0]" in text
+        assert '"intervals":[[0.25,0.75],[-1.5,0.5],[2.5e-300,0.25]]' in text
+        assert '"intervals":[[0.25,0.5],[0.5,2]]' in text
+        assert '"intervals":[[-1.152921504606847e+18,1e+300],[1.152921504606847e+18,1.152921504606847e+18]]' in text
+
+    @settings(max_examples=200)
+    @given(st.lists(_edge_intervals, min_size=1, max_size=8), st.floats(-10.0, 10.0))
+    def test_edge_endpoints_match_the_reference_report(self, items, truth):
+        drawn, outcome = _float_round(items, set(range(0, len(items), 2)), truth)
+        config = SimConfig(len(items), truth, 1.0, 0, 2.5, 0)
+        assert "".join(simulation_chunks(config, [drawn])) == dumps_canonical(_reference_report(config, [outcome]))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -765,6 +786,5 @@ class TestSimulationChunks:
             sensors, float(truth), float(halfwidth), data.draw(st.integers(0, sensors - 1)),
             float(halfwidth + data.draw(st.integers(1, 10))), data.draw(st.integers(0, 2**64 - 1)),
         )
-        outcomes = list(simulate_rounds(config, 3))
-        text = "".join(simulation_chunks(config, outcomes))
-        assert text == dumps_canonical(_reference_report(config, outcomes))
+        text = "".join(simulation_chunks(config, _drawn(config, 3)))
+        assert text == dumps_canonical(_reference_report(config, simulate_rounds(config, 3)))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -104,6 +105,65 @@ class TestSimulateRound:
     def test_single_sensor_round(self):
         out = simulate_round(config(num_sensors=1, num_faulty=0), 0)
         assert out.truth_containment == (True,)
+
+
+class _ScriptedRng:
+    """A round's generator with scripted draws: the sample is `faulty` and every side is +1."""
+
+    def __init__(self, draws, faulty):
+        self.draws, self.faulty = list(draws), faulty
+
+    def sample(self, population, k):
+        return list(self.faulty)
+
+    def random(self):
+        return self.draws.pop(0)
+
+    def choice(self, seq):
+        return seq[1]
+
+
+class TestRoundChecks:
+    """Each sensor is checked as it is drawn: its endpoints are finite first, then
+    placed against the truth, so a round names its first bad sensor."""
+
+    CFG = SimConfig(3, 0.0, 1.0, 1, 2.5, 0)
+
+    @pytest.mark.parametrize(
+        "draws, faulty, message",
+        [
+            # sensor 0 correct with u < 0, so its lower end passes the truth
+            ([1.5, 0.5] + [0.5] * 5, [2], "round 4: correct sensor 0 misses the truth"),
+            # sensor 1 faulty with a zero offset, centred on the truth
+            ([0.5] * 4 + [-1.0, 0.5, 0.5], [1], "round 4: faulty sensor 1 contains the truth after float rounding"),
+            # sensor 0 holds the truth at an infinite end, and sensor 1 would miss it
+            ([-math.inf, 0.5, 1.5] + [0.5] * 5, [2], "interval endpoints must be finite"),
+            ([math.nan, 0.5, 1.5] + [0.5] * 5, [2], "interval endpoints must be finite"),
+            ([0.5] * 4 + [math.nan, 0.5, 0.5], [1], "interval endpoints must be finite"),
+            ([3.0, 0.999] + [0.5] * 5, [2], "interval lower endpoint 2.0 exceeds upper endpoint 0.0010000000000000009"),
+        ],
+    )
+    def test_first_bad_sensor_is_named(self, monkeypatch, draws, faulty, message):
+        monkeypatch.setattr(simulate, "_round_rng", lambda seed, k: _ScriptedRng(draws, faulty))
+        with pytest.raises(DomainError) as info:
+            simulate_round(self.CFG, 4)
+        assert str(info.value) == message
+
+    def test_levels_are_checked_for_nesting_every_round(self, monkeypatch):
+        sort = simulate._order_statistics
+        monkeypatch.setattr(simulate, "_order_statistics", lambda los, his: [s[::-1] for s in sort(los, his)])
+        with pytest.raises(DomainError, match=r"^levels 0 and 1 are not nested$"):
+            simulate._draw_round(self.CFG, 0)
+
+    def test_public_round_is_read_off_the_kernel(self):
+        faulty, ends, lows, highs, containment = simulate._draw_round(config(), 3)
+        out = simulate_round(config(), 3)
+        assert out.faulty_indices == faulty
+        assert [(iv.lo, iv.hi) for iv in out.intervals] == ends
+        assert [None if lv is None else (lv.lo, lv.hi) for lv in out.fused.levels] == [
+            (lo, hi) if lo <= hi else None for lo, hi in zip(lows, highs)
+        ]
+        assert out.truth_containment == tuple(containment)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
