@@ -105,7 +105,7 @@ def _draw_round(config: SimConfig, round_index: int) -> tuple:
             raise DomainError(f"round {round_index}: " + (f"faulty sensor {i} contains the truth after float rounding"
                                                           if i in faulty else f"correct sensor {i} misses the truth"))
         ends.append((lo, hi))
-    lows, highs = _order_statistics(*zip(*ends))
+    lows, highs = _order_statistics([lo for lo, _ in ends], [hi for _, hi in ends])
     _check_nested(lows, highs)
     return faulty, ends, lows, highs, [lo <= truth <= hi for lo, hi in zip(lows, highs)]
 

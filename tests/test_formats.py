@@ -719,7 +719,7 @@ def _drawn(config: SimConfig, rounds: int):
 def _float_round(items, faulty, truth):
     """A round of given measurements in the writer's input form, and as a SimOutcome."""
     ends = [(iv.lo, iv.hi) for iv in items]
-    lows, highs = _order_statistics(*zip(*ends))
+    lows, highs = _order_statistics([lo for lo, _ in ends], [hi for _, hi in ends])
     containment = [lo <= truth <= hi for lo, hi in zip(lows, highs)]
     outcome = SimOutcome(tuple(items), frozenset(faulty), graded_fusion(items, 0, len(items) - 1), tuple(containment))
     return (set(faulty), ends, lows, highs, containment), outcome
