@@ -75,10 +75,10 @@ def _cmd_fuse(args: argparse.Namespace):
     return formats.fusion_result_doc(fuse(intervals, args.faults))
 
 
-@_one_document
 def _cmd_graded(args: argparse.Namespace):
-    intervals = formats.parse_intervals(_read_file(args.input), args.format)
-    return formats.graded_intervals_doc(graded_fusion(intervals, args.fmin, args.fmax))
+    # the parsed intervals are a temporary, freed before anything is rendered
+    graded = graded_fusion(formats.parse_intervals(_read_file(args.input), args.format), args.fmin, args.fmax)
+    return formats.graded_intervals_chunks(graded)
 
 
 def _cmd_random(args: argparse.Namespace):
@@ -95,10 +95,8 @@ def _cmd_random(args: argparse.Namespace):
         formats.parse_intervals(_read_file(args.input), args.format),
         formats.parse_fault_distribution(_read_source(args.dist)),
     )
-    if args.sample is None:
-        return [formats.dumps_canonical(formats.interval_distribution_doc(pushed))]
-    draws = (sample(pushed, s) for s in range(args.seed, args.seed + args.sample))  # drawn as written
-    return formats.interval_distribution_chunks(pushed, draws)
+    draws = None if args.sample is None else (sample(pushed, s) for s in range(args.seed, args.seed + args.sample))
+    return formats.interval_distribution_chunks(pushed, draws)  # drawn as written
 
 
 @_one_document

@@ -18,30 +18,33 @@ Each value kind X has one document builder ``X_doc`` that returns plain JSON
 data and one parser ``parse_X`` (a table is read only, by ``parse_table``),
 and ``dumps_canonical`` is the only encoder:
 ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
-Three writers render a document through ``dumps_canonical`` a part at a
+Four writers render a document through ``dumps_canonical`` a part at a
 time, so it is never held as a tree.  ``simulation_chunks`` writes the
 simulation report, which is written only, one chunk per round straight off
 the simulator's plain floats, each round's endpoints in one encoder call and
 its fused levels in the text of the endpoints.  ``granular_set_chunks`` writes
 ``granular_set_doc``, the document ``granulate`` writes and the one shape
 ``parse_granular_set`` reads, one level at a time, from the same per-level
-builder.  ``interval_distribution_chunks`` writes
-``interval_distribution_doc`` with sampled draws, one per chunk.  The rough
+builder.  ``graded_intervals_chunks`` writes ``graded_intervals_doc`` and
+``interval_distribution_chunks`` writes ``interval_distribution_doc``, with
+any sampled draws, a batch of levels, atoms or draws per chunk.  The CSV
+readers split their text into lines a block at a time.  The rough
 documents come straight from block labels.  A partition's blocks are one
 grouping of its labels, and its names are checked once on its universe; a
 granular set's levels share one universe, so one check covers them all.  The
 object sets of one document are ordered through one position map.  Canonical
 JSON has its keys sorted and no insignificant whitespace; blocks and objects
 are ordered by the partition's universe order (or lexicographically where no
-universe context exists), integral reals are rendered as integers and all
-other reals in shortest round-trip form, and the empty fused result is
-rendered as ``null``.
+universe context exists), integral reals up to 2**53 in magnitude are
+rendered as integers and all other reals in shortest round-trip form, and
+the empty fused result is rendered as ``null``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain, islice, starmap
 from typing import Iterable, Iterator, Sequence
 
 from .chains import GradedFamily
@@ -59,11 +62,23 @@ from .simulate import SimConfig
 
 _INT_RENDER_LIMIT = 2**53
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_BLOCK = 1 << 14  # characters of CSV text split into lines at a time
+_BATCH = 256  # array items per encoder call of a chunked writer
 
 
 def dumps_canonical(doc) -> str:
     """Serialise a JSON-ready document deterministically."""
     return _encode(doc)
+
+
+def _array_items(docs: Iterable) -> Iterator[str]:
+    """The items of the JSON array of `docs`, comma-separated canonical JSON text,
+    ``_BATCH`` documents per encoder call, so one batch is held at a time."""
+    docs = iter(docs)
+    sep = ""
+    while batch := list(islice(docs, _BATCH)):
+        yield sep + dumps_canonical(batch)[1:-1]
+        sep = ","
 
 
 def _real(x: float):
@@ -99,6 +114,21 @@ def _number(value, where: str) -> float:
     if not math.isfinite(value):
         raise ParseError(f"{where}: non-finite value")
     return value
+
+
+def _lines(text: str, block: int = _BLOCK) -> Iterator[str]:
+    """``text.splitlines()``, split about `block` characters at a time, so only
+    one block's lines are held.  Each block ends just after a ``\\n``, which ends
+    every line break it is part of (``\\r\\n`` too), so the lines are the same."""
+
+    def blocks() -> Iterator[list[str]]:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + block - 1) + 1 or len(text)
+            yield text[start:end].splitlines()
+            start = end
+
+    return chain.from_iterable(blocks())
 
 
 def _token(field: str, where: str) -> str:
@@ -152,11 +182,11 @@ def _is_pair(data) -> bool:
 def parse_intervals(text: str, fmt: str = "csv") -> list[Interval]:
     """Read interval measurements from CSV (header ``lo,hi``) or JSON."""
     if fmt == "csv":
-        lines = text.splitlines()
-        if not lines or lines[0] != "lo,hi":
+        lines = _lines(text)
+        if next(lines, None) != "lo,hi":
             raise ParseError("line 1: header must be 'lo,hi'")
         out = []
-        for n, line in enumerate(lines[1:], start=2):
+        for n, line in enumerate(lines, start=2):
             fields = line.split(",")
             if len(fields) != 2:
                 raise ParseError(f"line {n}: expected 2 fields, got {len(fields)}")
@@ -205,6 +235,13 @@ def graded_intervals_doc(graded: GradedIntervals) -> dict:
     }
 
 
+def graded_intervals_chunks(graded: GradedIntervals) -> Iterator[str]:
+    """``graded_intervals_doc`` as canonical JSON text, a batch of levels per chunk."""
+    yield '{"f_min":' + dumps_canonical(graded.f_min) + ',"levels":['
+    yield from _array_items(map(fusion_result_doc, graded.levels))
+    yield "]}"
+
+
 def parse_graded_intervals(text: str) -> GradedIntervals:
     data = _load_json(text)
     if not isinstance(data, dict) or set(data) != {"f_min", "levels"}:
@@ -241,15 +278,16 @@ def parse_fault_distribution(text: str) -> FaultDistribution:
             # past the interpreter's digit limit for integer conversion
             raise ParseError(f"fault count has too many digits ({len(key)})") from None
         support.append((count, _number(value, f"fault count {key}")))
-    return FaultDistribution(tuple(support))
+    del data  # the decoded object goes before the support is sorted
+    return FaultDistribution(support)
+
+
+def _atom_doc(result: FusionResult, p: float) -> dict:
+    return {"p": _real(p), "result": fusion_result_doc(result)}
 
 
 def interval_distribution_doc(dist: IntervalDistribution) -> dict:
-    return {
-        "atoms": [
-            {"p": _real(p), "result": fusion_result_doc(result)} for result, p in dist.atoms
-        ]
-    }
+    return {"atoms": list(starmap(_atom_doc, dist.atoms))}
 
 
 def parse_interval_distribution(text: str) -> IntervalDistribution:
@@ -265,14 +303,18 @@ def parse_interval_distribution(text: str) -> IntervalDistribution:
     return IntervalDistribution(tuple(atoms))
 
 
-def interval_distribution_chunks(dist: IntervalDistribution, draws: Iterable[FusionResult]) -> Iterator[str]:
-    """``interval_distribution_doc`` with the `draws`, atoms of `dist`, under
-    ``"samples"`` (which sorts last), as canonical JSON text one draw per
-    chunk.  Each atom is rendered once, so memory does not grow with the draws."""
-    rendered = {result: dumps_canonical(fusion_result_doc(result)) for result, _ in dist.atoms}
-    yield dumps_canonical({**interval_distribution_doc(dist), "samples": []})[:-2]
-    for i, result in enumerate(draws):
-        yield ("," if i else "") + rendered[result]
+def interval_distribution_chunks(
+    dist: IntervalDistribution, draws: Iterable[FusionResult] | None = None
+) -> Iterator[str]:
+    """``interval_distribution_doc`` as canonical JSON text, a batch of atoms per
+    chunk, then the `draws`, atoms of `dist`, if given, under ``"samples"``
+    (which sorts last), a batch of draws per chunk.  Each draw is rendered as
+    it is written, so memory does not grow with the draws."""
+    yield '{"atoms":['
+    yield from _array_items(starmap(_atom_doc, dist.atoms))
+    if draws is not None:
+        yield '],"samples":['
+        yield from _array_items(map(fusion_result_doc, draws))
     yield "]}"
 
 
@@ -286,10 +328,11 @@ def parse_table(text: str) -> InformationTable:
     Each line is checked as it is read and handed to the table's coder, so
     no per-row table is held.
     """
-    lines = text.splitlines()
-    if not lines:
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError("line 1: missing header")
-    header = [_token(field, "line 1") for field in lines[0].split(",")]
+    header = [_token(field, "line 1") for field in first.split(",")]
     if header[0] != "object":
         raise ParseError("line 1: first header field must be 'object'")
     if len(header) == 1:
@@ -302,7 +345,7 @@ def parse_table(text: str) -> InformationTable:
     obj_pos: dict[str, int] = {}  # each object's row; also the duplicate check
 
     def rows() -> Iterator[list[str]]:
-        for n, line in enumerate(lines[1:], start=2):
+        for n, line in enumerate(lines, start=2):
             fields = line.split(",")
             if len(fields) != len(header):
                 raise ParseError(f"line {n}: expected {len(header)} fields, got {len(fields)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from functools import total_ordering
+from itertools import islice
 from typing import Collection, Iterable, Sequence
 
 from ._value import Value
@@ -123,10 +124,15 @@ class FaultDistribution(Value):
     __slots__ = ("support",)
 
     def __init__(self, support: Iterable[tuple[int, float]]) -> None:
-        support = tuple(support)
+        support = list(support)
         if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
             raise DomainError("fault count must be an integer")
-        support = tuple(sorted((int(f), float(p)) for f, p in support))
+        # a parsed support is already (int, float) tuples, kept as they are
+        if any(pair.__class__ is not tuple or pair[0].__class__ is not int or pair[1].__class__ is not float
+               for pair in support):
+            support = [(int(f), float(p)) for f, p in support]
+        support.sort()
+        support = tuple(support)
         self._init(support)
         if not support:
             raise DomainError("fault distribution has empty support")
@@ -212,7 +218,7 @@ def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> Grad
         raise DomainError("invalid fault range")
     new = Interval._unchecked  # the endpoints come from checked intervals; the reader decides lo <= hi
     return GradedIntervals(
-        f_min, [new(lo, hi) if lo <= hi else None for lo, hi in zip(lows[f_min:f_max + 1], highs[f_min:f_max + 1])]
+        f_min, (new(lo, hi) if lo <= hi else None for lo, hi in islice(zip(lows, highs), f_min, f_max + 1))
     )
 
 
@@ -230,7 +236,8 @@ def random_graded(intervals: Iterable[Interval], dist: FaultDistribution) -> Int
     constructor pools fault counts that fuse to the same result into one atom.
     """
     lows, highs = _sorted_ends(intervals)
-    return IntervalDistribution(tuple((_level(lows, highs, f), p) for f, p in dist.support))
+    # pooled as they are read off, so no result is held per fault count
+    return IntervalDistribution((_level(lows, highs, f), p) for f, p in dist.support)
 
 
 def sample(dist: IntervalDistribution, seed: int) -> FusionResult:

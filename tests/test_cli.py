@@ -195,6 +195,82 @@ class TestRandom:
         assert "Traceback" not in err
 
 
+def _uniform_inputs(directory, n: int, seed: int) -> tuple[str, str]:
+    """n uniform random intervals and a pmf over every fault budget, drawn as the
+    benchmark's fusion workload draws them; fsum makes the pmf the same on every Python."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        lo = rng.uniform(-100.0, 100.0)
+        rows.append(f"{lo!r},{lo + rng.uniform(0.0, 60.0)!r}\n")
+    weights = [rng.random() + 0.01 for _ in range(n)]
+    total = math.fsum(weights)
+    src, dist = directory / "intervals.csv", directory / "pmf.json"
+    src.write_text("lo,hi\n" + "".join(rows), encoding="utf-8")
+    dist.write_text(json.dumps({str(f): w / total for f, w in enumerate(weights)}), encoding="utf-8")
+    return str(src), str(dist)
+
+
+def _peak_per_input_byte(argv: list[str], inputs: list[str]) -> float:
+    """The traced peak of a second call of `argv`, per byte of its input files."""
+    with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        main(argv)  # fills the import and regex caches of a first call
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak / sum(os.path.getsize(path) for path in inputs)
+
+
+class TestIntervalCommandsAtScale:
+    @pytest.fixture(scope="class")
+    def bench_inputs(self, tmp_path_factory):
+        return _uniform_inputs(tmp_path_factory.mktemp("n2000"), 2000, 18)
+
+    @pytest.fixture(scope="class")
+    def large_inputs(self, tmp_path_factory):
+        return _uniform_inputs(tmp_path_factory.mktemp("n20000"), 20_000, 20)
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["graded", "--input", "{input}", "--fmin", "0", "--fmax", "1999"],
+             "9914e8d9b2f04ed0ac791e76f77b1a434c4bc67d14b45458d19331bca0c6d089"),
+            (["random", "--input", "{input}", "--dist", "{dist}", "--sample", "16", "--seed", "1818"],
+             "1334407835186d4c33ebd9ce6da7db25b5fa697df712612b1e23b889d74e13fa"),
+            (["random", "--input", "{input}", "--dist", "{dist}"],
+             "8261c240c06e84848e6add64ef68890f64fabe8b378bee49dd42e0377b1be0dd"),
+        ],
+        ids=["graded", "random-sample-16", "random"],
+    )
+    def test_bench_scale_outputs_keep_their_bytes(self, capsys, bench_inputs, argv, sha256):
+        # the benchmark's largest size, with every fault budget graded or weighted
+        src, dist = bench_inputs
+        code, out, err = run_cli(capsys, *(a.format(input=src, dist=dist) for a in argv))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["fuse", "--input", "{input}", "--faults", "10"], 5.0),
+            (["graded", "--input", "{input}", "--fmin", "0", "--fmax", "19999"], 6.0),
+            (["random", "--input", "{input}", "--dist", "{dist}", "--sample", "16"], 6.75),
+        ],
+        ids=["fuse", "graded", "random"],
+    )
+    def test_memory_per_input_byte(self, large_inputs, argv, bound):
+        # the CSV is split into lines a block at a time and the documents are written a batch at a
+        # time; with every line of the file held and the whole document built, each call took over
+        # 6.3x (fuse, graded) or 7.7x (random) its input
+        src, dist = large_inputs
+        argv = [a.format(input=src, dist=dist) for a in argv]
+        assert _peak_per_input_byte(argv, [a for a in argv if a in (src, dist)]) <= bound
+
+
 class TestPartition:
     def test_single_attribute(self, capsys, table_csv):
         code, out, _ = run_cli(capsys, "partition", "--table", table_csv, "--attrs", "P1")
@@ -211,6 +287,15 @@ class TestPartition:
         code, out, _ = run_cli(capsys, "partition", "--table", table_csv, "--attrs", "")
         assert code == 0
         assert json.loads(out)["blocks"] == [[f"O{i}" for i in range(1, 11)]]
+
+    def test_memory_per_input_byte(self, tmp_path):
+        # the table's lines are split a block at a time; with every line held the call took about 8x its input
+        rng = random.Random(20000)
+        rows = "".join(f"o{i}," + ",".join(str(rng.randrange(c)) for c in (2, 3, 4, 5) * 3) + "\n"
+                       for i in range(20_000))
+        table = tmp_path / "table.csv"
+        table.write_text("object," + ",".join(f"A{j}" for j in range(12)) + "\n" + rows, encoding="utf-8")
+        assert _peak_per_input_byte(["partition", "--table", str(table), "--attrs", "A0"], [str(table)]) <= 6.5
 
 
 class TestGranulate:

@@ -2,9 +2,10 @@ import json
 import random
 import tracemalloc
 from functools import partial
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsets import (
@@ -38,6 +39,7 @@ from gsets.formats import (
     graded_intervals_doc,
     granular_set_chunks,
     granular_set_doc,
+    graded_intervals_chunks,
     interval_distribution_chunks,
     interval_distribution_doc,
     intervals_doc,
@@ -61,6 +63,25 @@ from strategies import block_labelings, grid_values, intervals, table_with_attr_
 
 FIX = [Interval(0, 10), Interval(2, 8), Interval(4, 12)]
 GRANULAR_SHAPE = "expected an object with 'granular': true and a 'levels' array"
+
+
+# every line boundary of str.splitlines, with "\r\n" as one
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLines:
+    @given(
+        text=st.lists(st.sampled_from(_LINE_BREAKS) | st.text("ab,", max_size=3), max_size=12).map("".join),
+        block=st.integers(1, 8),
+    )
+    @settings(max_examples=500)
+    @example(text="", block=1)
+    @example(text="a\r\n\r\nb", block=2)
+    @example(text="\n\n\n", block=1)
+    @example(text="no final newline", block=3)
+    def test_blocks_split_as_splitlines(self, text, block):
+        # blocks of 1-8 characters put "\r\n" pairs and empty lines on block edges
+        assert list(formats._lines(text, block)) == text.splitlines()
 
 
 class TestParseIntervalsCsv:
@@ -707,8 +728,33 @@ class TestIntervalDistributionChunks:
         chunks = list(interval_distribution_chunks(d, draws))
         reference = {**interval_distribution_doc(d), "samples": [fusion_result_doc(r) for r in draws]}
         assert "".join(chunks) == dumps_canonical(reference)
-        # the distribution, one chunk per draw, the close
-        assert len(chunks) == count + 2
+        # the opening, the atoms, the samples' opening, the draws (a batch of up to 256), the close
+        assert len(chunks) == 4 + (count > 0)
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @given(results=st.lists(_edge_results, min_size=1, max_size=12), draws=st.integers(0, 11))
+    @settings(max_examples=40)
+    def test_batches_join_to_the_document(self, batch, results, draws):
+        d = IntervalDistribution([(r, 1 / len(results)) for r in results])
+        drawn = results[:draws]
+        with patch.object(formats, "_BATCH", batch):
+            assert "".join(interval_distribution_chunks(d)) == dumps_canonical(interval_distribution_doc(d))
+            reference = {**interval_distribution_doc(d), "samples": [fusion_result_doc(r) for r in drawn]}
+            assert "".join(interval_distribution_chunks(d, drawn)) == dumps_canonical(reference)
+
+
+class TestGradedIntervalsChunks:
+    @pytest.mark.parametrize("batch", [1, 3, formats._BATCH])
+    @given(items=st.lists(_edge_intervals, min_size=1, max_size=10), data=st.data())
+    @settings(max_examples=60)
+    def test_chunks_join_to_the_document(self, batch, items, data):
+        f_min = data.draw(st.integers(0, len(items) - 1))
+        g = graded_fusion(items, f_min, data.draw(st.integers(f_min, len(items) - 1)))
+        with patch.object(formats, "_BATCH", batch):
+            chunks = list(graded_intervals_chunks(g))
+        assert "".join(chunks) == dumps_canonical(graded_intervals_doc(g))
+        # the opening, one chunk per batch of levels, the close
+        assert len(chunks) == -(-len(g.levels) // batch) + 2
 
 
 def _drawn(config: SimConfig, rounds: int):
