@@ -210,7 +210,7 @@ def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> Grad
     """Fuse at every fault budget in f_min..f_max, off one pair of endpoint sorts.
 
     The fault range is checked once, and the levels are read straight off
-    the sorted slices.  They are nested by the fusion rule itself; the
+    the sorted lists.  They are nested by the fusion rule itself; the
     GradedIntervals constructor re-asserts the chain condition.
     """
     lows, highs = _sorted_ends(intervals)
