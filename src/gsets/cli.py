@@ -4,7 +4,7 @@ Standard output carries exactly one canonical JSON document; diagnostics
 go to standard error as ``error: <reason>``.  Exit codes: 0 on success,
 1 when a precondition or invariant is violated (domain error), 2 when
 input cannot be parsed, the invocation itself is malformed, or standard
-output is closed by its reader before the document is written.
+output cannot be written.
 
 Flags taking structured values (``--chain``, ``--targets``, ``--dist``)
 accept either a file path or inline JSON; an argument whose first
@@ -14,10 +14,11 @@ non-space character is ``[`` or ``{`` is read as inline JSON.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import formats
 from .errors import DomainError, ParseError
@@ -160,8 +161,18 @@ def _cmd_simulate(args: argparse.Namespace):
     return list(formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds))))
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer ignores a failed write; a help text that
+        # stdout cannot take is an error like a document it cannot take
+        if file is None and sys.stdout is not None:
+            sys.stdout.write(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsets",
         description="Graded sets, granular sets, interval fusion, and rough approximations.",
     )
@@ -230,28 +241,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at the null device once its reader has gone,
-    so the interpreter's final flush of what is still buffered cannot fail."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout and flush it.  If stdout cannot be written,
+    its descriptor is pointed at the null device before the error propagates,
+    so that what is still buffered cannot fail again at exit."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if sys.stdout is not None:  # with fd 1 closed, argparse writes --help to stderr
+                _write_stdout(())  # a --help text still buffered fails here, not at exit
+            return exc.code if isinstance(exc.code, int) else 2
         chunks = args.handler(args)
-        sys.stdout.writelines(chunks)
-        sys.stdout.write("\n")
-        sys.stdout.flush()
+        _write_stdout(itertools.chain(chunks, "\n"))
     except (ParseError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -641,6 +641,21 @@ class TestUsage:
         )
         assert code == 1 and out == "" and err != ""
 
+    def test_help_returns_in_process(self, capsys):
+        # main returns its code and never exits; the process exit is __main__'s
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: gsets ")
+
+    def test_read_error_leaves_stdout_alone(self, capsys, monkeypatch, tmp_path):
+        # only a failed write to stdout points its descriptor at the null device
+        redirects = []
+        monkeypatch.setattr(os, "dup2", lambda *args: redirects.append(args))
+        code, out, err = run_cli(capsys, "fuse", "--input", str(tmp_path), "--faults", "0")
+        monkeypatch.undo()  # the capture of the test's own output uses dup2 too
+        assert redirects == []
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno 21] ") and err.count("\n") == 1
+
 
 def _run_process(argv, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
@@ -758,6 +773,135 @@ class TestHashSeedIndependence:
         args, code, out, err = HASH_SEED_CASES[case]
         args = [a.replace("{table}", table_csv) for a in args]
         assert self._streams(args) == (code, out.encode(), err.encode())
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _gsets_process(args, *, unbuffered, stdout=subprocess.PIPE):
+    """Run ``python <args>`` with this checkout's src first on the path and
+    stdout buffered (PYTHONUNBUFFERED dropped) or write-through (set)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def _both_modes(args, **kwargs):
+    """The child's (exit code, stderr) with buffered and with write-through
+    stdout, which must agree; stdout is then checked by the caller."""
+    runs = [_gsets_process(args, unbuffered=unbuffered, **kwargs) for unbuffered in (False, True)]
+    assert (runs[0].returncode, runs[0].stderr) == (runs[1].returncode, runs[1].stderr)
+    return runs
+
+
+# Hangs an object on sys whose finaliser writes to fd 2 if the interpreter is
+# torn down, registers an atexit handler that prints to the (buffered) stdout,
+# then runs gsets as ``python -m gsets`` would.
+_EXIT_PROBE = r"""
+import atexit, os, runpy, sys
+class Sentinel:
+    def __del__(self, write=os.write):
+        write(2, b"torn down\n")
+sys.sentinel = Sentinel()
+atexit.register(print, "atexit ran")
+if sys.argv[1] == "profiled":
+    sys.setprofile(lambda frame, event, arg: None)
+sys.argv[:2] = ["gsets"]
+runpy.run_module("gsets", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessExit:
+    """``python -m gsets`` ends without interpreter teardown once its output is
+    flushed, except under a profiler, tracer or debugger; streams, messages
+    and exit codes are those of a normal exit."""
+
+    @pytest.mark.parametrize("mode", ["plain", "profiled"])
+    def test_teardown_is_skipped_and_atexit_handlers_run(self, fixtures_dir, intervals_csv, mode):
+        proc = _gsets_process(
+            ["-c", _EXIT_PROBE, mode, "fuse", "--input", intervals_csv, "--faults", "1"], unbuffered=False
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (fixtures_dir / "cli_golden" / "fuse.json").read_bytes() + b"atexit ran\n"
+        # a profiled process exits normally, so its finalisers run
+        assert proc.stderr == (b"torn down\n" if mode == "profiled" else b"")
+
+    def test_cprofile_prints_the_document_then_its_stats(self, fixtures_dir, intervals_csv):
+        proc = _gsets_process(
+            ["-m", "cProfile", "-m", "gsets", "fuse", "--input", intervals_csv, "--faults", "1"], unbuffered=False
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        golden = (fixtures_dir / "cli_golden" / "fuse.json").read_bytes()
+        assert proc.stdout.startswith(golden)
+        assert b" function calls " in proc.stdout[len(golden):]
+
+    def test_pdb_gets_control_back(self, intervals_csv):
+        # `continue` with no breakpoint set stops pdb's tracing before gsets runs
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdb", "-m", "gsets", "fuse", "--input", intervals_csv, "--faults", "1"],
+            input=b"continue\nquit\n", capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+        )
+        assert proc.returncode == 0
+        assert b"The program exited via sys.exit(). Exit status: 0" in proc.stdout
+
+    @pytest.mark.parametrize("via", ["pipe", "file"])
+    def test_help_arrives(self, tmp_path, via):
+        if via == "pipe":
+            outputs = [run.stdout for run in _both_modes(["-m", "gsets", "--help"])]
+        else:
+            outputs = []
+            for unbuffered in (False, True):
+                path = tmp_path / f"help-{unbuffered}.txt"
+                with open(path, "wb") as out:
+                    proc = _gsets_process(["-m", "gsets", "--help"], unbuffered=unbuffered, stdout=out)
+                assert proc.returncode == 0 and proc.stderr == b""
+                outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"usage: gsets ") and b"simulate" in outputs[0]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_golden_bytes_with_buffered_and_unbuffered_stdout(
+        self, fixtures_dir, intervals_csv, table_csv, chain_json, case
+    ):
+        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]]
+        golden = (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
+        for run in _both_modes(["-m", "gsets", *argv]):
+            assert (run.returncode, run.stdout, run.stderr) == (0, golden, b"")
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["fuse", "--input", "{intervals}", "--faults", "3"], 1, "error: "),
+            (["fuse", "--input", "missing.csv", "--faults", "1"], 2, "error: [Errno 2] "),
+            (["fuse", "--faults", "1"], 2, "usage: gsets fuse "),
+        ],
+        ids=["domain", "unreadable", "usage"],
+    )
+    def test_error_exit_codes(self, intervals_csv, argv, code, err):
+        argv = [a.format(intervals=intervals_csv) for a in argv]
+        for run in _both_modes(["-m", "gsets", *argv]):
+            assert run.returncode == code and run.stdout == b""
+            assert run.stderr.decode().startswith(err) and b"Traceback" not in run.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuse", "--input", "{intervals}", "--faults", "1"],
+            ["granulate", "--table", "{table}", "--chain", "{chain}"],
+            ["--help"],
+        ],
+        ids=["fuse", "granulate", "help"],
+    )
+    def test_stdout_on_a_full_disk_is_one_error_line(self, intervals_csv, table_csv, chain_json, argv):
+        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in argv]
+        with open("/dev/full", "wb") as full:
+            runs = _both_modes(["-m", "gsets", *argv], stdout=full)
+        assert runs[0].returncode == 2
+        assert runs[0].stderr == b"error: [Errno 28] No space left on device\n"
 
 
 # Runs the golden cases in order in one interpreter and prints, per case, the
