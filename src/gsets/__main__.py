@@ -3,8 +3,8 @@
 Once ``cli.main`` has returned, the process ends without interpreter
 teardown: the ``atexit`` handlers run, both streams are flushed, and
 ``os._exit`` ends it with ``main``'s code.  Module teardown, the final
-garbage collection and freeing every object cost 10-15 ms per call, more
-than the work of a small call.  Under a profiler, tracer or debugger, such
+garbage collection and freeing every object would cost a small call more
+than its own work.  Under a profiler, tracer or debugger, such
 as ``python -m cProfile -m gsets``, the process exits normally, so the tool
 still gets control back and writes its report.
 """

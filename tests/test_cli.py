@@ -746,43 +746,14 @@ HASH_SEED_CASES = {
 }
 
 
-class TestHashSeedIndependence:
-    """Every golden case and every listed error case gives the same bytes on
-    both streams under three hash seeds."""
-
-    @staticmethod
-    def _streams(args):
-        runs = set()
-        for hashseed in ("0", "1", "2"):
-            proc = subprocess.run(
-                [sys.executable, *args], capture_output=True, timeout=60,
-                env=dict(os.environ, PYTHONHASHSEED=hashseed),
-            )
-            runs.add((proc.returncode, proc.stdout, proc.stderr))
-        assert len(runs) == 1
-        return runs.pop()
-
-    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_golden_case(self, fixtures_dir, intervals_csv, table_csv, chain_json, case):
-        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]]
-        golden = (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
-        assert self._streams(["-m", "gsets", *argv]) == (0, golden, b"")
-
-    @pytest.mark.parametrize("case", sorted(HASH_SEED_CASES))
-    def test_error_case(self, table_csv, case):
-        args, code, out, err = HASH_SEED_CASES[case]
-        args = [a.replace("{table}", table_csv) for a in args]
-        assert self._streams(args) == (code, out.encode(), err.encode())
-
-
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def _gsets_process(args, *, unbuffered, stdout=subprocess.PIPE):
-    """Run ``python <args>`` with this checkout's src first on the path and
-    stdout buffered (PYTHONUNBUFFERED dropped) or write-through (set)."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+def _gsets_process(args, *, unbuffered, stdout=subprocess.PIPE, **env):
+    """Run ``python <args>`` with this checkout's src first on the path, stdout
+    buffered (PYTHONUNBUFFERED dropped) or write-through (set), and `env` added."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
@@ -811,6 +782,32 @@ if sys.argv[1] == "profiled":
 sys.argv[:2] = ["gsets"]
 runpy.run_module("gsets", run_name="__main__", alter_sys=True)
 """
+
+
+class TestHashSeedIndependence:
+    """Every golden case and every listed error case gives the same bytes on
+    both streams under three hash seeds, with stdout buffered and write-through."""
+
+    @staticmethod
+    def _streams(args):
+        runs = set()
+        for hashseed, unbuffered in (("0", False), ("1", True), ("2", False)):
+            proc = _gsets_process(args, unbuffered=unbuffered, PYTHONHASHSEED=hashseed)
+            runs.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(runs) == 1
+        return runs.pop()
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_golden_case(self, fixtures_dir, intervals_csv, table_csv, chain_json, case):
+        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]]
+        golden = (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
+        assert self._streams(["-m", "gsets", *argv]) == (0, golden, b"")
+
+    @pytest.mark.parametrize("case", sorted(HASH_SEED_CASES))
+    def test_error_case(self, table_csv, case):
+        args, code, out, err = HASH_SEED_CASES[case]
+        args = [a.replace("{table}", table_csv) for a in args]
+        assert self._streams(args) == (code, out.encode(), err.encode())
 
 
 class TestProcessExit:
@@ -862,15 +859,6 @@ class TestProcessExit:
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(b"usage: gsets ") and b"simulate" in outputs[0]
 
-    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_golden_bytes_with_buffered_and_unbuffered_stdout(
-        self, fixtures_dir, intervals_csv, table_csv, chain_json, case
-    ):
-        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]]
-        golden = (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
-        for run in _both_modes(["-m", "gsets", *argv]):
-            assert (run.returncode, run.stdout, run.stderr) == (0, golden, b"")
-
     @pytest.mark.parametrize(
         "argv, code, err",
         [
@@ -885,6 +873,18 @@ class TestProcessExit:
         for run in _both_modes(["-m", "gsets", *argv]):
             assert run.returncode == code and run.stdout == b""
             assert run.stderr.decode().startswith(err) and b"Traceback" not in run.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [(["--help"], 0, b"usage: gsets "), (["fuse", "--input", "missing.csv", "--faults", "1"], 2, b"error: ")],
+        ids=["help", "unreadable"],
+    )
+    def test_closed_stdout(self, argv, code, err):
+        # with fd 1 closed, sys.stdout is None and argparse writes --help to stderr
+        proc = _gsets_process(["-c", "import os, sys; os.close(1); os.execv(sys.argv[1], sys.argv[1:])",
+                               sys.executable, "-m", "gsets", *argv], unbuffered=False)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(err) and b"Traceback" not in proc.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
