@@ -19,9 +19,17 @@ from .cli import main
 
 def _observed() -> bool:
     """Whether a tool runs this program and expects control back after it.
-    pdb stops tracing on ``continue`` when no breakpoint is set, so it is
-    known by ``bdb``, the module every pdb session loads."""
-    return sys.gettrace() is not None or sys.getprofile() is not None or "bdb" in sys.modules
+    From Python 3.12 cProfile registers with ``sys.monitoring`` instead of
+    setting a profile function.  pdb stops tracing on ``continue`` when no
+    breakpoint is set, so it is known by ``bdb``, the module every pdb
+    session loads."""
+    monitoring = getattr(sys, "monitoring", None)  # tool ids are 0 through 5
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+        or "bdb" in sys.modules
+    )
 
 
 def run() -> NoReturn:
