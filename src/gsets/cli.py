@@ -4,7 +4,8 @@ Standard output carries exactly one canonical JSON document; diagnostics
 go to standard error as ``error: <reason>``.  Exit codes: 0 on success,
 1 when a precondition or invariant is violated (domain error), 2 when
 input cannot be parsed, the invocation itself is malformed, or standard
-output cannot be written.
+output cannot be written.  An error line that standard error cannot take
+is dropped; the exit code still tells.
 
 Flags taking structured values (``--chain``, ``--targets``, ``--dist``)
 accept either a file path or inline JSON; an argument whose first
@@ -14,6 +15,7 @@ non-space character is ``[`` or ``{`` is read as inline JSON.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import os
 import sys
@@ -166,7 +168,7 @@ class _Parser(argparse.ArgumentParser):
         # argparse's own writer ignores a failed write; a help text that
         # stdout cannot take is an error like a document it cannot take
         if file is None and sys.stdout is not None:
-            sys.stdout.write(self.format_help())
+            _write(sys.stdout, (self.format_help(),))
         else:
             super().print_help(file)
 
@@ -241,16 +243,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stdout(chunks: Iterable[str]) -> None:
-    """Write the chunks to stdout and flush it.  If stdout cannot be written,
-    its descriptor is pointed at the null device before the error propagates,
-    so that what is still buffered cannot fail again at exit."""
+def _write(stream, chunks: Iterable[str]) -> None:
+    """Write the chunks to `stream` and flush it.  A stream whose descriptor
+    was closed at start is ``None`` and cannot be written.  If the stream
+    cannot be written, its descriptor is pointed at the null device before the
+    error propagates, so that what is still buffered cannot fail again at exit."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
+        stream.writelines(chunks)
+        stream.flush()
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
         raise
 
@@ -260,16 +265,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
-            if sys.stdout is not None:  # with fd 1 closed, argparse writes --help to stderr
-                _write_stdout(())  # a --help text still buffered fails here, not at exit
+        except SystemExit as exc:  # a --help text has been flushed, or a usage error written
             return exc.code if isinstance(exc.code, int) else 2
-        chunks = args.handler(args)
-        _write_stdout(itertools.chain(chunks, "\n"))
+        _write(sys.stdout, itertools.chain(args.handler(args), "\n"))
+        return 0
     except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        code, error = 1, exc
+    try:
+        _write(sys.stderr, (f"error: {error}\n",))
+    except OSError:
+        pass  # the exit code still tells
+    return code

@@ -116,15 +116,15 @@ def _number(value, where: str) -> float:
     return value
 
 
-def _lines(text: str, block: int = _BLOCK) -> Iterator[str]:
-    """``text.splitlines()``, split about `block` characters at a time, so only
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split about ``_BLOCK`` characters at a time, so only
     one block's lines are held.  Each block ends just after a ``\\n``, which ends
     every line break it is part of (``\\r\\n`` too), so the lines are the same."""
 
     def blocks() -> Iterator[list[str]]:
         start = 0
         while start < len(text):
-            end = text.find("\n", start + block - 1) + 1 or len(text)
+            end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
             yield text[start:end].splitlines()
             start = end
 

@@ -11,12 +11,11 @@ through the terminal-summary hook so they survive pytest's capture.
 import functools
 import json
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import acceptance_report
+from test_cli import _gsets_process
 
 from gsets import (
     ApproximationPair,
@@ -379,13 +378,7 @@ def test_criterion_9_round_trips():
         ],
     ]
     for argv in commands:
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "gsets", *argv],
-                capture_output=True, timeout=60,
-            )
-            for _ in range(2)
-        ]
+        runs = [_gsets_process(["-m", "gsets", *argv]) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
         json.loads(runs[0].stdout.decode())

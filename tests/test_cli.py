@@ -27,6 +27,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _gsets_process(
+    args, *, unbuffered=False, popen=False, input=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env
+):
+    """Run ``python <args>`` with this checkout's src first on the path, stdout
+    buffered (PYTHONUNBUFFERED dropped) or write-through (set), and `env` added.
+    With `popen` the child is started and returned running, for a test that
+    reads its streams as it writes them."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if popen:
+        return subprocess.Popen([sys.executable, *args], stdout=stdout, stderr=stderr, env=env)
+    return subprocess.run([sys.executable, *args], input=input, stdout=stdout, stderr=stderr, env=env, timeout=60)
+
+
 @pytest.fixture
 def intervals_csv(fixtures_dir):
     return str(fixtures_dir / "three_intervals.csv")
@@ -181,10 +200,10 @@ class TestRandom:
 
     def test_reader_closing_early_is_one_error_line(self, intervals_csv):
         # 2**64 draws pass the seed check, so only the closed pipe can end the call
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "gsets", "random", "--input", intervals_csv, "--dist", '{"0":1.0}',
-             "--sample", str(2**64), "--seed", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        proc = _gsets_process(
+            ["-m", "gsets", "random", "--input", intervals_csv, "--dist", '{"0":1.0}', "--sample", str(2**64),
+             "--seed", "0"],
+            popen=True,
         )
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -657,37 +676,24 @@ class TestUsage:
         assert err.startswith("error: [Errno 21] ") and err.count("\n") == 1
 
 
-def _run_process(argv, hashseed):
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
-    return subprocess.run(
-        [sys.executable, "-m", "gsets", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-
-
 class TestProcessDeterminism:
     def test_granulate_bytes_stable_across_hash_seeds(self, table_csv, chain_json):
         argv = ["granulate", "--table", table_csv, "--chain", chain_json]
-        a = _run_process(argv, "0")
-        b = _run_process(argv, "424242")
+        a = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="0")
+        b = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="424242")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
     def test_simulate_fault_check_survives_optimized_mode(self):
         # the fault geometry check must not be an assert, which -O strips
         argv = ["simulate", "--sensors", "3", "--faulty", "1", "--rounds", "1", "--truth", "1e20"]
-        env = dict(os.environ, PYTHONOPTIMIZE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "gsets", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        proc = _gsets_process(["-m", "gsets", *argv], PYTHONOPTIMIZE="1")
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     def test_reader_closing_early_is_one_error_line(self):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "gsets", "simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        proc = _gsets_process(
+            ["-m", "gsets", "simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"], popen=True
         )
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()  # the report is far larger than the pipe, so the writer meets a closed pipe
@@ -699,8 +705,8 @@ class TestProcessDeterminism:
 
     def test_simulate_bytes_stable_across_hash_seeds(self):
         argv = ["simulate", "--sensors", "5", "--faulty", "1", "--rounds", "2", "--seed", "3"]
-        a = _run_process(argv, "101")
-        b = _run_process(argv, "202")
+        a = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="101")
+        b = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="202")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
@@ -746,19 +752,6 @@ HASH_SEED_CASES = {
 }
 
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-
-
-def _gsets_process(args, *, unbuffered, stdout=subprocess.PIPE, **env):
-    """Run ``python <args>`` with this checkout's src first on the path, stdout
-    buffered (PYTHONUNBUFFERED dropped) or write-through (set), and `env` added."""
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
-
-
 def _both_modes(args, **kwargs):
     """The child's (exit code, stderr) with buffered and with write-through
     stdout, which must agree; stdout is then checked by the caller."""
@@ -782,6 +775,20 @@ if sys.argv[1] == "profiled":
 sys.argv[:2] = ["gsets"]
 runpy.run_module("gsets", run_name="__main__", alter_sys=True)
 """
+
+# Runs gsets as ``python -m gsets`` would, with an uncaught exception reported
+# on stdout, where a test sees it even when stderr cannot be written.
+_TRACEBACK_PROBE = r"""
+import os, runpy, sys
+sys.excepthook = lambda *exc: os.write(1, b"Traceback\n")
+sys.argv[:1] = ["gsets"]
+runpy.run_module("gsets", run_name="__main__", alter_sys=True)
+"""
+
+
+def _with_closed(fd, args):
+    """The args that run ``python <args>`` with descriptor `fd` closed from the start."""
+    return ["-c", f"import os, sys; os.close({fd}); os.execv(sys.argv[1], sys.argv[1:])", sys.executable, *args]
 
 
 class TestHashSeedIndependence:
@@ -837,11 +844,7 @@ class TestProcessExit:
     def test_pdb_gets_control_back(self):
         # `continue` with no breakpoint set stops pdb's tracing before gsets runs; gsets
         # gets no arguments, because pdb 3.13.0 takes any option after -m module as its own
-        proc = subprocess.run(
-            [sys.executable, "-m", "pdb", "-m", "gsets"],
-            input=b"continue\nquit\n", capture_output=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
-        )
+        proc = _gsets_process(["-m", "pdb", "-m", "gsets"], input=b"continue\nquit\n")
         assert proc.returncode == 0
         assert b"The program exited via sys.exit(). Exit status: 2" in proc.stdout
 
@@ -877,15 +880,39 @@ class TestProcessExit:
 
     @pytest.mark.parametrize(
         "argv, code, err",
-        [(["--help"], 0, b"usage: gsets "), (["fuse", "--input", "missing.csv", "--faults", "1"], 2, b"error: ")],
-        ids=["help", "unreadable"],
+        [
+            (["--help"], 0, b"usage: gsets "),
+            (["fuse", "--input", "missing.csv", "--faults", "1"], 2, b"error: [Errno 2] "),
+            (["fuse", "--input", "{intervals}", "--faults", "1"], 2, b"error: [Errno 9] Bad file descriptor\n"),
+        ],
+        ids=["help", "unreadable", "document"],
     )
-    def test_closed_stdout(self, argv, code, err):
+    def test_closed_stdout(self, intervals_csv, argv, code, err):
         # with fd 1 closed, sys.stdout is None and argparse writes --help to stderr
-        proc = _gsets_process(["-c", "import os, sys; os.close(1); os.execv(sys.argv[1], sys.argv[1:])",
-                               sys.executable, "-m", "gsets", *argv], unbuffered=False)
+        argv = [a.format(intervals=intervals_csv) for a in argv]
+        proc = _both_modes(_with_closed(1, ["-m", "gsets", *argv]))[0]
         assert proc.returncode == code
         assert proc.stderr.startswith(err) and b"Traceback" not in proc.stderr
+        assert proc.stderr.count(b"error: ") == (code != 0)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["fuse", "--input", "missing.csv", "--faults", "1"], 2),
+         (["fuse", "--input", "{intervals}", "--faults", "3"], 1)],
+        ids=["parse", "domain"],
+    )
+    def test_stderr_that_cannot_take_the_error_line(self, intervals_csv, argv, code, stderr):
+        # the line is dropped and the code still tells; stdout carries the document or nothing
+        args = ["-c", _TRACEBACK_PROBE, *(a.format(intervals=intervals_csv) for a in argv)]
+        if stderr == "closed":
+            runs = _both_modes(_with_closed(2, args))
+        else:
+            with open("/dev/full", "wb") as full:
+                runs = _both_modes(args, stderr=full)
+        for run in runs:
+            assert (run.returncode, run.stdout) == (code, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
@@ -938,12 +965,7 @@ def test_only_simulate_loads_a_hash_module_and_never_openssl(fixtures_dir, inter
         (case, [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]])
         for case in sorted(GOLDEN_CASES, key=lambda case: case == "simulate")
     ]
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _HASH_MODULE_PROBE, json.dumps(cases)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _gsets_process(["-c", _HASH_MODULE_PROBE, json.dumps(cases)])
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     added = result["added"]

@@ -81,7 +81,8 @@ class TestLines:
     @example(text="no final newline", block=3)
     def test_blocks_split_as_splitlines(self, text, block):
         # blocks of 1-8 characters put "\r\n" pairs and empty lines on block edges
-        assert list(formats._lines(text, block)) == text.splitlines()
+        with patch.object(formats, "_BLOCK", block):
+            assert list(formats._lines(text)) == text.splitlines()
 
 
 class TestParseIntervalsCsv:

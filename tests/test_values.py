@@ -4,10 +4,7 @@ of the heavy stdlib modules."""
 
 import copy
 import itertools
-import os
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -28,6 +25,7 @@ from gsets import (
     simulate_round,
 )
 from gsets.formats import parse_table
+from test_cli import _gsets_process
 
 CONFIG = dict(num_sensors=4, truth=0.5, correct_halfwidth_max=1.0, num_faulty=1, fault_offset_min=2.5, seed=7)
 
@@ -188,8 +186,6 @@ def test_cli_import_skips_heavy_modules():
         "import sys; before = set(sys.modules); import gsets.cli; "
         f"print(sorted((set(sys.modules) - before) & set({heavy!r})))"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = _gsets_process(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == b"[]\n"
