@@ -166,11 +166,9 @@ def _cmd_simulate(args: argparse.Namespace):
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own writer ignores a failed write; a help text that
-        # stdout cannot take is an error like a document it cannot take
-        if file is None and sys.stdout is not None:
-            _write(sys.stdout, (self.format_help(),))
-        else:
-            super().print_help(file)
+        # stdout cannot take is an error like a document it cannot take.
+        # argparse's help action passes no file.
+        _write(sys.stdout, (self.format_help(),))
 
 
 def _build_parser() -> argparse.ArgumentParser:

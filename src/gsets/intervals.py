@@ -207,19 +207,21 @@ def fuse(intervals: Iterable[Interval], f: int) -> FusionResult:
 
 
 def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> GradedIntervals:
-    """Fuse at every fault budget in f_min..f_max, off one pair of endpoint sorts.
+    """Fuse at every fault budget in f_min..f_max, off one pair of endpoint sorts."""
+    return _graded_levels(*_sorted_ends(intervals), f_min, f_max)
 
-    The fault range is checked once, and the levels are read straight off
-    the sorted lists.  They are nested by the fusion rule itself; the
-    GradedIntervals constructor re-asserts the chain condition.
+
+def _graded_levels(lows: list[float], highs: list[float], f_min: int, f_max: int) -> GradedIntervals:
+    """Levels f_min..f_max of the sorted endpoints, once the fault range is checked.
+
+    They are nested by the fusion rule itself; the GradedIntervals
+    constructor re-asserts the chain condition.
     """
-    lows, highs = _sorted_ends(intervals)
     if not 0 <= f_min <= f_max <= len(lows) - 1:
         raise DomainError("invalid fault range")
-    new = Interval._unchecked  # the endpoints come from checked intervals; the reader decides lo <= hi
-    return GradedIntervals(
-        f_min, (new(lo, hi) if lo <= hi else None for lo, hi in islice(zip(lows, highs), f_min, f_max + 1))
-    )
+    new = Interval._unchecked  # the endpoints are checked where they are read or drawn; the reader decides lo <= hi
+    levels = islice(zip(lows, highs), f_min, f_max + 1)
+    return GradedIntervals(f_min, (new(lo, hi) if lo <= hi else None for lo, hi in levels))
 
 
 def as_rough_pair(graded: GradedIntervals) -> tuple[FusionResult, FusionResult]:

@@ -3,8 +3,8 @@
 Each round plants a known truth, draws correct intervals around it and
 faulty intervals displaced far enough to provably exclude it, then fuses
 the lot for every fault budget and records which budgets recover the truth.
-One kernel draws a round in plain floats: ``simulate_round`` builds its
-``SimOutcome`` from it, and ``formats.simulation_chunks`` writes it as drawn.
+One kernel draws a round in plain floats and sorts it once: ``simulate_round``
+reads its levels off the kernel's sorts, ``formats.simulation_chunks`` writes it as drawn.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Iterator
 
 from ._value import Value
 from .errors import DomainError
-from .intervals import MAX_SEED, GradedIntervals, Interval, _check_nested, _order_statistics, graded_fusion
+from .intervals import MAX_SEED, GradedIntervals, Interval, _check_nested, _graded_levels, _order_statistics
+from .intervals import graded_fusion  # unused here, but the traced replay wraps gsets.simulate.graded_fusion
 
 
 class SimConfig(Value):
@@ -118,9 +119,9 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     same width class whose centre sits at least fault_offset_min away from
     the truth, on a random side.
     """
-    faulty, ends, _, _, containment = _draw_round(config, round_index)
+    faulty, ends, lows, highs, containment = _draw_round(config, round_index)
     intervals = tuple(Interval._unchecked(lo, hi) for lo, hi in ends)
-    return SimOutcome(intervals, frozenset(faulty), graded_fusion(intervals, 0, len(ends) - 1), tuple(containment))
+    return SimOutcome(intervals, frozenset(faulty), _graded_levels(lows, highs, 0, len(ends) - 1), tuple(containment))
 
 
 def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:

@@ -881,14 +881,15 @@ class TestProcessExit:
     @pytest.mark.parametrize(
         "argv, code, err",
         [
-            (["--help"], 0, b"usage: gsets "),
+            (["--help"], 2, b"error: [Errno 9] Bad file descriptor\n"),
+            (["fuse", "--help"], 2, b"error: [Errno 9] Bad file descriptor\n"),
             (["fuse", "--input", "missing.csv", "--faults", "1"], 2, b"error: [Errno 2] "),
             (["fuse", "--input", "{intervals}", "--faults", "1"], 2, b"error: [Errno 9] Bad file descriptor\n"),
         ],
-        ids=["help", "unreadable", "document"],
+        ids=["help", "fuse-help", "unreadable", "document"],
     )
     def test_closed_stdout(self, intervals_csv, argv, code, err):
-        # with fd 1 closed, sys.stdout is None and argparse writes --help to stderr
+        # with fd 1 closed, sys.stdout is None: a help text, like a document, cannot be written and exits 2
         argv = [a.format(intervals=intervals_csv) for a in argv]
         proc = _both_modes(_with_closed(1, ["-m", "gsets", *argv]))[0]
         assert proc.returncode == code

@@ -3,8 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gsets import DomainError, SimConfig, fused_subset, simulate, simulate_round, simulate_rounds
+from gsets import (
+    DomainError, SimConfig, fused_subset, graded_fusion, intervals, simulate, simulate_round, simulate_rounds
+)
 
 BASE = dict(
     num_sensors=7,
@@ -164,6 +168,25 @@ class TestRoundChecks:
             (lo, hi) if lo <= hi else None for lo, hi in zip(lows, highs)
         ]
         assert out.truth_containment == tuple(containment)
+
+    def test_a_round_sorts_its_endpoints_once(self, monkeypatch):
+        # the levels are read off the kernel's sorts, not sorted again by graded_fusion
+        calls = []
+        sort = intervals._order_statistics
+        for module in (simulate, intervals):
+            monkeypatch.setattr(module, "_order_statistics", lambda los, his: calls.append(1) or sort(los, his))
+        simulate_round(config(), 0)
+        assert len(calls) == 1
+
+
+@given(st.integers(1, 101), st.data())
+def test_round_levels_equal_graded_fusion_of_its_intervals(n, data):
+    # the independent cross-check: the round's chain is what the public fusion makes of its intervals
+    width = data.draw(st.floats(0.01, 10.0))
+    cfg = SimConfig(n, data.draw(st.floats(-1e3, 1e3)), width, data.draw(st.integers(0, n - 1)),
+                    width * data.draw(st.floats(1.01, 10.0)), data.draw(st.integers(0, 2**64 - 1)))
+    out = simulate_round(cfg, data.draw(st.integers(0, 10**6)))
+    assert out.fused == graded_fusion(out.intervals, 0, n - 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
