@@ -9,9 +9,11 @@ wrote there.  A run counts when both sides have its workload and seed, so
 each seed is one pair.  For every workload and every end-to-end metric of
 ``BENCHMARK.json`` the file holds each side's median, quartiles and runs,
 the ratio of the medians (change / parent) and the number of pairs the
-change won in the metric's better direction (ties count for neither).  It
-also records whether every call wrote the same stdout on both sides, the
-seeds, the interpreter, the machine, ``nproc`` and both commits.
+change won in the metric's better direction (ties count for neither), and
+whether a gain could be claimed: the change won at least nine pairs in ten,
+and its median is better than the parent's by more than the parent's
+q3 - q1.  It also records whether every call wrote the same stdout on both
+sides, the seeds, the interpreter, the machine, ``nproc`` and both commits.
 Only the standard library is used.
 """
 
@@ -79,13 +81,16 @@ def summarize(parent: Path, change: Path, tag: str) -> dict:
             key, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             values = {side: [r["metrics"][key] for r in runs[side]] for side in sides}
             old, new = _side(values["parent"]), _side(values["change"])
+            wins = sum(sign * (b - a) > 0 for a, b in zip(values["parent"], values["change"]))
             summary[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "parent": old,
                 "change": new,
                 "ratio": new["median"] / old["median"] if old["median"] else None,
-                "change_wins": sum(sign * (b - a) > 0 for a, b in zip(values["parent"], values["change"])),
+                "change_wins": wins,
+                "claim_holds": 10 * wins >= 9 * len(seeds)
+                and sign * (new["median"] - old["median"]) > old["q3"] - old["q1"],
             }
         workloads[name] = {"seeds": seeds, "same_stdout": same, "metrics": summary}
     return {"tag": tag, "context": context, "commits": commits, "workloads": workloads}

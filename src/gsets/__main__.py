@@ -12,7 +12,6 @@ still gets control back and writes its report.
 import atexit
 import os
 import sys
-from typing import NoReturn
 
 from .cli import main
 
@@ -32,8 +31,8 @@ def _observed() -> bool:
     )
 
 
-def run() -> NoReturn:
-    """Run the CLI on ``sys.argv`` and end the process with its exit code."""
+def run():
+    """Run the CLI on ``sys.argv`` and end the process with its exit code; never returns."""
     code = main()
     if not _observed():
         atexit._run_exitfuncs()

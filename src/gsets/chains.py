@@ -7,7 +7,7 @@ are legal.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._value import Value
 from .errors import DomainError

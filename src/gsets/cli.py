@@ -7,9 +7,10 @@ input cannot be parsed, the invocation itself is malformed, or standard
 output cannot be written.  An error line that standard error cannot take
 is dropped; the exit code still tells.
 
-Flags taking structured values (``--chain``, ``--targets``, ``--dist``)
-accept either a file path or inline JSON; an argument whose first
-non-space character is ``[`` or ``{`` is read as inline JSON.
+Each flag is defined once, in ``_FLAGS``.  Flags taking structured values
+(``--chain``, ``--targets``, ``--dist``) accept either a file path or inline
+JSON; an argument whose first non-space character is ``[`` or ``{`` is read
+as inline JSON.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import errno
 import itertools
 import os
 import sys
-from pathlib import Path
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import formats
 from .errors import DomainError, ParseError
@@ -37,7 +37,8 @@ from .simulate import SimConfig, _draw_round
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -171,73 +172,55 @@ class _Parser(argparse.ArgumentParser):
         _write(sys.stdout, (self.format_help(),))
 
 
+# each flag's add_argument keywords, shared by every subcommand that takes it
+_FLAGS = {
+    "input": {"required": True, "help": "interval file (CSV 'lo,hi' or JSON)"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "faults": {"type": int, "required": True},
+    "fmin": {"type": int, "required": True},
+    "fmax": {"type": int, "required": True},
+    "dist": {"required": True, "help": "JSON pmf over fault counts (path or inline)"},
+    "sample": {"type": int, "help": "also draw this many results"},
+    "seed": {"type": int, "default": 0},
+    "table": {"required": True, "help": "information table CSV"},
+    "attrs": {"required": True, "help": "comma-separated attribute names"},
+    "chain": {"required": True, "help": "JSON attribute chain (path or inline)"},
+    "target": {"required": True, "help": "comma-separated object ids"},
+    "targets": {"required": True, "help": "JSON nested target sets (path or inline)"},
+    "sensors": {"type": int, "required": True},
+    "faulty": {"type": int, "required": True},
+    "rounds": {"type": int, "required": True},
+    "truth": {"type": float, "default": 0.0},
+    "halfwidth": {"type": float, "default": 1.0, "help": "max half-width of correct intervals"},
+    "offset": {"type": float, "default": 2.5, "help": "min center displacement of faulty intervals"},
+}
+
+# each subcommand: name, handler, help text, and its flags in help order
+_COMMANDS = (
+    ("fuse", _cmd_fuse, "fuse interval measurements under a fault budget", "input format faults"),
+    ("graded", _cmd_graded, "fused intervals over a range of fault budgets", "input format fmin fmax"),
+    ("random", _cmd_random, "push a fault-count pmf through fusion", "input format dist sample seed"),
+    ("partition", _cmd_partition, "indiscernibility partition of a table", "table attrs"),
+    ("granulate", _cmd_granulate, "granular set from a nested attribute chain", "table chain"),
+    ("approx", _cmd_approx, "rough lower/upper approximation of a target set", "table attrs target"),
+    ("graded-approx", _cmd_graded_approx, "approximate every level of a nested target chain", "table attrs targets"),
+    ("sensitivity", _cmd_sensitivity, "approximation quality along an attribute chain", "table chain target"),
+    ("simulate", _cmd_simulate, "seeded fault-injection rounds with containment report",
+     "sensors faulty rounds seed truth halfwidth offset"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gsets",
         description="Graded sets, granular sets, interval fusion, and rough approximations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def interval_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", required=True, help="interval file (CSV 'lo,hi' or JSON)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("fuse", help="fuse interval measurements under a fault budget")
-    interval_input(p)
-    p.add_argument("--faults", type=int, required=True)
-    p.set_defaults(handler=_cmd_fuse)
-
-    p = sub.add_parser("graded", help="fused intervals over a range of fault budgets")
-    interval_input(p)
-    p.add_argument("--fmin", type=int, required=True)
-    p.add_argument("--fmax", type=int, required=True)
-    p.set_defaults(handler=_cmd_graded)
-
-    p = sub.add_parser("random", help="push a fault-count pmf through fusion")
-    interval_input(p)
-    p.add_argument("--dist", required=True, help="JSON pmf over fault counts (path or inline)")
-    p.add_argument("--sample", type=int, help="also draw this many results")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_random)
-
-    p = sub.add_parser("partition", help="indiscernibility partition of a table")
-    p.add_argument("--table", required=True, help="information table CSV")
-    p.add_argument("--attrs", required=True, help="comma-separated attribute names")
-    p.set_defaults(handler=_cmd_partition)
-
-    p = sub.add_parser("granulate", help="granular set from a nested attribute chain")
-    p.add_argument("--table", required=True, help="information table CSV")
-    p.add_argument("--chain", required=True, help="JSON attribute chain (path or inline)")
-    p.set_defaults(handler=_cmd_granulate)
-
-    p = sub.add_parser("approx", help="rough lower/upper approximation of a target set")
-    p.add_argument("--table", required=True, help="information table CSV")
-    p.add_argument("--attrs", required=True, help="comma-separated attribute names")
-    p.add_argument("--target", required=True, help="comma-separated object ids")
-    p.set_defaults(handler=_cmd_approx)
-
-    p = sub.add_parser("graded-approx", help="approximate every level of a nested target chain")
-    p.add_argument("--table", required=True, help="information table CSV")
-    p.add_argument("--attrs", required=True, help="comma-separated attribute names")
-    p.add_argument("--targets", required=True, help="JSON nested target sets (path or inline)")
-    p.set_defaults(handler=_cmd_graded_approx)
-
-    p = sub.add_parser("sensitivity", help="approximation quality along an attribute chain")
-    p.add_argument("--table", required=True, help="information table CSV")
-    p.add_argument("--chain", required=True, help="JSON attribute chain (path or inline)")
-    p.add_argument("--target", required=True, help="comma-separated object ids")
-    p.set_defaults(handler=_cmd_sensitivity)
-
-    p = sub.add_parser("simulate", help="seeded fault-injection rounds with containment report")
-    p.add_argument("--sensors", type=int, required=True)
-    p.add_argument("--faulty", type=int, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truth", type=float, default=0.0)
-    p.add_argument("--halfwidth", type=float, default=1.0, help="max half-width of correct intervals")
-    p.add_argument("--offset", type=float, default=2.5, help="min center displacement of faulty intervals")
-    p.set_defaults(handler=_cmd_simulate)
-
+    for name, handler, summary, flags in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 

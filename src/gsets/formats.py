@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, starmap
-from typing import Iterable, Iterator, Sequence
 
 from .chains import GradedFamily
 from .errors import ParseError

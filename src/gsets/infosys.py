@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
 from .chains import GradedFamily

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Collection, Iterable, Sequence
 from functools import total_ordering
 from itertools import islice
-from typing import Collection, Iterable, Sequence
 
 from ._value import Value
 from .errors import DomainError

@@ -9,8 +9,8 @@ they are given, each coarser block a union of blocks of the level below.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Hashable, Iterable, Sequence
 from functools import cached_property
-from typing import Collection, Hashable, Iterable, Sequence
 
 from ._value import Value
 from .errors import DomainError

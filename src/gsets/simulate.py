@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator
 
 from ._value import Value
 from .errors import DomainError

@@ -85,3 +85,29 @@ def test_records_that_cannot_be_compared_exit_2(script, tmp_path, capsys, mixed)
     error = capsys.readouterr().err
     assert error.startswith("error: ") and ("python" if mixed else "no workload") in error
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+PARENT_STARTS = [2.0, 2.01, 2.02, 2.03, 2.04, 2.05, 2.06, 2.07, 2.08, 2.09]
+
+
+@pytest.mark.parametrize(
+    "parent_starts, change_starts, holds",
+    [
+        # nine wins, and the medians differ by 0.2 against a spread of 0.045
+        (PARENT_STARTS, [x - 0.2 for x in PARENT_STARTS[:9]] + [2.1], True),
+        # the same medians, but only eight wins
+        (PARENT_STARTS, [x - 0.2 for x in PARENT_STARTS[:8]] + [2.1, 2.1], False),
+        # ten wins, but by 0.5 against a spread of 4.5
+        ([float(x) for x in range(1, 11)], [x - 0.5 for x in range(1, 11)], False),
+    ],
+    ids=["meets-both", "too-few-wins", "within-the-spread"],
+)
+def test_the_claim_rule(script, tmp_path, parent_starts, change_starts, holds):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (old, new) in enumerate(zip(parent_starts, change_starts)):
+        record(parent, "cli_small", seed, "p", old, 10 / old)
+        record(change, "cli_small", seed, "c", new, 10 / new)
+    metrics = script.summarize(parent, change, "t")["workloads"]["cli_small"]["metrics"]
+    assert metrics["op_p50_starts"]["claim_holds"] is holds
+    # higher is better: the mirrored metric gives the same verdict
+    assert metrics["items_per_start"]["claim_holds"] is holds

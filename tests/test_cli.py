@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -76,6 +77,13 @@ class TestFuse:
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "fuse", "--input", "no-such.csv", "--faults", "0")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("path", ["./missing.csv", ""])
+    def test_missing_file_is_named_as_typed(self, capsys, monkeypatch, tmp_path, path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "fuse", "--input", path, "--faults", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
     def test_malformed_csv_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -641,9 +649,86 @@ class TestComputeInvariantFailure:
         assert "not refinement-related" in err
 
 
+# each subcommand's flags in help order, with their help texts (None: no help text)
+SUBCOMMAND_FLAGS = {
+    "fuse": [
+        ("--input", "interval file (CSV 'lo,hi' or JSON)"), ("--format", None), ("--faults", None),
+    ],
+    "graded": [
+        ("--input", "interval file (CSV 'lo,hi' or JSON)"), ("--format", None), ("--fmin", None), ("--fmax", None),
+    ],
+    "random": [
+        ("--input", "interval file (CSV 'lo,hi' or JSON)"),
+        ("--format", None),
+        ("--dist", "JSON pmf over fault counts (path or inline)"),
+        ("--sample", "also draw this many results"),
+        ("--seed", None),
+    ],
+    "partition": [("--table", "information table CSV"), ("--attrs", "comma-separated attribute names")],
+    "granulate": [("--table", "information table CSV"), ("--chain", "JSON attribute chain (path or inline)")],
+    "approx": [
+        ("--table", "information table CSV"),
+        ("--attrs", "comma-separated attribute names"),
+        ("--target", "comma-separated object ids"),
+    ],
+    "graded-approx": [
+        ("--table", "information table CSV"),
+        ("--attrs", "comma-separated attribute names"),
+        ("--targets", "JSON nested target sets (path or inline)"),
+    ],
+    "sensitivity": [
+        ("--table", "information table CSV"),
+        ("--chain", "JSON attribute chain (path or inline)"),
+        ("--target", "comma-separated object ids"),
+    ],
+    "simulate": [
+        ("--sensors", None),
+        ("--faulty", None),
+        ("--rounds", None),
+        ("--seed", None),
+        ("--truth", None),
+        ("--halfwidth", "max half-width of correct intervals"),
+        ("--offset", "min center displacement of faulty intervals"),
+    ],
+}
+
+REQUIRED_FLAGS = {
+    "fuse": "--input, --faults",
+    "graded": "--input, --fmin, --fmax",
+    "random": "--input, --dist",
+    "partition": "--table, --attrs",
+    "granulate": "--table, --chain",
+    "approx": "--table, --attrs, --target",
+    "graded-approx": "--table, --attrs, --targets",
+    "sensitivity": "--table, --chain, --target",
+    "simulate": "--sensors, --faulty, --rounds",
+}
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", REQUIRED_FLAGS)
+    def test_missing_required_flags_are_named_in_order(self, capsys, command):
+        code, out, err = run_cli(capsys, command)
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"gsets {command}: error: the following arguments are required: {REQUIRED_FLAGS[command]}"]
+
+    @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+    def test_subcommand_help_names_each_flag_with_its_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, command, "--help")
+        assert code == 0 and err == ""
+        # an option's entry runs from its flag to the next option, with lines rejoined
+        entries = {
+            m[1]: " ".join(m[2].split()) for m in re.finditer(r"^  (--[\w-]+)(.*?)(?=^  -|\Z)", out, re.M | re.S)
+        }
+        assert list(entries) == [flag for flag, _ in SUBCOMMAND_FLAGS[command]]
+        for flag, text in SUBCOMMAND_FLAGS[command]:
+            if text is not None:
+                assert entries[flag].endswith(" " + text), flag
 
     def test_unknown_flag(self, capsys, intervals_csv):
         assert main(["fuse", "--input", intervals_csv, "--bogus", "1"]) == 2
@@ -977,6 +1062,24 @@ def test_only_simulate_loads_a_hash_module_and_never_openssl(fixtures_dir, inter
     # hashlib (OpenSSL) is only the fallback when neither built-in module exists
     if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
         assert not {"hashlib", "_hashlib"} & set(added["simulate"])
+
+
+# Runs one fuse call without the site module, whose start-up hooks may load
+# modules of their own, and prints the modules it never loaded.
+_MODULE_SET_PROBE = r"""
+import contextlib, io, json, sys
+from gsets.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["fuse", "--input", sys.argv[1], "--faults", "1"]) == 0
+print(json.dumps(sorted({"typing", "pathlib"} & set(sys.modules))))
+"""
+
+
+def test_a_call_loads_neither_typing_nor_pathlib(intervals_csv):
+    proc = _gsets_process(["-S", "-c", _MODULE_SET_PROBE, intervals_csv])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 # ---------------------------------------------------------------------------
