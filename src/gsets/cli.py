@@ -116,8 +116,8 @@ def _cmd_granulate(args: argparse.Namespace):
         formats.parse_table(_read_file(args.table)),
         formats.parse_graded_family(_read_source(args.chain)),
     )
-    # one level's blocks are held at a time, and nothing is written before the last level has rendered
-    return list(formats.granular_set_chunks(granular))
+    # written a level at a time as each renders; the names are checked before the first chunk
+    return formats.granular_set_chunks(granular)
 
 
 @_one_document

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,27 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def traced(call):
+    """``call()`` under tracemalloc: its result, the bytes still held when it
+    returns, and the peak.  The one place the tests start tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def refines_by_definition(finer, coarser) -> bool:
+    """The brute-force refinement oracle: the two universes hold the same
+    elements, and every finer block lies inside one coarser block."""
+    coarse_block = {x: i for i, block in enumerate(coarser.blocks) for x in block}
+    return set(finer.universe) == coarse_block.keys() and all(
+        len({coarse_block[x] for x in block}) == 1 for block in finer.blocks
+    )
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,12 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from gsets import GranularSet, Partition, infosys
 from gsets.cli import main
 from gsets.formats import dumps_canonical
@@ -31,20 +31,45 @@ def run_cli(capsys, *argv):
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def _gsets_process(
-    args, *, unbuffered=False, popen=False, input=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env
-):
-    """Run ``python <args>`` with this checkout's src first on the path, stdout
-    buffered (PYTHONUNBUFFERED dropped) or write-through (set), and `env` added.
-    With `popen` the child is started and returned running, for a test that
-    reads its streams as it writes them."""
+def _child_env(unbuffered=False, **env):
+    """The environment of a child: this checkout's src first on the path, stdout
+    buffered (PYTHONUNBUFFERED dropped) or write-through (set), and `env` added."""
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    if popen:
-        return subprocess.Popen([sys.executable, *args], stdout=stdout, stderr=stderr, env=env)
+    return env
+
+
+def _gsets_process(args, *, unbuffered=False, input=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
+    """Run ``python <args>`` in `_child_env`."""
+    env = _child_env(unbuffered, **env)
     return subprocess.run([sys.executable, *args], input=input, stdout=stdout, stderr=stderr, env=env, timeout=60)
+
+
+def _closed_after(n: int, argv: list[str]) -> tuple[int, str]:
+    """Start ``python -m gsets <argv>``, read `n` bytes of its stdout and close
+    it, so the writer meets a closed pipe: the exit code and the stderr text."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "gsets", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+    ) as proc:
+        assert len(proc.stdout.read(n)) == n
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        return proc.wait(timeout=60), err
+
+
+def _traced_main(argv: list[str], out=None, warm=None) -> tuple[int, int, int]:
+    """The traced (code, held, peak) of ``main(argv)`` with stdout on the path
+    `out`, or the null device, after a warm-up call of `warm` (default `argv`)
+    has filled the import and regex caches of a first call.  The warm-up's text
+    is dropped from `out`."""
+    with open(out or os.devnull, "w", encoding="utf-8") as stream, contextlib.redirect_stdout(stream):
+        main(warm or argv)
+        if out:
+            stream.seek(0)
+            stream.truncate()
+        return traced(lambda: main(argv))
 
 
 @pytest.fixture
@@ -195,31 +220,16 @@ class TestRandom:
     def test_sample_memory_does_not_grow_with_the_count(self, intervals_csv):
         # the draws are written as they are made; 10^5 of them are over 500 KB of text
         argv = ["random", "--input", intervals_csv, "--dist", '{"0":0.5,"1":0.3,"2":0.2}', "--sample"]
-        with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
-            main(argv + ["1"])  # fills the import and regex caches of a first call
-            tracemalloc.start()
-            try:
-                code = main(argv + ["100000"])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        code, _, peak = _traced_main(argv + ["100000"], warm=argv + ["1"])
         assert code == 0
         assert peak <= 384 * 1024
 
     def test_reader_closing_early_is_one_error_line(self, intervals_csv):
         # 2**64 draws pass the seed check, so only the closed pipe can end the call
-        proc = _gsets_process(
-            ["-m", "gsets", "random", "--input", intervals_csv, "--dist", '{"0":1.0}', "--sample", str(2**64),
-             "--seed", "0"],
-            popen=True,
+        code, err = _closed_after(
+            100, ["random", "--input", intervals_csv, "--dist", '{"0":1.0}', "--sample", str(2**64), "--seed", "0"]
         )
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def _uniform_inputs(directory, n: int, seed: int) -> tuple[str, str]:
@@ -240,14 +250,7 @@ def _uniform_inputs(directory, n: int, seed: int) -> tuple[str, str]:
 
 def _peak_per_input_byte(argv: list[str], inputs: list[str]) -> float:
     """The traced peak of a second call of `argv`, per byte of its input files."""
-    with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
-        main(argv)  # fills the import and regex caches of a first call
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    code, _, peak = _traced_main(argv)
     assert code == 0
     return peak / sum(os.path.getsize(path) for path in inputs)
 
@@ -371,26 +374,34 @@ class TestGranulate:
         assert code == 2 and out == ""
         assert err == "error: partition block: expected an array of name strings\n"
 
-    def test_memory_is_bounded_by_the_output(self, tmp_path):
-        # one level's blocks are held at a time, and the parsed table is freed before
-        # the first level renders: about 6x the output, against about 13x for the whole tree
+    @pytest.fixture(scope="class")
+    def seeded_argv(self, tmp_path_factory):
+        # a seeded 4000 x 12 table and its 12-level chain: about 415 KB of output
         rng = random.Random(4000)
         attrs = [f"A{j}" for j in range(12)]
         rows = "".join(f"o{i}," + ",".join(str(rng.randrange(c)) for c in (2, 3, 4, 5) * 3) + "\n" for i in range(4000))
-        table = tmp_path / "table.csv"
+        table = tmp_path_factory.mktemp("n4000") / "table.csv"
         table.write_text("object," + ",".join(attrs) + "\n" + rows, encoding="utf-8")
-        argv = ["granulate", "--table", str(table), "--chain", json.dumps([attrs[: k + 1] for k in range(12)])]
+        return ["granulate", "--table", str(table), "--chain", json.dumps([attrs[: k + 1] for k in range(12)])]
+
+    def test_each_level_is_written_before_the_next_is_grouped(self, monkeypatch, table_csv, chain_json):
+        # the levels stream: when a level is grouped, every level before it is already on stdout
+        out, group, seen = io.StringIO(), Partition._groups, []
+        monkeypatch.setattr(Partition, "_groups", lambda p: seen.append(out.getvalue().count('"blocks"')) or group(p))
+        with contextlib.redirect_stdout(out):
+            assert main(["granulate", "--table", table_csv, "--chain", chain_json]) == 0
+        assert seen == [0, 1, 2, 3, 4]
+
+    def test_reader_closing_early_is_one_error_line(self, seeded_argv):
+        # the document is larger than the pipe holds, so a level's write meets the closed pipe
+        code, err = _closed_after(100, seeded_argv)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_memory_is_bounded_by_the_output(self, tmp_path, seeded_argv):
+        # one level's blocks are held at a time and written as they render, after the parsed table
+        # is freed: about 4.1x the output, against 4.3x with every level's text held, 13x for the tree
         out_path = tmp_path / "granular.json"
-        with out_path.open("w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
-            main(argv)  # fills the import and regex caches of a first call
-            out.seek(0)
-            out.truncate()
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        code, _, peak = _traced_main(seeded_argv, out_path)
         size = out_path.stat().st_size
         assert code == 0 and size > 400_000
         assert peak <= 8 * size, f"peak {peak / size:.1f}x the output"
@@ -526,16 +537,7 @@ class TestSimulate:
         # the report is held only as its own text, never as outcomes or a document tree
         argv = ["simulate", "--sensors", str(sensors), "--faulty", str(faulty), "--rounds", str(rounds)]
         out_path = tmp_path / "report.json"
-        with out_path.open("w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
-            main(argv[:-1] + ["1"])  # fills the import and regex caches of a first call
-            out.seek(0)
-            out.truncate()
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        code, _, peak = _traced_main(argv, out_path, warm=argv[:-1] + ["1"])
         size = out_path.stat().st_size
         assert code == 0 and size > 1_000_000
         assert peak <= 1.25 * size + 512 * 1024
@@ -777,16 +779,9 @@ class TestProcessDeterminism:
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     def test_reader_closing_early_is_one_error_line(self):
-        proc = _gsets_process(
-            ["-m", "gsets", "simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"], popen=True
-        )
-        assert len(proc.stdout.read(10)) == 10
-        proc.stdout.close()  # the report is far larger than the pipe, so the writer meets a closed pipe
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        # the report is far larger than the pipe, so the writer meets a closed pipe
+        code, err = _closed_after(10, ["simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"])
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_simulate_bytes_stable_across_hash_seeds(self):
         argv = ["simulate", "--sensors", "5", "--faulty", "1", "--rounds", "2", "--seed", "3"]

@@ -1,6 +1,5 @@
 import json
 import random
-import tracemalloc
 from functools import partial
 from unittest.mock import patch
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from gsets import (
     ApproximationPair,
     DomainError,
@@ -299,12 +299,7 @@ class TestParseTableBatches:
         tokens = [[f"{chr(97 + j)}{v}" for v in range(card)] for j, card in enumerate(cards)]
         header = ",".join(["object", *(f"A{j}" for j in range(len(cards)))])
         text = "\n".join([header, *(",".join([f"o{i}", *map(rng.choice, tokens)]) for i in range(n))]) + "\n"
-        tracemalloc.start()
-        try:
-            table = parse_table(text)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, held, peak = traced(lambda: parse_table(text))
         cells = n * len(cards)
         assert len(table.objects) == n
         assert held <= 16 * cells, f"{held / cells:.1f} bytes held per cell"

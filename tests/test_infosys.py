@@ -1,11 +1,11 @@
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import refines_by_definition, traced
 from gsets import (
     ApproximationPair,
     DomainError,
@@ -382,12 +382,7 @@ class TestIncrementalChainsMatchReference:
         # object measured, against about 2.2 KB with one dict per level
         table, chain, _, _ = _seeded_case(n=20_000)
         chain = GradedFamily(chain)
-        tracemalloc.start()
-        try:
-            granular_from_chain(table, chain)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: granular_from_chain(table, chain))
         assert peak <= 1200 * len(table.objects), f"{peak / len(table.objects):.0f} bytes per object"
 
 
@@ -485,14 +480,6 @@ class TestColumnCodes:
             table.value("a", "p")
 
 
-def _refines_by_definition(finer, coarser):
-    # every finer block lies inside one coarser block, read off the blocks
-    coarse_block = {x: i for i, block in enumerate(coarser.blocks) for x in block}
-    return set(finer.universe) == coarse_block.keys() and all(
-        len({coarse_block[x] for x in block}) == 1 for block in finer.blocks
-    )
-
-
 @pytest.fixture(scope="module")
 def large_case():
     return _seeded_case(n=10_000)
@@ -514,8 +501,8 @@ class TestLargeTableInvariants:
         levels = granular_from_chain(table, GradedFamily(chain)).levels
         assert len({len(p.blocks) for p in levels}) > 2
         for finer, coarser in zip(levels, levels[1:]):
-            assert _refines_by_definition(finer, coarser)
-        assert not _refines_by_definition(levels[-1], levels[0])
+            assert refines_by_definition(finer, coarser)
+        assert not refines_by_definition(levels[-1], levels[0])
 
     def test_refines_across_permuted_universes(self, large_case):
         # a level rebuilt over a shuffled universe order takes refines'
@@ -533,8 +520,8 @@ class TestLargeTableInvariants:
             for a, b in ((finer, coarser), (coarser, finer)):
                 b_permuted = permuted(b)
                 assert b_permuted.universe != a.universe
-                assert refines(a, b_permuted) == _refines_by_definition(a, b)
-                assert refines(permuted(a), b) == _refines_by_definition(a, b)
+                assert refines(a, b_permuted) == refines_by_definition(a, b)
+                assert refines(permuted(a), b) == refines_by_definition(a, b)
         with pytest.raises(DomainError, match="universe mismatch"):
             refines(levels[0], Partition.from_blocks(levels[1].blocks[1:]))
 

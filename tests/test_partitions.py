@@ -1,9 +1,8 @@
-import tracemalloc
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import refines_by_definition, traced
 from gsets import (
     DomainError,
     GranularSet,
@@ -18,13 +17,6 @@ from strategies import block_labelings
 
 def part(*blocks):
     return Partition.from_blocks([list(b) for b in blocks])
-
-
-def refinement_oracle(finer: Partition, coarser: Partition) -> bool:
-    # brute force: every finer block sits inside some coarser block
-    return all(
-        any(set(fb) <= set(cb) for cb in coarser.blocks) for fb in finer.blocks
-    )
 
 
 class TestPartitionConstruction:
@@ -93,13 +85,8 @@ class TestPartitionConstruction:
         rows = [(str(i % 7), str(i % 7)) for i in range(n)]
         p = indiscernibility_partition(InformationTable(objects, ["A", "B"], rows), ["A"])
         q = indiscernibility_partition(InformationTable(objects[::-1], ["A", "B"], rows[::-1]), ["B"])
-        tracemalloc.start()
-        try:
-            assert p == q
-            assert hash(p) == hash(q)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        equal, retained, _ = traced(lambda: (p == q, hash(p) == hash(q)))
+        assert equal == (True, True)
         assert retained <= 2 * n, f"{retained / n:.1f} bytes per object retained"
 
     def test_one_block_peak_memory_is_linear(self):
@@ -108,12 +95,7 @@ class TestPartitionConstruction:
         # small size fails fast before the large one could exhaust memory.
         for n in (2000, 20000):
             universe = [f"x{i}" for i in range(n)]
-            tracemalloc.start()
-            try:
-                Partition(universe, [universe])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, _, peak = traced(lambda: Partition(universe, [universe]))
             assert peak <= 1024 * n, f"n={n}: {peak / n:.0f} bytes per element"
 
 
@@ -143,7 +125,7 @@ class TestRefines:
         for x in universe:
             q_blocks.setdefault(labels.get(x, -1), []).append(x)
         q = Partition(universe, list(q_blocks.values()))
-        assert refines(p, q) == refinement_oracle(p, q)
+        assert refines(p, q) == refines_by_definition(p, q)
 
     @given(block_labelings())
     def test_reflexive_and_transitive_on_random_partitions(self, labeled):
