@@ -2,20 +2,20 @@
 
 Every randomized criterion runs a fixed-seed generator, so the suite is
 reproducible run to run.  Expected values are computed by independent
-brute-force oracles defined in this file (counting-based endpoint
-selection, set intersection/hull, all-pairs subset checks, block
-containment), never by the code under test.  Verdict lines are emitted
-through the terminal-summary hook so they survive pytest's capture.
+brute-force oracles, never by the code under test: counting-based endpoint
+selection, set intersection/hull and all-pairs subset checks are defined in
+this file, and block containment is conftest's `refines_by_definition`,
+shared with the unit tests.  Verdict lines are emitted through the
+terminal-summary hook so they survive pytest's capture.
 """
 
 import functools
 import json
 import random
 import time
-from pathlib import Path
 
 import acceptance_report
-from test_cli import _gsets_process
+from conftest import GOLDEN_CASES, agreed_run, fill, refines_by_definition
 
 from gsets import (
     ApproximationPair,
@@ -52,13 +52,10 @@ from gsets.formats import (
     parse_intervals,
     parse_partition,
     parse_sensitivity_profile,
-    parse_table,
     partition_doc,
     sensitivity_profile_doc,
 )
 from gsets.infosys import InformationTable, sensitivity_profile
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def criterion(number, label, budget_seconds):
@@ -111,12 +108,6 @@ def oracle_nested(inner, outer):
     return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
-def oracle_refines(finer_blocks, coarser_blocks):
-    return all(
-        any(set(fb) <= set(cb) for cb in coarser_blocks) for fb in finer_blocks
-    )
-
-
 def rand_interval(rng):
     a = rng.randint(-40, 40) / 2.0
     b = rng.randint(-40, 40) / 2.0
@@ -146,51 +137,23 @@ def rand_nested_chain(rng, names, allow_empty=True):
     return [order[:k] for k in cuts]
 
 
-# ---------------------------------------------------------------------------
-# fixtures shared by the exact-reproduction criteria
-
-EXPECTED_C1 = [["O1", "O2"], ["O3", "O5", "O7", "O9", "O10"], ["O4", "O6", "O8"]]
-EXPECTED_C2 = [["O1", "O2"], ["O3", "O7", "O10"], ["O4", "O6"], ["O5", "O9"], ["O8"]]
-EXPECTED_C5 = [["O1", "O2"], ["O3", "O7", "O10"], ["O4"], ["O5"], ["O6"], ["O8"], ["O9"]]
-CHAIN_LEVELS = [
-    ["P1"],
-    ["P1", "P2"],
-    ["P1", "P2", "P3"],
-    ["P1", "P2", "P3", "P4"],
-    ["P1", "P2", "P3", "P4", "P5"],
-]
-
-
-def load_sample_table():
-    return parse_table((FIXTURES / "sample_table.csv").read_text())
-
-
-def block_set(partition):
-    return frozenset(frozenset(b) for b in partition.blocks)
-
-
-def expected_block_set(blocks):
-    return frozenset(frozenset(b) for b in blocks)
+def same_blocks(a, b):
+    """The two partitions have the same blocks, each refining the other by definition."""
+    return refines_by_definition(a, b) and refines_by_definition(b, a)
 
 
 @criterion(1, "sample-table classes C1..C5 reproduced exactly", 1.0)
-def test_criterion_1_table_reproduction():
-    table = load_sample_table()
-    expected = [EXPECTED_C1, EXPECTED_C2, EXPECTED_C2, EXPECTED_C2, EXPECTED_C5]
-    for attrs, blocks in zip(CHAIN_LEVELS, expected):
-        part = indiscernibility_partition(table, attrs)
-        assert block_set(part) == expected_block_set(blocks)
+def test_criterion_1_table_reproduction(sample_table, sample_chain_levels, expected_classes):
+    for k, attrs in enumerate(sample_chain_levels, 1):
+        assert same_blocks(indiscernibility_partition(sample_table, attrs), expected_classes[f"C{k}"])
 
 
 @criterion(2, "chain granulation yields the expected tower, finest C5 to coarsest C1", 1.0)
-def test_criterion_2_granular_fixture():
-    table = load_sample_table()
-    g = granular_from_chain(table, GradedFamily(CHAIN_LEVELS))
+def test_criterion_2_granular_fixture(sample_table, sample_chain_levels, expected_classes):
+    g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
     assert len(g) == 5
-    assert block_set(g.levels[0]) == expected_block_set(EXPECTED_C5)
-    assert block_set(g.levels[-1]) == expected_block_set(EXPECTED_C1)
-    middles = [block_set(g.levels[i]) for i in (1, 2, 3)]
-    assert middles[0] == middles[1] == middles[2] == expected_block_set(EXPECTED_C2)
+    for level, name in zip(g.levels, ["C5", "C4", "C3", "C2", "C1"]):
+        assert same_blocks(level, expected_classes[name])
 
 
 @criterion(3, "nesting of fused intervals: 1000 random lists, 0 violations", 10.0)
@@ -264,7 +227,7 @@ def test_criterion_6_granulation_property():
         g = granular_from_chain(table, GradedFamily(chain))
         assert len(g) == len(chain)
         for finer, coarser in zip(g.levels, g.levels[1:]):
-            assert oracle_refines(finer.blocks, coarser.blocks)
+            assert refines_by_definition(finer, coarser)
 
 
 @criterion(7, "graded approximations nest and sandwich on 1000 random cases", 30.0)
@@ -284,8 +247,8 @@ def test_criterion_7_graded_approximations():
 
 
 @criterion(8, "pushforward pmf exact on the three-interval fixture; sampling within 0.01", 5.0)
-def test_criterion_8_random_graded_set():
-    items = parse_intervals((FIXTURES / "three_intervals.csv").read_text())
+def test_criterion_8_random_graded_set(fixtures_dir):
+    items = parse_intervals((fixtures_dir / "three_intervals.csv").read_text())
     dist = random_graded(items, FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items()))
     expected = {
         Interval(4, 8): 0.5,
@@ -363,25 +326,7 @@ def test_criterion_9_round_trips():
         assert parse_sensitivity_profile(text) == profile
 
     # byte-identical CLI runs on the repository fixtures
-    commands = [
-        ["fuse", "--input", str(FIXTURES / "three_intervals.csv"), "--faults", "1"],
-        [
-            "granulate",
-            "--table", str(FIXTURES / "sample_table.csv"),
-            "--chain", str(FIXTURES / "attr_chain.json"),
-        ],
-        [
-            "sensitivity",
-            "--table", str(FIXTURES / "sample_table.csv"),
-            "--chain", str(FIXTURES / "attr_chain.json"),
-            "--target", "O1,O2,O3",
-        ],
-    ]
-    for argv in commands:
-        runs = [_gsets_process(["-m", "gsets", *argv]) for _ in range(2)]
-        assert runs[0].returncode == runs[1].returncode == 0
-        assert runs[0].stdout == runs[1].stdout
-        json.loads(runs[0].stdout.decode())
-        assert dumps_canonical(json.loads(runs[0].stdout.decode())) == (
-            runs[0].stdout.decode().rstrip("\n")
-        )
+    for case in ("fuse", "granulate", "sensitivity"):
+        run = agreed_run(["-m", "gsets", *fill(GOLDEN_CASES[case])], ({}, {}))
+        assert run.returncode == 0
+        assert dumps_canonical(json.loads(run.stdout.decode())) == run.stdout.decode().rstrip("\n")

@@ -7,14 +7,13 @@ import math
 import os
 import random
 import re
-import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced
+from conftest import GOLDEN_CASES, agreed_run, closed_after, fill, gsets_process, traced
 from gsets import GranularSet, Partition, infosys
 from gsets.cli import main
 from gsets.formats import dumps_canonical
@@ -26,37 +25,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-
-
-def _child_env(unbuffered=False, **env):
-    """The environment of a child: this checkout's src first on the path, stdout
-    buffered (PYTHONUNBUFFERED dropped) or write-through (set), and `env` added."""
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
-
-
-def _gsets_process(args, *, unbuffered=False, input=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
-    """Run ``python <args>`` in `_child_env`."""
-    env = _child_env(unbuffered, **env)
-    return subprocess.run([sys.executable, *args], input=input, stdout=stdout, stderr=stderr, env=env, timeout=60)
-
-
-def _closed_after(n: int, argv: list[str]) -> tuple[int, str]:
-    """Start ``python -m gsets <argv>``, read `n` bytes of its stdout and close
-    it, so the writer meets a closed pipe: the exit code and the stderr text."""
-    with subprocess.Popen(
-        [sys.executable, "-m", "gsets", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
-    ) as proc:
-        assert len(proc.stdout.read(n)) == n
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        return proc.wait(timeout=60), err
 
 
 def _traced_main(argv: list[str], out=None, warm=None) -> tuple[int, int, int]:
@@ -226,7 +194,7 @@ class TestRandom:
 
     def test_reader_closing_early_is_one_error_line(self, intervals_csv):
         # 2**64 draws pass the seed check, so only the closed pipe can end the call
-        code, err = _closed_after(
+        code, err = closed_after(
             100, ["random", "--input", intervals_csv, "--dist", '{"0":1.0}', "--sample", str(2**64), "--seed", "0"]
         )
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
@@ -394,7 +362,7 @@ class TestGranulate:
 
     def test_reader_closing_early_is_one_error_line(self, seeded_argv):
         # the document is larger than the pipe holds, so a level's write meets the closed pipe
-        code, err = _closed_after(100, seeded_argv)
+        code, err = closed_after(100, seeded_argv)
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_memory_is_bounded_by_the_output(self, tmp_path, seeded_argv):
@@ -543,43 +511,18 @@ class TestSimulate:
         assert peak <= 1.25 * size + 512 * 1024
 
 
-GOLDEN_CASES = {
-    "fuse": ["fuse", "--input", "{intervals}", "--faults", "1"],
-    "graded": ["graded", "--input", "{intervals}", "--fmin", "0", "--fmax", "2"],
-    "random": [
-        "random", "--input", "{intervals}", "--dist", '{{"0":0.5,"1":0.3,"2":0.2}}',
-        "--sample", "5", "--seed", "3",
-    ],
-    "partition": ["partition", "--table", "{table}", "--attrs", "P1,P2"],
-    "granulate": ["granulate", "--table", "{table}", "--chain", "{chain}"],
-    "approx": ["approx", "--table", "{table}", "--attrs", "P1,P2,P3,P4,P5", "--target", "O1,O2,O3"],
-    "graded-approx": [
-        "graded-approx", "--table", "{table}", "--attrs", "P1,P2,P3,P4,P5",
-        "--targets", '[["O1"],["O1","O2"],["O1","O2","O3"]]',
-    ],
-    "sensitivity": [
-        "sensitivity", "--table", "{table}", "--chain", "{chain}", "--target", "O1,O2,O3",
-    ],
-    # a non-integral truth takes the float branch of the config's real rendering
-    "simulate": [
-        "simulate", "--sensors", "6", "--faulty", "2", "--rounds", "3", "--seed", "11",
-        "--truth", "0.1",
-    ],
-}
-
-
 class TestGoldenBytes:
     """Exact stdout of every subcommand on the fixtures, byte for byte."""
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_stdout_matches_golden(self, capsys, fixtures_dir, intervals_csv, table_csv, chain_json, case):
-        argv = [
-            a.format(intervals=intervals_csv, table=table_csv, chain=chain_json)
-            for a in GOLDEN_CASES[case]
-        ]
-        code, out, err = run_cli(capsys, *argv)
+    def test_stdout_matches_golden(self, capsys, fixtures_dir, case):
+        code, out, err = run_cli(capsys, *fill(GOLDEN_CASES[case]))
         assert code == 0 and err == ""
         assert out.encode("utf-8") == (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
+
+    def test_one_golden_file_per_case(self, fixtures_dir):
+        # a golden file with no case, or a case with no golden file, is stale
+        assert sorted(path.stem for path in (fixtures_dir / "cli_golden").glob("*.json")) == sorted(GOLDEN_CASES)
 
 
 class TestUndecodableInput:
@@ -591,11 +534,10 @@ class TestUndecodableInput:
             ["granulate", "--table", "{table}", "--chain", "{bad}"],
         ],
     )
-    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path, table_csv, argv):
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path, argv):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"lo,hi\n\xff\xfe,1\n")
-        argv = [a.format(bad=bad, table=table_csv) for a in argv]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *fill(argv, bad=bad))
         assert code == 2 and out == ""
         assert err == f"error: {bad}: not UTF-8 text (byte 6)\n"
 
@@ -764,36 +706,31 @@ class TestUsage:
 
 
 class TestProcessDeterminism:
-    def test_granulate_bytes_stable_across_hash_seeds(self, table_csv, chain_json):
-        argv = ["granulate", "--table", table_csv, "--chain", chain_json]
-        a = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="0")
-        b = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="424242")
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
+    def test_granulate_bytes_stable_across_hash_seeds(self):
+        seeds = ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "424242"})
+        assert agreed_run(["-m", "gsets", *fill(GOLDEN_CASES["granulate"])], seeds).returncode == 0
 
     def test_simulate_fault_check_survives_optimized_mode(self):
         # the fault geometry check must not be an assert, which -O strips
         argv = ["simulate", "--sensors", "3", "--faulty", "1", "--rounds", "1", "--truth", "1e20"]
-        proc = _gsets_process(["-m", "gsets", *argv], PYTHONOPTIMIZE="1")
+        proc = gsets_process(["-m", "gsets", *argv], PYTHONOPTIMIZE="1")
         assert proc.returncode == 1 and proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     def test_reader_closing_early_is_one_error_line(self):
         # the report is far larger than the pipe, so the writer meets a closed pipe
-        code, err = _closed_after(10, ["simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"])
+        code, err = closed_after(10, ["simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"])
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_simulate_bytes_stable_across_hash_seeds(self):
         argv = ["simulate", "--sensors", "5", "--faulty", "1", "--rounds", "2", "--seed", "3"]
-        a = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="101")
-        b = _gsets_process(["-m", "gsets", *argv], PYTHONHASHSEED="202")
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
+        seeds = ({"PYTHONHASHSEED": "101"}, {"PYTHONHASHSEED": "202"})
+        assert agreed_run(["-m", "gsets", *argv], seeds).returncode == 0
 
 
 # Error cases whose message names one of several defects held in a set, and
 # the expected stderr (or stdout of a library call), which must not depend on
-# the hash seed.
+# the hash seed.  The args go through `fill`, so a literal brace is doubled.
 HASH_SEED_CASES = {
     "approx-unknown-objects": (
         ["-m", "gsets", "approx", "--table", "{table}", "--attrs", "P1", "--target", "O1,X1,X2,X3"],
@@ -812,7 +749,7 @@ HASH_SEED_CASES = {
     # a set block is walked least repr first
     "partition-set-block-foreign-elements": (
         ["-c", "from gsets import DomainError, Partition\ntry:\n"
-               "    Partition(['a'], [{'x1', 'x2', 'x3'}])\n"
+               "    Partition(['a'], [{{'x1', 'x2', 'x3'}}])\n"
                "except DomainError as exc:\n    print(exc)"],
         0, "block element 'x1' is not in the universe\n", "",
     ),
@@ -825,19 +762,11 @@ HASH_SEED_CASES = {
     ),
     "object-set-missing-identifier": (
         ["-c", "from gsets import ApproximationPair, ParseError\nfrom gsets.formats import approximation_pair_doc\n"
-               "try:\n    approximation_pair_doc(ApproximationPair(set(), {'x1', 'x2', 'x3'}), order=['a'])\n"
+               "try:\n    approximation_pair_doc(ApproximationPair(set(), {{'x1', 'x2', 'x3'}}), order=['a'])\n"
                "except ParseError as exc:\n    print(exc)"],
         0, "identifier 'x1' is not in the supplied order\n", "",
     ),
 }
-
-
-def _both_modes(args, **kwargs):
-    """The child's (exit code, stderr) with buffered and with write-through
-    stdout, which must agree; stdout is then checked by the caller."""
-    runs = [_gsets_process(args, unbuffered=unbuffered, **kwargs) for unbuffered in (False, True)]
-    assert (runs[0].returncode, runs[0].stderr) == (runs[1].returncode, runs[1].stderr)
-    return runs
 
 
 # Hangs an object on sys whose finaliser writes to fd 2 if the interpreter is
@@ -866,6 +795,11 @@ runpy.run_module("gsets", run_name="__main__", alter_sys=True)
 """
 
 
+# variants for agreed_run: stdout buffered and write-through, and three hash seeds
+BOTH_MODES = ({}, {"unbuffered": True})
+HASH_SEEDS = ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1", "unbuffered": True}, {"PYTHONHASHSEED": "2"})
+
+
 def _with_closed(fd, args):
     """The args that run ``python <args>`` with descriptor `fd` closed from the start."""
     return ["-c", f"import os, sys; os.close({fd}); os.execv(sys.argv[1], sys.argv[1:])", sys.executable, *args]
@@ -875,26 +809,17 @@ class TestHashSeedIndependence:
     """Every golden case and every listed error case gives the same bytes on
     both streams under three hash seeds, with stdout buffered and write-through."""
 
-    @staticmethod
-    def _streams(args):
-        runs = set()
-        for hashseed, unbuffered in (("0", False), ("1", True), ("2", False)):
-            proc = _gsets_process(args, unbuffered=unbuffered, PYTHONHASHSEED=hashseed)
-            runs.add((proc.returncode, proc.stdout, proc.stderr))
-        assert len(runs) == 1
-        return runs.pop()
-
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_golden_case(self, fixtures_dir, intervals_csv, table_csv, chain_json, case):
-        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]]
+    def test_golden_case(self, fixtures_dir, case):
         golden = (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
-        assert self._streams(["-m", "gsets", *argv]) == (0, golden, b"")
+        run = agreed_run(["-m", "gsets", *fill(GOLDEN_CASES[case])], HASH_SEEDS)
+        assert (run.returncode, run.stdout, run.stderr) == (0, golden, b"")
 
     @pytest.mark.parametrize("case", sorted(HASH_SEED_CASES))
-    def test_error_case(self, table_csv, case):
+    def test_error_case(self, case):
         args, code, out, err = HASH_SEED_CASES[case]
-        args = [a.replace("{table}", table_csv) for a in args]
-        assert self._streams(args) == (code, out.encode(), err.encode())
+        run = agreed_run(fill(args), HASH_SEEDS)
+        assert (run.returncode, run.stdout, run.stderr) == (code, out.encode(), err.encode())
 
 
 class TestProcessExit:
@@ -904,7 +829,7 @@ class TestProcessExit:
 
     @pytest.mark.parametrize("mode", ["plain", "profiled"])
     def test_teardown_is_skipped_and_atexit_handlers_run(self, fixtures_dir, intervals_csv, mode):
-        proc = _gsets_process(
+        proc = gsets_process(
             ["-c", _EXIT_PROBE, mode, "fuse", "--input", intervals_csv, "--faults", "1"], unbuffered=False
         )
         assert proc.returncode == 0
@@ -913,7 +838,7 @@ class TestProcessExit:
         assert proc.stderr == (b"torn down\n" if mode == "profiled" else b"")
 
     def test_cprofile_prints_the_document_then_its_stats(self, fixtures_dir, intervals_csv):
-        proc = _gsets_process(
+        proc = gsets_process(
             ["-m", "cProfile", "-m", "gsets", "fuse", "--input", intervals_csv, "--faults", "1"], unbuffered=False
         )
         assert proc.returncode == 0 and proc.stderr == b""
@@ -924,24 +849,25 @@ class TestProcessExit:
     def test_pdb_gets_control_back(self):
         # `continue` with no breakpoint set stops pdb's tracing before gsets runs; gsets
         # gets no arguments, because pdb 3.13.0 takes any option after -m module as its own
-        proc = _gsets_process(["-m", "pdb", "-m", "gsets"], input=b"continue\nquit\n")
+        proc = gsets_process(["-m", "pdb", "-m", "gsets"], input=b"continue\nquit\n")
         assert proc.returncode == 0
         assert b"The program exited via sys.exit(). Exit status: 2" in proc.stdout
 
     @pytest.mark.parametrize("via", ["pipe", "file"])
     def test_help_arrives(self, tmp_path, via):
         if via == "pipe":
-            outputs = [run.stdout for run in _both_modes(["-m", "gsets", "--help"])]
+            text = agreed_run(["-m", "gsets", "--help"], BOTH_MODES).stdout
         else:
             outputs = []
             for unbuffered in (False, True):
                 path = tmp_path / f"help-{unbuffered}.txt"
                 with open(path, "wb") as out:
-                    proc = _gsets_process(["-m", "gsets", "--help"], unbuffered=unbuffered, stdout=out)
+                    proc = gsets_process(["-m", "gsets", "--help"], unbuffered=unbuffered, stdout=out)
                 assert proc.returncode == 0 and proc.stderr == b""
                 outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert outputs[0].startswith(b"usage: gsets ") and b"simulate" in outputs[0]
+            assert outputs[0] == outputs[1]
+            text = outputs[0]
+        assert text.startswith(b"usage: gsets ") and b"simulate" in text
 
     @pytest.mark.parametrize(
         "argv, code, err",
@@ -952,11 +878,10 @@ class TestProcessExit:
         ],
         ids=["domain", "unreadable", "usage"],
     )
-    def test_error_exit_codes(self, intervals_csv, argv, code, err):
-        argv = [a.format(intervals=intervals_csv) for a in argv]
-        for run in _both_modes(["-m", "gsets", *argv]):
-            assert run.returncode == code and run.stdout == b""
-            assert run.stderr.decode().startswith(err) and b"Traceback" not in run.stderr
+    def test_error_exit_codes(self, argv, code, err):
+        run = agreed_run(["-m", "gsets", *fill(argv)], BOTH_MODES)
+        assert run.returncode == code and run.stdout == b""
+        assert run.stderr.decode().startswith(err) and b"Traceback" not in run.stderr
 
     @pytest.mark.parametrize(
         "argv, code, err",
@@ -968,10 +893,9 @@ class TestProcessExit:
         ],
         ids=["help", "fuse-help", "unreadable", "document"],
     )
-    def test_closed_stdout(self, intervals_csv, argv, code, err):
+    def test_closed_stdout(self, argv, code, err):
         # with fd 1 closed, sys.stdout is None: a help text, like a document, cannot be written and exits 2
-        argv = [a.format(intervals=intervals_csv) for a in argv]
-        proc = _both_modes(_with_closed(1, ["-m", "gsets", *argv]))[0]
+        proc = agreed_run(_with_closed(1, ["-m", "gsets", *fill(argv)]), BOTH_MODES)
         assert proc.returncode == code
         assert proc.stderr.startswith(err) and b"Traceback" not in proc.stderr
         assert proc.stderr.count(b"error: ") == (code != 0)
@@ -984,16 +908,15 @@ class TestProcessExit:
          (["fuse", "--input", "{intervals}", "--faults", "3"], 1)],
         ids=["parse", "domain"],
     )
-    def test_stderr_that_cannot_take_the_error_line(self, intervals_csv, argv, code, stderr):
+    def test_stderr_that_cannot_take_the_error_line(self, argv, code, stderr):
         # the line is dropped and the code still tells; stdout carries the document or nothing
-        args = ["-c", _TRACEBACK_PROBE, *(a.format(intervals=intervals_csv) for a in argv)]
+        args = ["-c", _TRACEBACK_PROBE, *fill(argv)]
         if stderr == "closed":
-            runs = _both_modes(_with_closed(2, args))
+            run = agreed_run(_with_closed(2, args), BOTH_MODES)
         else:
             with open("/dev/full", "wb") as full:
-                runs = _both_modes(args, stderr=full)
-        for run in runs:
-            assert (run.returncode, run.stdout) == (code, b"")
+                run = agreed_run(args, BOTH_MODES, stderr=full)
+        assert (run.returncode, run.stdout) == (code, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
@@ -1005,76 +928,30 @@ class TestProcessExit:
         ],
         ids=["fuse", "granulate", "help"],
     )
-    def test_stdout_on_a_full_disk_is_one_error_line(self, intervals_csv, table_csv, chain_json, argv):
-        argv = [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in argv]
+    def test_stdout_on_a_full_disk_is_one_error_line(self, argv):
         with open("/dev/full", "wb") as full:
-            runs = _both_modes(["-m", "gsets", *argv], stdout=full)
-        assert runs[0].returncode == 2
-        assert runs[0].stderr == b"error: [Errno 28] No space left on device\n"
+            run = agreed_run(["-m", "gsets", *fill(argv)], BOTH_MODES, stdout=full)
+        assert run.returncode == 2 and run.stderr == b"error: [Errno 28] No space left on device\n"
 
 
-# Runs the golden cases in order in one interpreter and prints, per case, the
-# hash modules it loaded beyond those loaded at import (random's own SHA-512
-# module), then the imports that rounds 1..50 ran after round 0.
-_HASH_MODULE_PROBE = r"""
-import builtins, contextlib, io, json, sys
-from gsets.cli import main
-from gsets.simulate import SimConfig, simulate_round
-
-hashing = {"hashlib", "_hashlib", "_md5", "_sha1", "_sha2", "_sha256", "_sha512", "_sha3", "_blake2"}
-at_import = hashing & set(sys.modules)
-added = {}
-for case, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, case
-    added[case] = sorted(hashing & set(sys.modules) - at_import)
-config = SimConfig(num_sensors=5, truth=0.0, correct_halfwidth_max=1.0, num_faulty=1, fault_offset_min=2.5, seed=7)
-simulate_round(config, 0)
-imports = []
-real_import = builtins.__import__
-builtins.__import__ = lambda name, *args, **kwargs: imports.append(name) or real_import(name, *args, **kwargs)
-for k in range(1, 51):
-    simulate_round(config, k)
-builtins.__import__ = real_import
-print(json.dumps({"added": added, "round_imports": imports}))
-"""
-
-
-def test_only_simulate_loads_a_hash_module_and_never_openssl(fixtures_dir, intervals_csv, table_csv, chain_json):
-    # simulate last, so each other case must add nothing
-    cases = [
-        (case, [a.format(intervals=intervals_csv, table=table_csv, chain=chain_json) for a in GOLDEN_CASES[case]])
-        for case in sorted(GOLDEN_CASES, key=lambda case: case == "simulate")
-    ]
-    proc = _gsets_process(["-c", _HASH_MODULE_PROBE, json.dumps(cases)])
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    added = result["added"]
-    assert added.keys() == GOLDEN_CASES.keys()
-    assert {case: loaded for case, loaded in added.items() if case != "simulate" and loaded} == {}
+def test_only_simulate_loads_a_hash_module_and_never_openssl(module_record):
+    loaded, round_imports = module_record
+    hashing = {"hashlib", "_hashlib", "_md5", "_sha1", "_sha2", "_sha256", "_sha512", "_sha3", "_blake2"}
+    # the hash modules each case loaded beyond those of the import (random's own SHA-512 module);
+    # simulate runs last, so each other case must add nothing
+    added = {case: hashing & loaded[case] - loaded["import"] for case in GOLDEN_CASES}
+    assert {case: names for case, names in added.items() if case != "simulate" and names} == {}
     # the SHA-256 constructor is resolved once, on round 0
-    assert result["round_imports"] == []
+    assert round_imports == []
     # hashlib (OpenSSL) is only the fallback when neither built-in module exists
     if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
-        assert not {"hashlib", "_hashlib"} & set(added["simulate"])
+        assert not {"hashlib", "_hashlib"} & added["simulate"]
 
 
-# Runs one fuse call without the site module, whose start-up hooks may load
-# modules of their own, and prints the modules it never loaded.
-_MODULE_SET_PROBE = r"""
-import contextlib, io, json, sys
-from gsets.cli import main
-
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["fuse", "--input", sys.argv[1], "--faults", "1"]) == 0
-print(json.dumps(sorted({"typing", "pathlib"} & set(sys.modules))))
-"""
-
-
-def test_a_call_loads_neither_typing_nor_pathlib(intervals_csv):
-    proc = _gsets_process(["-S", "-c", _MODULE_SET_PROBE, intervals_csv])
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+def test_a_call_loads_neither_typing_nor_pathlib(module_record):
+    loaded, _ = module_record
+    # the record's last step holds every module loaded at any step
+    assert not {"typing", "pathlib"} & loaded["rounds"]
 
 
 # ---------------------------------------------------------------------------

@@ -485,30 +485,33 @@ def large_case():
     return _seeded_case(n=10_000)
 
 
+@pytest.fixture(scope="module")
+def large_granular(large_case):
+    table, chain, _, _ = large_case
+    return granular_from_chain(table, GradedFamily(chain))
+
+
 class TestLargeTableInvariants:
     """The rough-set invariants on a seeded 10^4 x 12 table, far beyond the
     sizes the property strategies draw."""
 
-    def test_chain_levels_are_the_reference_partitions(self, large_case):
+    def test_chain_levels_are_the_reference_partitions(self, large_case, large_granular):
         table, chain, _, _ = large_case
-        g = granular_from_chain(table, GradedFamily(chain))
-        for level, incremental in zip(chain, reversed(g.levels)):
+        for level, incremental in zip(chain, reversed(large_granular.levels)):
             reference = indiscernibility_partition(table, level)
             assert incremental.blocks == reference.blocks
 
-    def test_each_level_refines_the_next(self, large_case):
-        table, chain, _, _ = large_case
-        levels = granular_from_chain(table, GradedFamily(chain)).levels
+    def test_each_level_refines_the_next(self, large_granular):
+        levels = large_granular.levels
         assert len({len(p.blocks) for p in levels}) > 2
         for finer, coarser in zip(levels, levels[1:]):
             assert refines_by_definition(finer, coarser)
         assert not refines_by_definition(levels[-1], levels[0])
 
-    def test_refines_across_permuted_universes(self, large_case):
+    def test_refines_across_permuted_universes(self, large_granular):
         # a level rebuilt over a shuffled universe order takes refines'
         # by-element path, which must agree with the definition both ways
-        table, chain, _, _ = large_case
-        levels = granular_from_chain(table, GradedFamily(chain)).levels
+        levels = large_granular.levels
         rng = random.Random(5)
 
         def permuted(p):
@@ -543,19 +546,17 @@ class TestLargeTableInvariants:
         assert [(r.lower_size, r.upper_size) for r in records] == [(len(p.lower), len(p.upper)) for p in pairs]
         assert pairs[0].lower != pairs[-1].lower and pairs[0].upper != pairs[-1].upper
 
-    def test_granular_set_document_round_trips(self, large_case):
+    def test_granular_set_document_round_trips(self, large_granular):
         # parsing rebuilds all 12 levels from blocks, 12 x 10^4 elements
-        table, chain, _, _ = large_case
-        g = granular_from_chain(table, GradedFamily(chain))
+        g = large_granular
         text = dumps_canonical(granular_set_doc(g))
         parsed = parse_granular_set(text)
         assert parsed == g
         # the same normalised blocks, so the same document bytes
         assert [p.blocks for p in parsed.levels] == [p.blocks for p in g.levels]
 
-    def test_granulate_text_is_the_marked_document(self, large_case):
+    def test_granulate_text_is_the_marked_document(self, large_granular):
         # the level-at-a-time text of granulate, 12 levels of 10^4 objects
-        table, chain, _, _ = large_case
-        g = granular_from_chain(table, GradedFamily(chain))
+        g = large_granular
         text = "".join(granular_set_chunks(g))
         assert text == dumps_canonical(granular_set_doc(g))

@@ -25,7 +25,6 @@ from gsets import (
     simulate_round,
 )
 from gsets.formats import parse_table
-from test_cli import _gsets_process
 
 CONFIG = dict(num_sensors=4, truth=0.5, correct_halfwidth_max=1.0, num_faulty=1, fault_offset_min=2.5, seed=7)
 
@@ -180,12 +179,6 @@ def test_interval_order_is_endpoint_tuple_order():
         Interval(0, 1) < (0, 1)
 
 
-def test_cli_import_skips_heavy_modules():
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib"]
-    code = (
-        "import sys; before = set(sys.modules); import gsets.cli; "
-        f"print(sorted((set(sys.modules) - before) & set({heavy!r})))"
-    )
-    proc = _gsets_process(["-c", code])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"[]\n"
+def test_cli_import_skips_heavy_modules(module_record):
+    loaded, _ = module_record
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib"} & loaded["import"]
