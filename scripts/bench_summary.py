@@ -14,6 +14,11 @@ whether a gain could be claimed: the change won at least nine pairs in ten,
 and its median is better than the parent's by more than the parent's
 q3 - q1.  It also records whether every call wrote the same stdout on both
 sides, the seeds, the interpreter, the machine, ``nproc`` and both commits.
+A per-op table, read from each record's calls, shows which call shape moved
+and which call set ``peak_rss_mb``: for each op and side, the median over
+the runs of the op's median call in starts (as ``op_p50_starts`` takes it),
+the median and maximum ``ru_maxrss`` of all its calls, and the number of
+pairs in which the change's median call took fewer starts.
 Only the standard library is used.
 """
 
@@ -60,6 +65,31 @@ def _side(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
+def _ops(runs: dict[str, list[dict]]) -> dict:
+    """The per-op table of one workload's runs on each side."""
+    by_op = {side: [{} for _ in records] for side, records in runs.items()}
+    for side, records in runs.items():
+        for calls, record in zip(by_op[side], records):
+            for call in record["calls"]:
+                calls.setdefault(call["op"], []).append(call)
+    table = {}
+    # an op counts when both sides called it; a run that did not reach it has no median for it
+    for op in sorted(set.intersection(*({op for calls in side for op in calls} for side in by_op.values()))):
+        row, medians = {}, {}
+        for side, side_runs in by_op.items():
+            medians[side] = [statistics.median(c["starts"] for c in calls[op]) if op in calls else None
+                             for calls in side_runs]
+            rss = [c["maxrss_kb"] for calls in side_runs for c in calls.get(op, ())]
+            row[side] = {
+                "starts": statistics.median(m for m in medians[side] if m is not None),
+                "maxrss_kb_median": statistics.median(rss),
+                "maxrss_kb_max": max(rss),
+            }
+        row["change_wins"] = sum(None not in (a, b) and b < a for a, b in zip(medians["parent"], medians["change"]))
+        table[op] = row
+    return table
+
+
 def summarize(parent: Path, change: Path, tag: str) -> dict:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     sides = {"parent": _records(parent), "change": _records(change)}
@@ -92,7 +122,7 @@ def summarize(parent: Path, change: Path, tag: str) -> dict:
                 "claim_holds": 10 * wins >= 9 * len(seeds)
                 and sign * (new["median"] - old["median"]) > old["q3"] - old["q1"],
             }
-        workloads[name] = {"seeds": seeds, "same_stdout": same, "metrics": summary}
+        workloads[name] = {"seeds": seeds, "same_stdout": same, "metrics": summary, "ops": _ops(runs)}
     return {"tag": tag, "context": context, "commits": commits, "workloads": workloads}
 
 

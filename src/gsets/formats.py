@@ -20,9 +20,11 @@ and ``dumps_canonical`` is the only encoder:
 ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
 Four writers render a document through ``dumps_canonical`` a part at a
 time, so it is never held as a tree.  ``simulation_chunks`` writes the
-simulation report, which is written only, one chunk per round straight off
-the simulator's plain floats, each round's endpoints in one encoder call and
-its fused levels in the text of the endpoints.  ``granular_set_chunks`` writes
+simulation report, which is written only, one chunk per batch of rounds
+straight off the simulator's plain floats: a batch's endpoints and faulty
+indices take one encoder call, a round's fused levels reuse the text of its
+endpoints, and its containment flags and empty levels are written from the
+simulator's counts.  ``granular_set_chunks`` writes
 ``granular_set_doc``, the document ``granulate`` writes and the one shape
 ``parse_granular_set`` reads, one level at a time, from the same per-level
 builder.  ``graded_intervals_chunks`` writes ``graded_intervals_doc`` and
@@ -45,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, starmap
+from itertools import chain, count, islice, starmap
 
 from .chains import GradedFamily
 from .errors import ParseError
@@ -504,15 +506,47 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
 # simulation reports
 
 
-def _round_head_doc(faulty: list[int], containment: list[bool]) -> dict:
-    return {"contains_truth": containment, "faulty": faulty, "fused": {"f_min": 0, "levels": []}}
+def _rounds_doc(rounds: list[tuple]) -> list:
+    """A batch of drawn rounds as one array for the encoder: each round's lower endpoints, upper
+    endpoints and faulty indices, three flat arrays a round."""
+    return [part for los, his, faulty, *_ in rounds for part in (los, his, faulty)]
+
+
+def _rounds_text(rounds: list[tuple], first: int) -> str:
+    """Drawn rounds `first`, `first` + 1, ... as items of the report's ``rounds`` array, after a comma
+    unless `first` is 0.  One encoder call renders the endpoints and faulty indices of them all; a
+    round's measurements and fused levels are written from its endpoints' text, and its empty levels
+    and containment flags from the kernel's counts of leading levels that are empty and that miss the
+    truth."""
+    text = dumps_canonical(_rounds_doc(rounds))
+    # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a batch through _real
+    if ".0," in text or ".0]" in text:
+        text = dumps_canonical(_rounds_doc([(list(map(_real, los)), list(map(_real, his)), faulty)
+                                            for los, his, faulty, *_ in rounds]))
+    # "[[lo,..],[hi,..],[f,..],..]" -> the items of each flat array: no rendered number holds a comma or a bracket
+    parts = iter(text[2:-2].split("],["))
+    items = [""] if first else []
+    for index, (los, his, _, lows, highs, empty, missing), lo_part, hi_part, faulty in zip(
+            count(first), rounds, parts, parts, parts):
+        lo_tokens, hi_tokens = lo_part.split(","), hi_part.split(",")
+        measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
+        # a fused endpoint is one of the round's endpoints, and equal reals render alike
+        lo_text, hi_text = dict(zip(los, lo_tokens)), dict(zip(his, hi_tokens))
+        levels = "null," * empty + ",".join([f"[{lo_text[lo]},{hi_text[hi]}]"
+                                              for lo, hi in zip(lows[empty:], highs[empty:])])
+        contains = ",".join(["false"] * missing + ["true"] * (len(los) - missing))
+        # the keys in sorted order; every round's fused chain covers budgets 0 .. sensors - 1
+        items.append(f'{{"contains_truth":[{contains}],"faulty":[{faulty}],"fused":{{"f_min":0,"levels":'
+                     f'[{levels}]}},"intervals":[[{measured}]],"round":{index}}}')
+    return ",".join(items)
 
 
 def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[str]:
-    """The simulator's report as canonical JSON text: its configuration, then one chunk per
-    round, rendered as soon as ``simulate._draw_round`` draws it in plain floats.  The chunks
+    """The simulator's report as canonical JSON text: its configuration, then one chunk per batch
+    of rounds, rendered as soon as ``simulate._draw_round`` draws them in plain floats.  The chunks
     join to ``dumps_canonical`` of the whole report, its keys written in sorted order around the
-    encoder's output; a round's endpoints take one encoder call, and its levels reuse their text."""
+    encoder's output.  A batch takes one encoder call, for about ``_BATCH`` numbers: a round's
+    endpoints and faulty indices."""
     config_doc = {
         "sensors": config.num_sensors,
         "truth": _real(config.truth),
@@ -522,18 +556,11 @@ def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[st
         "seed": config.seed,
     }
     yield '{"config":' + dumps_canonical(config_doc) + ',"rounds":['
-    for i, (faulty, ends, lows, highs, containment) in enumerate(rounds):
-        measured = dumps_canonical(ends)
-        # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a round through _real
-        if ".0," in measured or ".0]" in measured:
-            measured = dumps_canonical([[_real(lo), _real(hi)] for lo, hi in ends])
-        # "[[lo,hi],[lo,hi]]" -> lo, hi, lo, hi: no rendered real holds a comma or a bracket
-        tokens = measured[2:-2].replace("],[", ",").split(",")
-        # a fused endpoint is one of the round's endpoints, and equal reals render alike
-        text = dict(zip([x for end in ends for x in end], tokens))
-        levels = ",".join(["null" if lo > hi else f"[{text[lo]},{text[hi]}]" for lo, hi in zip(lows, highs)])
-        head = dumps_canonical(_round_head_doc(sorted(faulty), containment))
-        # the head's text ends in "levels":[]}}, since "fused" and "levels" sort last; the
-        # levels go inside that array, and the keys that sort after "fused" follow it
-        yield ("," if i else "") + head[:-3] + levels + ']},"intervals":' + measured + f',"round":{i}}}'
+    rounds = iter(rounds)
+    first = 0
+    while batch := list(islice(rounds, max(1, _BATCH // (2 * config.num_sensors + config.num_faulty)))):
+        # rendered by a call of its own, so that its temporaries are freed before the text is held
+        # and the next batch is drawn: live across a yield, they would interleave with the held text
+        yield _rounds_text(batch, first)
+        first += len(batch)
     yield "]}"

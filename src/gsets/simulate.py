@@ -5,6 +5,8 @@ faulty intervals displaced far enough to provably exclude it, then fuses
 the lot for every fault budget and records which budgets recover the truth.
 One kernel draws a round in plain floats and sorts it once: ``simulate_round``
 reads its levels off the kernel's sorts, ``formats.simulation_chunks`` writes it as drawn.
+The kernel returns the endpoints as two lists in sensor order and, in place of a flag per
+level, the counts of leading levels that are empty and that miss the truth.
 """
 
 from __future__ import annotations
@@ -82,15 +84,18 @@ def _round_rng(seed: int, round_index: int) -> random.Random:
 
 
 def _draw_round(config: SimConfig, round_index: int) -> tuple:
-    """``simulate_round`` in plain floats: the faulty set, each sensor's (lo, hi) in sensor order, the
-    order statistics that levels 0 .. num_sensors - 1 are read off, and whether each holds the truth."""
+    """``simulate_round`` in plain floats: each sensor's lower and upper endpoint in sensor order, the
+    faulty indices in order, the order statistics that levels 0 .. num_sensors - 1 are read off, and
+    the counts of leading levels that are empty and that miss the truth.  Once the levels are checked
+    to be nested, each count covers every such level: nonempty levels and levels that hold the truth
+    only grow with the fault budget."""
     if round_index < 0:
         raise DomainError("round index must be nonnegative")
     rng = _round_rng(config.seed, round_index)
     faulty = set(rng.sample(range(config.num_sensors), config.num_faulty))
     uniform, choice = rng.random, rng.choice
     truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
-    ends = []
+    los, his = [], []
     for i in range(config.num_sensors):
         # u, v uniform over (0, width]: 1 - random() lies in (0, 1]
         u = width * (1.0 - uniform())
@@ -105,10 +110,17 @@ def _draw_round(config: SimConfig, round_index: int) -> tuple:
         if (lo <= truth <= hi) is (i in faulty):
             raise DomainError(f"round {round_index}: " + (f"faulty sensor {i} contains the truth after float rounding"
                                                           if i in faulty else f"correct sensor {i} misses the truth"))
-        ends.append((lo, hi))
-    lows, highs = _order_statistics([lo for lo, _ in ends], [hi for _, hi in ends])
+        los.append(lo)
+        his.append(hi)
+    lows, highs = _order_statistics(los, his)
     _check_nested(lows, highs)
-    return faulty, ends, lows, highs, [lo <= truth <= hi for lo, hi in zip(lows, highs)]
+    missing = 0
+    while missing < len(lows) and not lows[missing] <= truth <= highs[missing]:
+        missing += 1
+    empty = 0  # an empty level misses the truth
+    while empty < missing and lows[empty] > highs[empty]:
+        empty += 1
+    return los, his, sorted(faulty), lows, highs, empty, missing
 
 
 def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
@@ -119,9 +131,10 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     same width class whose centre sits at least fault_offset_min away from
     the truth, on a random side.
     """
-    faulty, ends, lows, highs, containment = _draw_round(config, round_index)
-    intervals = tuple(Interval._unchecked(lo, hi) for lo, hi in ends)
-    return SimOutcome(intervals, frozenset(faulty), _graded_levels(lows, highs, 0, len(ends) - 1), tuple(containment))
+    los, his, faulty, lows, highs, _, missing = _draw_round(config, round_index)
+    n = len(los)
+    return SimOutcome(tuple(map(Interval._unchecked, los, his)), frozenset(faulty),
+                      _graded_levels(lows, highs, 0, n - 1), (False,) * missing + (True,) * (n - missing))
 
 
 def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:

@@ -24,7 +24,7 @@ def script(monkeypatch, tmp_path):
 
 
 def record(checkout: Path, workload: str, seed: int, commit: str, starts: float, items: float,
-           hashes=("h1", "h2"), python="3.11.7") -> None:
+           hashes=("h1", "h2"), python="3.11.7", calls=None) -> None:
     out = checkout / "perfbench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     context = {"python": python, "implementation": "CPython", "machine": "x86_64", "nproc": 2,
@@ -33,7 +33,7 @@ def record(checkout: Path, workload: str, seed: int, commit: str, starts: float,
         "workload": workload,
         "mode": "timed",
         "context": context,
-        "calls": [{"sha256": h} for h in hashes],
+        "calls": calls or [{"op": "op", "starts": starts, "maxrss_kb": 1000, "sha256": h} for h in hashes],
         "metrics": {"op_p50_starts": starts, "items_per_start": items},
     }
     (out / f"{workload}-seed{seed}.json").write_text(json.dumps(doc))
@@ -111,3 +111,22 @@ def test_the_claim_rule(script, tmp_path, parent_starts, change_starts, holds):
     assert metrics["op_p50_starts"]["claim_holds"] is holds
     # higher is better: the mirrored metric gives the same verdict
     assert metrics["items_per_start"]["claim_holds"] is holds
+
+
+def test_the_per_op_table(script, tmp_path):
+    # (op, starts, maxrss_kb) per call; two calls of "a" and one of "b" a run, "c" only on one side
+    parent_runs = [[("a", 3.0, 100), ("a", 3.2, 140), ("b", 1.5, 90), ("c", 1.0, 10)],
+                   [("a", 3.1, 120), ("a", 3.3, 110), ("b", 1.4, 95)]]
+    change_runs = [[("a", 2.8, 130), ("a", 3.0, 100), ("b", 1.6, 99)],
+                   [("a", 3.4, 160), ("a", 3.6, 105), ("b", 1.3, 91)]]
+    for side, runs in (("parent", parent_runs), ("change", change_runs)):
+        for seed, calls in enumerate(runs):
+            record(tmp_path / side, "simulate", seed, side, 1.0, 1.0,
+                   calls=[{"op": op, "starts": n, "maxrss_kb": kb, "sha256": op} for op, n, kb in calls])
+    ops = script.summarize(tmp_path / "parent", tmp_path / "change", "t")["workloads"]["simulate"]["ops"]
+    assert sorted(ops) == ["a", "b"]
+    # each run's median call of "a": parent 3.1 and 3.2, change 2.9 and 3.5; the change won the first pair
+    assert ops["a"]["parent"] == {"starts": pytest.approx(3.15), "maxrss_kb_median": 115, "maxrss_kb_max": 140}
+    assert ops["a"]["change"] == {"starts": pytest.approx(3.2), "maxrss_kb_median": 117.5, "maxrss_kb_max": 160}
+    assert ops["a"]["change_wins"] == 1
+    assert ops["b"]["change"]["maxrss_kb_max"] == 99 and ops["b"]["change_wins"] == 1

@@ -760,11 +760,13 @@ def _drawn(config: SimConfig, rounds: int):
 
 def _float_round(items, faulty, truth):
     """A round of given measurements in the writer's input form, and as a SimOutcome."""
-    ends = [(iv.lo, iv.hi) for iv in items]
-    lows, highs = _order_statistics([lo for lo, _ in ends], [hi for _, hi in ends])
+    los, his = [iv.lo for iv in items], [iv.hi for iv in items]
+    lows, highs = _order_statistics(los, his)
     containment = [lo <= truth <= hi for lo, hi in zip(lows, highs)]
+    empty = [lo > hi for lo, hi in zip(lows, highs)]
     outcome = SimOutcome(tuple(items), frozenset(faulty), graded_fusion(items, 0, len(items) - 1), tuple(containment))
-    return (set(faulty), ends, lows, highs, containment), outcome
+    # the sorts put the levels that are empty, and those that miss the truth, first
+    return (los, his, sorted(faulty), lows, highs, empty.count(True), containment.count(False)), outcome
 
 
 class TestSimulationChunks:
@@ -779,8 +781,20 @@ class TestSimulationChunks:
         }
         chunks = list(simulation_chunks(config, _drawn(config, rounds)))
         assert "".join(chunks) == dumps_canonical(report)
-        # the configuration, one chunk per round with its separator, the close
-        assert len(chunks) == 1 + rounds + 1
+        # the configuration, one batch of up to 21 rounds with its separator, the close
+        assert len(chunks) == 1 + (rounds > 0) + 1
+
+    @pytest.mark.parametrize("rounds", [lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 1],
+                             ids=["b-1", "b", "b+1", "2b+1"])
+    def test_batches_join_to_the_canonical_report(self, rounds):
+        config = SimConfig(9, 0.25, 1.0, 3, 2.5, 5)
+        batch = formats._BATCH // (2 * 9 + 3)  # 12 rounds of 18 endpoints and 3 faulty indices
+        rounds = rounds(batch)
+        chunks = list(simulation_chunks(config, _drawn(config, rounds)))
+        assert "".join(chunks) == dumps_canonical(_reference_report(config, simulate_rounds(config, rounds)))
+        # the configuration, one chunk per batch, each after its separator, the close
+        assert len(chunks) == 2 + -(-rounds // batch)
+        assert all(chunk.startswith(',{"contains_truth":') for chunk in chunks[2:-1])
 
     def test_fused_endpoints_render_as_the_measurements_do(self):
         # each fused endpoint's text is looked up by value among the rendered measurements:
@@ -802,7 +816,10 @@ class TestSimulationChunks:
             _float_round((Interval(0.25, 0.5), Interval(0.5, 2.0)), {0}, 1.0),
         ]
         config = SimConfig(8, -0.0, 1.0, 2, 2.5, 0)
-        text = "".join(simulation_chunks(config, [drawn for drawn, _ in rounds]))
+        chunks = list(simulation_chunks(config, [drawn for drawn, _ in rounds]))
+        # one batch holds rounds of other sizes than the configuration's, re-rendered or not
+        assert len(chunks) == 3
+        text = "".join(chunks)
         assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
         assert '"fused":{"f_min":0,"levels":[null,' in text and "[0,9007199254740994.0]" in text
         assert '"intervals":[[0.25,0.75],[-1.5,0.5],[2.5e-300,0.25]]' in text
@@ -810,11 +827,13 @@ class TestSimulationChunks:
         assert '"intervals":[[-1.152921504606847e+18,1e+300],[1.152921504606847e+18,1.152921504606847e+18]]' in text
 
     @settings(max_examples=200)
-    @given(st.lists(_edge_intervals, min_size=1, max_size=8), st.floats(-10.0, 10.0))
-    def test_edge_endpoints_match_the_reference_report(self, items, truth):
-        drawn, outcome = _float_round(items, set(range(0, len(items), 2)), truth)
-        config = SimConfig(len(items), truth, 1.0, 0, 2.5, 0)
-        assert "".join(simulation_chunks(config, [drawn])) == dumps_canonical(_reference_report(config, [outcome]))
+    @given(st.lists(st.lists(_edge_intervals, min_size=1, max_size=8), min_size=1, max_size=5), st.floats(-10.0, 10.0))
+    def test_edge_endpoints_match_the_reference_report(self, rounds, truth):
+        # up to five rounds of any size in one batch, each with every other sensor faulty
+        rounds = [_float_round(items, set(range(0, len(items), 2)), truth) for items in rounds]
+        config = SimConfig(8, truth, 1.0, 0, 2.5, 0)
+        text = "".join(simulation_chunks(config, [drawn for drawn, _ in rounds]))
+        assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -160,14 +160,15 @@ class TestRoundChecks:
             simulate._draw_round(self.CFG, 0)
 
     def test_public_round_is_read_off_the_kernel(self):
-        faulty, ends, lows, highs, containment = simulate._draw_round(config(), 3)
+        los, his, faulty, lows, highs, empty, missing = simulate._draw_round(config(), 3)
         out = simulate_round(config(), 3)
-        assert out.faulty_indices == faulty
-        assert [(iv.lo, iv.hi) for iv in out.intervals] == ends
+        assert out.faulty_indices == set(faulty) and faulty == sorted(faulty)
+        assert [(iv.lo, iv.hi) for iv in out.intervals] == list(zip(los, his))
         assert [None if lv is None else (lv.lo, lv.hi) for lv in out.fused.levels] == [
             (lo, hi) if lo <= hi else None for lo, hi in zip(lows, highs)
         ]
-        assert out.truth_containment == tuple(containment)
+        assert out.fused.levels[:empty] == (None,) * empty and None not in out.fused.levels[empty:]
+        assert out.truth_containment == (False,) * missing + (True,) * (len(los) - missing)
 
     def test_a_round_sorts_its_endpoints_once(self, monkeypatch):
         # the levels are read off the kernel's sorts, not sorted again by graded_fusion
@@ -179,14 +180,30 @@ class TestRoundChecks:
         assert len(calls) == 1
 
 
+def _random_config(n, data) -> SimConfig:
+    width = data.draw(st.floats(0.01, 10.0))
+    return SimConfig(n, data.draw(st.floats(-1e3, 1e3)), width, data.draw(st.integers(0, n - 1)),
+                     width * data.draw(st.floats(1.01, 10.0)), data.draw(st.integers(0, 2**64 - 1)))
+
+
 @given(st.integers(1, 101), st.data())
 def test_round_levels_equal_graded_fusion_of_its_intervals(n, data):
     # the independent cross-check: the round's chain is what the public fusion makes of its intervals
-    width = data.draw(st.floats(0.01, 10.0))
-    cfg = SimConfig(n, data.draw(st.floats(-1e3, 1e3)), width, data.draw(st.integers(0, n - 1)),
-                    width * data.draw(st.floats(1.01, 10.0)), data.draw(st.integers(0, 2**64 - 1)))
+    cfg = _random_config(n, data)
     out = simulate_round(cfg, data.draw(st.integers(0, 10**6)))
     assert out.fused == graded_fusion(out.intervals, 0, n - 1)
+
+
+@given(st.integers(1, 101), st.data())
+def test_round_containment_follows_its_definition(n, data):
+    # the kernel counts leading levels; each flag must still be what its definition says, level by level
+    cfg = _random_config(n, data)
+    out = simulate_round(cfg, data.draw(st.integers(0, 10**6)))
+    assert out.truth_containment == tuple(
+        out.fused.level(f) is not None and out.fused.level(f).contains_point(cfg.truth) for f in range(n)
+    )
+    empty = [out.fused.level(f) is None for f in range(n)]
+    assert empty == sorted(empty, reverse=True)  # the empty levels are a prefix
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -219,6 +236,14 @@ class TestSimulateRounds:
         with pytest.raises(DomainError, match="round count must be nonnegative"):
             simulate_rounds(config(), -1)
         assert drawn == []
+
+    def test_iterators_advanced_alternately_draw_what_each_draws_alone(self):
+        # the kernel keeps no state between rounds, so interleaved callers cannot disturb each other
+        a_cfg, b_cfg = config(), config(seed=7, num_sensors=5, num_faulty=1)
+        a, b = simulate_rounds(a_cfg, 6), simulate_rounds(b_cfg, 6)
+        interleaved = [(next(a), next(b)) for _ in range(6)]
+        assert [x for x, _ in interleaved] == list(simulate_rounds(a_cfg, 6))
+        assert [y for _, y in interleaved] == list(simulate_rounds(b_cfg, 6))
 
     def test_rounds_are_drawn_as_the_iterator_reaches_them(self, monkeypatch):
         drawn = []
