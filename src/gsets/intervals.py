@@ -110,10 +110,13 @@ class GradedIntervals(Value):
 
 
 def _check_pmf(probabilities: Collection[float]) -> None:
-    """The one probability rule: every mass positive, summing to 1 within PROB_TOLERANCE."""
+    """The one probability rule: every mass positive, and the correctly rounded sum within PROB_TOLERANCE of 1."""
     if any(not (p > 0) for p in probabilities):
         raise DomainError("probabilities must be positive")
-    total = sum(probabilities)
+    try:
+        total = math.fsum(probabilities)
+    except OverflowError:  # positive masses whose sum is past the largest float
+        total = math.inf
     if abs(total - 1.0) > PROB_TOLERANCE:
         raise DomainError(f"probabilities sum to {total!r}, expected 1")
 
@@ -125,21 +128,20 @@ class FaultDistribution(Value):
 
     def __init__(self, support: Iterable[tuple[int, float]]) -> None:
         support = list(support)
-        if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
-            raise DomainError("fault count must be an integer")
-        # a parsed support is already (int, float) tuples, kept as they are
-        if any(pair.__class__ is not tuple or pair[0].__class__ is not int or pair[1].__class__ is not float
-               for pair in support):
+        # a parsed support is already (int, float) pairs, kept as they are
+        if any(pair.__class__ is not tuple or len(pair) != 2 or pair[0].__class__ is not int
+               or pair[1].__class__ is not float for pair in support):
+            if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
+                raise DomainError("fault count must be an integer")
             support = [(int(f), float(p)) for f, p in support]
         support.sort()
         support = tuple(support)
         self._init(support)
         if not support:
             raise DomainError("fault distribution has empty support")
-        counts = [f for f, _ in support]
-        if len(set(counts)) != len(counts):
+        if any(a[0] == b[0] for a, b in zip(support, islice(support, 1, None))):
             raise DomainError("duplicate fault count in distribution")
-        if counts[0] < 0:
+        if support[0][0] < 0:
             raise DomainError("fault counts must be nonnegative")
         _check_pmf([p for _, p in support])
 

@@ -9,10 +9,14 @@ from here and never from one another:
   runs ``python <args>`` on this checkout's src, `closed_after` closes a
   child's stdout part way through, and `agreed_run` runs one argv under
   several variants that must give the same bytes;
+- `golden_run`, the record of each golden case's one `agreed_run` under
+  `HASH_SEEDS`, made once a session and read by every test that compares a
+  golden run's bytes;
 - `module_record`, the modules one ``python -S`` child has loaded after each
   golden case.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -116,6 +120,18 @@ def agreed_run(args, variants, **kwargs):
     runs = [gsets_process(args, **kwargs, **variant) for variant in variants]
     assert len({(run.returncode, run.stdout, run.stderr) for run in runs}) == 1
     return runs[0]
+
+
+# variants for agreed_run: three hash seeds, stdout write-through under the second
+HASH_SEEDS = ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1", "unbuffered": True}, {"PYTHONHASHSEED": "2"})
+
+
+@pytest.fixture(scope="session")
+def golden_run():
+    """``golden_run(case)``: the golden case run as ``python -m gsets`` once per
+    `HASH_SEEDS` variant, every run giving the same bytes (`agreed_run`).  Each
+    case runs at its first call and is kept for the session."""
+    return functools.cache(lambda case: agreed_run(["-m", "gsets", *fill(GOLDEN_CASES[case])], HASH_SEEDS))
 
 
 # Imports gsets.cli, runs the golden cases in the order given, then rounds

@@ -11,11 +11,12 @@ terminal-summary hook so they survive pytest's capture.
 
 import functools
 import json
+import math
 import random
 import time
 
 import acceptance_report
-from conftest import GOLDEN_CASES, agreed_run, fill, refines_by_definition
+from conftest import refines_by_definition
 
 from gsets import (
     ApproximationPair,
@@ -266,7 +267,7 @@ def test_criterion_8_random_graded_set(fixtures_dir):
 
 
 @criterion(9, "parse/serialize identity on 500 random values per kind; CLI byte-stable", 10.0)
-def test_criterion_9_round_trips():
+def test_criterion_9_round_trips(golden_run):
     rng = random.Random(1009)
 
     for _ in range(500):
@@ -283,7 +284,7 @@ def test_criterion_9_round_trips():
 
         support = rng.sample(range(len(items)), rng.randint(1, len(items)))
         weights = [rng.random() + 0.1 for _ in support]
-        total = sum(weights)
+        total = math.fsum(weights)
         fd = FaultDistribution(tuple((f, w / total) for f, w in zip(support, weights)))
         assert parse_fault_distribution(dumps_canonical(fault_distribution_doc(fd))) == fd
 
@@ -327,6 +328,6 @@ def test_criterion_9_round_trips():
 
     # byte-identical CLI runs on the repository fixtures
     for case in ("fuse", "granulate", "sensitivity"):
-        run = agreed_run(["-m", "gsets", *fill(GOLDEN_CASES[case])], ({}, {}))
+        run = golden_run(case)
         assert run.returncode == 0
         assert dumps_canonical(json.loads(run.stdout.decode())) == run.stdout.decode().rstrip("\n")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_CASES, agreed_run, closed_after, fill, gsets_process, traced
+from conftest import GOLDEN_CASES, HASH_SEEDS, agreed_run, closed_after, fill, gsets_process, traced
 from gsets import GranularSet, Partition, infosys
 from gsets.cli import main
 from gsets.formats import dumps_canonical
@@ -151,6 +151,18 @@ class TestRandom:
             capsys, "random", "--input", intervals_csv, "--dist", '{"5":1.0}'
         )
         assert code == 1 and "exceeds measurement count" in err
+
+    @pytest.mark.parametrize(
+        "masses, total",
+        [([0.1] * 10 + [0.3], "1.3"), ([1.7e308, 1.7e308], "inf")],
+        ids=["ten-tenths-and-three-tenths", "past-the-largest-float"],
+    )
+    def test_a_sum_off_one_prints_the_correctly_rounded_total(self, capsys, intervals_csv, masses, total):
+        # a plain float sum gives 1.2999999999999998 before Python 3.12 and 1.3
+        # after; the correctly rounded sum is 1.3 on each, and inf past the largest float
+        dist = json.dumps({str(f): p for f, p in enumerate(masses)})
+        code, out, err = run_cli(capsys, "random", "--input", intervals_csv, "--dist", dist)
+        assert (code, out, err) == (1, "", f"error: probabilities sum to {total}, expected 1\n")
 
     def test_nonpositive_sample_count(self, capsys, intervals_csv):
         code, _, err = run_cli(
@@ -706,9 +718,8 @@ class TestUsage:
 
 
 class TestProcessDeterminism:
-    def test_granulate_bytes_stable_across_hash_seeds(self):
-        seeds = ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "424242"})
-        assert agreed_run(["-m", "gsets", *fill(GOLDEN_CASES["granulate"])], seeds).returncode == 0
+    def test_granulate_bytes_stable_across_hash_seeds(self, golden_run):
+        assert golden_run("granulate").returncode == 0
 
     def test_simulate_fault_check_survives_optimized_mode(self):
         # the fault geometry check must not be an assert, which -O strips
@@ -795,9 +806,8 @@ runpy.run_module("gsets", run_name="__main__", alter_sys=True)
 """
 
 
-# variants for agreed_run: stdout buffered and write-through, and three hash seeds
+# variants for agreed_run: stdout buffered and write-through
 BOTH_MODES = ({}, {"unbuffered": True})
-HASH_SEEDS = ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1", "unbuffered": True}, {"PYTHONHASHSEED": "2"})
 
 
 def _with_closed(fd, args):
@@ -810,9 +820,9 @@ class TestHashSeedIndependence:
     both streams under three hash seeds, with stdout buffered and write-through."""
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_golden_case(self, fixtures_dir, case):
+    def test_golden_case(self, fixtures_dir, golden_run, case):
         golden = (fixtures_dir / "cli_golden" / f"{case}.json").read_bytes()
-        run = agreed_run(["-m", "gsets", *fill(GOLDEN_CASES[case])], HASH_SEEDS)
+        run = golden_run(case)
         assert (run.returncode, run.stdout, run.stderr) == (0, golden, b"")
 
     @pytest.mark.parametrize("case", sorted(HASH_SEED_CASES))

@@ -1,12 +1,14 @@
+import enum
 import math
 import pickle
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from gsets import intervals as intervals_module
 from gsets import (
     DomainError,
@@ -193,6 +195,59 @@ class TestRoughPair:
             as_rough_pair(g)
 
 
+def _reference_support(support):
+    """FaultDistribution's checks written out one by one, as they stood before
+    its class check came first: the support it keeps, or the error it raises."""
+    support = list(support)
+    if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
+        raise DomainError("fault count must be an integer")
+    support = sorted((int(f), float(p)) for f, p in support)
+    if not support:
+        raise DomainError("fault distribution has empty support")
+    counts = [f for f, _ in support]
+    if len(set(counts)) != len(counts):
+        raise DomainError("duplicate fault count in distribution")
+    if counts[0] < 0:
+        raise DomainError("fault counts must be nonnegative")
+    masses = [p for _, p in support]
+    if any(not (p > 0) for p in masses):
+        raise DomainError("probabilities must be positive")
+    if abs(sum(masses) - 1.0) > 1e-9:
+        raise DomainError(f"probabilities sum to {sum(masses)!r}, expected 1")
+    return tuple(support)
+
+
+def _outcome(make, support):
+    """``("", repr(support))`` made by `make`, so an int mass or an enum count
+    kept unconverted shows, or the type and text of what it raised."""
+    try:
+        return "", repr(make(support))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+_counts = st.one_of(st.integers(-2, 6), st.booleans(), st.just(_Count.TWO), st.sampled_from([1.0, 1.5, "3"]))
+_masses = st.one_of(
+    st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 0.0, -0.5, math.nan, 1.7e308, 1, "0.5"]), st.floats()
+)
+_items = st.one_of(
+    st.tuples(_counts, _masses),
+    st.tuples(_counts, _masses).map(list),
+    st.tuples(_counts),
+    st.tuples(_counts, _masses, _masses),
+    _counts,
+)
+# pmfs that pass or fail only on their counts: one mass of 1/k for each of k counts
+_uniform = st.lists(st.one_of(st.integers(-2, 6), st.just(_Count.TWO)), min_size=1, max_size=6).map(
+    lambda counts: [(f, 1 / len(counts)) for f in counts]
+)
+_supports = st.one_of(st.lists(_items, max_size=6), _uniform)
+
+
 class TestFaultDistribution:
     def test_support_is_sorted_by_fault_count(self):
         d = FaultDistribution(((2, 0.2), (0, 0.5), (1, 0.3)))
@@ -226,6 +281,38 @@ class TestFaultDistribution:
     def test_a_count_that_is_not_an_int_is_rejected_not_truncated(self, count):
         with pytest.raises(DomainError, match="^fault count must be an integer$"):
             FaultDistribution(((count, 1.0),))
+
+    @given(_supports)
+    @example([(0, 0.5), (1, 0.5, 0.0)])  # a triple among pairs the class check keeps
+    @example([(0, 0.5), (1,)])  # a single after such a pair
+    @example([(0, 1)])  # an int mass
+    @example([(_Count.TWO, 1.0)])  # an int subclass count
+    @example([(f, 0.1) for f in range(10)] + [(10, 0.3)])  # a plain sum is 1.2999999999999998 before 3.12
+    @example([(0, 1.7e308), (1, 1.7e308)])  # the sum is past the largest float
+    def test_checks_agree_with_the_one_by_one_reference(self, support):
+        expected = _outcome(_reference_support, support)
+        got = _outcome(lambda s: FaultDistribution(s).support, support)
+        if expected[0] is DomainError and expected[1].startswith("probabilities sum to "):
+            # the one change: the printed total is the correctly rounded sum
+            try:
+                total = math.fsum(float(p) for _, p in support)
+            except OverflowError:
+                total = math.inf
+            expected = (DomainError, f"probabilities sum to {total!r}, expected 1")
+        assert got == expected
+
+    def test_peak_bytes_per_entry_of_a_parsed_support(self):
+        # the (int, float) pairs that parse_fault_distribution builds, in a seeded
+        # order: they are sorted and kept, with no list or set of their counts
+        n = 20_000
+        rng = random.Random(n)
+        weights = [rng.random() + 0.01 for _ in range(n)]
+        total = math.fsum(weights)
+        support = [(f, w / total) for f, w in enumerate(weights)]
+        rng.shuffle(support)
+        dist, _, peak = traced(lambda: FaultDistribution(support))
+        assert len(dist.support) == n
+        assert peak < 32 * n, f"{peak / n:.1f} B per entry"
 
 
 UNIFORM_OVER_FOUR = FaultDistribution(dict.fromkeys(range(4), 0.25).items())
@@ -283,7 +370,7 @@ class TestRandomGraded:
     def test_mass_is_preserved(self, items, rng):
         support = rng.sample(range(len(items)), rng.randint(1, len(items)))
         weights = [rng.random() + 0.05 for _ in support]
-        total = sum(weights)
+        total = math.fsum(weights)
         d = FaultDistribution(tuple((f, w / total) for f, w in zip(support, weights)))
         out = random_graded(items, d)
         assert sum(p for _, p in out.atoms) == pytest.approx(1.0)
@@ -367,7 +454,8 @@ def test_each_entry_point_sorts_the_endpoints_once(monkeypatch, entry, n):
     rng = random.Random(n)
     items = [Interval(a, a + rng.random()) for a in (rng.uniform(-5, 5) for _ in range(n))]
     weights = [rng.random() + 0.05 for _ in range(n)]
-    every_budget = FaultDistribution(tuple((f, w / sum(weights)) for f, w in enumerate(weights)))
+    total = math.fsum(weights)
+    every_budget = FaultDistribution(tuple((f, w / total) for f, w in enumerate(weights)))
     call = {
         "fuse": lambda: fuse(items, n // 2),
         "graded_fusion": lambda: graded_fusion(items, 0, n - 1),
@@ -412,7 +500,8 @@ def test_large_seeded_chain_matches_counting_characterization():
         assert fused_subset(inner, outer)
 
     weights = [rng.random() + 0.05 for _ in range(n)]
-    dist = FaultDistribution(tuple((f, w / sum(weights)) for f, w in enumerate(weights)))
+    total = math.fsum(weights)
+    dist = FaultDistribution(tuple((f, w / total) for f, w in enumerate(weights)))
     pooled: dict = {}
     for f, p in dist.support:
         result = fuse(items, f)
