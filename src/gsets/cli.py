@@ -32,7 +32,7 @@ from .infosys import (
     sensitivity_profile,
 )
 from .intervals import MAX_SEED, fuse, graded_fusion, random_graded, sample
-from .simulate import SimConfig, _draw_round
+from .simulate import SimConfig, _draw_round, _no_round_can_fail
 
 
 def _read_file(path: str) -> str:
@@ -160,8 +160,10 @@ def _cmd_simulate(args: argparse.Namespace):
         fault_offset_min=args.offset,
         seed=args.seed,
     )
-    # every round runs before the first write, so a late round's error leaves stdout empty
-    return list(formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds))))
+    chunks = formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds)))
+    # streamed when no round can fail; otherwise every round runs before the first write,
+    # so a late round's error leaves stdout empty
+    return chunks if _no_round_can_fail(config) else list(chunks)
 
 
 class _Parser(argparse.ArgumentParser):

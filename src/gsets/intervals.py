@@ -121,6 +121,13 @@ def _check_pmf(probabilities: Collection[float]) -> None:
         raise DomainError(f"probabilities sum to {total!r}, expected 1")
 
 
+def _mass(p) -> float:
+    """A probability mass as a float; only an int that is not a bool, or a float, is taken."""
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise DomainError("probability must be an int or a float")
+    return float(p)
+
+
 class FaultDistribution(Value):
     """Discrete probability distribution over fault counts."""
 
@@ -133,7 +140,7 @@ class FaultDistribution(Value):
                or pair[1].__class__ is not float for pair in support):
             if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
                 raise DomainError("fault count must be an integer")
-            support = [(int(f), float(p)) for f, p in support]
+            support = [(int(f), _mass(p)) for f, p in support]
         support.sort()
         support = tuple(support)
         self._init(support)
@@ -160,7 +167,7 @@ class IntervalDistribution(Value):
         for result, p in atoms:
             if result is not None and not isinstance(result, Interval):
                 raise DomainError(f"not a fusion result: {result!r}")
-            merged[result] = merged.get(result, 0.0) + float(p)
+            merged[result] = merged.get(result, 0.0) + _mass(p)
         if not merged:
             raise DomainError("interval distribution has no atoms")
         _check_pmf(merged.values())

@@ -52,6 +52,26 @@ class SimConfig(Value):
         self._init(num_sensors, truth, correct_halfwidth_max, num_faulty, fault_offset_min, seed)
 
 
+def _no_round_can_fail(config: SimConfig) -> bool:
+    """True only if no round of `config` can raise in ``_draw_round``: a sufficient test, not a
+    necessary one.  It repeats the kernel's float operations in the kernel's order."""
+    # Rounding to nearest is monotone: x <= y implies fl(x) <= fl(y), so each bound below holds
+    # after every rounding step.  With w = width and m0 = offset_min, in the kernel's terms:
+    # - u = w * (1.0 - uniform()) and v likewise lie in [0, w], as 1.0 - uniform() lies in (0, 1];
+    #   so a correct sensor's truth - u <= truth <= truth + v holds the truth.
+    # - m = m0 * (1.0 + uniform()) lies in [m0, 2.0 * m0], as 1.0 + uniform() lies in [1, 2].
+    #   A centre truth + m is at least truth + m0, so its lower end (truth + m) - u is at least
+    #   (truth + m0) - w; a centre truth + -m, which is truth - m, is at most truth - m0, so its
+    #   upper end (truth - m) + v is at most (truth - m0) + w.  When the first is above the truth
+    #   and the second below it, no faulty interval holds the truth.
+    # - No endpoint is larger in magnitude than (|truth| + 2.0 * m0) + w, so when that is finite,
+    #   no endpoint overflows.
+    # The order statistics of finite endpoints are always nested, so then no check can fire.
+    truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
+    return ((truth + offset_min) - width > truth and (truth - offset_min) + width < truth
+            and math.isfinite((abs(truth) + 2.0 * offset_min) + width))
+
+
 class SimOutcome(Value):
     """Everything one round produced, including per-budget truth recovery."""
 

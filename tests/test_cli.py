@@ -512,6 +512,15 @@ class TestSimulate:
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
+    @pytest.mark.parametrize("rounds", [2000, 20_000])
+    def test_a_streamed_report_holds_the_same_memory_at_any_round_count(self, rounds):
+        # no round of this config can fail, so each batch is written as it renders: a 2000-round
+        # report peaked at 0.7 MB and a 2*10**4-round one at 6.5 MB when the whole text was held
+        argv = ["simulate", "--sensors", "3", "--faulty", "1", "--rounds", str(rounds)]
+        code, _, peak = _traced_main(argv, warm=argv[:-1] + ["1"])
+        assert code == 0
+        assert peak <= 256 * 1024
+
     @pytest.mark.parametrize("sensors, faulty, rounds", [(9, 2, 2000), (31, 10, 800)])
     def test_memory_is_bounded_by_the_output(self, tmp_path, sensors, faulty, rounds):
         # the report is held only as its own text, never as outcomes or a document tree
@@ -731,6 +740,13 @@ class TestProcessDeterminism:
     def test_reader_closing_early_is_one_error_line(self):
         # the report is far larger than the pipe, so the writer meets a closed pipe
         code, err = closed_after(10, ["simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000"])
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_reader_closing_early_on_a_held_report_is_one_error_line(self):
+        # at truth 1e16 a faulty centre may round onto the truth, so the 1.0 MB report is held
+        # until its last round has run, and only then meets the closed pipe
+        argv = ["simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000", "--truth", "1e16"]
+        code, err = closed_after(10, argv)
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_simulate_bytes_stable_across_hash_seeds(self):

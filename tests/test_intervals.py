@@ -197,10 +197,13 @@ class TestRoughPair:
 
 def _reference_support(support):
     """FaultDistribution's checks written out one by one, as they stood before
-    its class check came first: the support it keeps, or the error it raises."""
+    its class check came first, with the mass check after the count check:
+    the support it keeps, or the error it raises."""
     support = list(support)
     if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
         raise DomainError("fault count must be an integer")
+    if any(not isinstance(p, (int, float)) or isinstance(p, bool) for _, p in support):
+        raise DomainError("probability must be an int or a float")
     support = sorted((int(f), float(p)) for f, p in support)
     if not support:
         raise DomainError("fault distribution has empty support")
@@ -232,7 +235,7 @@ class _Count(enum.IntEnum):
 
 _counts = st.one_of(st.integers(-2, 6), st.booleans(), st.just(_Count.TWO), st.sampled_from([1.0, 1.5, "3"]))
 _masses = st.one_of(
-    st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 0.0, -0.5, math.nan, 1.7e308, 1, "0.5"]), st.floats()
+    st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 0.0, -0.5, math.nan, 1.7e308, 1, "0.5", True]), st.floats()
 )
 _items = st.one_of(
     st.tuples(_counts, _masses),
@@ -286,6 +289,8 @@ class TestFaultDistribution:
     @example([(0, 0.5), (1, 0.5, 0.0)])  # a triple among pairs the class check keeps
     @example([(0, 0.5), (1,)])  # a single after such a pair
     @example([(0, 1)])  # an int mass
+    @example([(0, True)])  # a bool mass
+    @example([(0, "0.5"), (1, 0.5)])  # a str mass
     @example([(_Count.TWO, 1.0)])  # an int subclass count
     @example([(f, 0.1) for f in range(10)] + [(10, 0.3)])  # a plain sum is 1.2999999999999998 before 3.12
     @example([(0, 1.7e308), (1, 1.7e308)])  # the sum is past the largest float
@@ -300,6 +305,16 @@ class TestFaultDistribution:
                 total = math.inf
             expected = (DomainError, f"probabilities sum to {total!r}, expected 1")
         assert got == expected
+
+    @pytest.mark.parametrize("make", [
+        lambda: FaultDistribution([(0, "1.0")]),
+        lambda: FaultDistribution([(0, True)]),
+        lambda: IntervalDistribution([(None, " 1 ")]),
+    ], ids=["str-mass", "bool-mass", "str-atom-mass"])
+    def test_a_mass_the_parser_rejects_is_rejected(self, make):
+        # parse_fault_distribution and parse_interval_distribution take only a JSON number
+        with pytest.raises(DomainError, match="^probability must be an int or a float$"):
+            make()
 
     def test_peak_bytes_per_entry_of_a_parsed_support(self):
         # the (int, float) pairs that parse_fault_distribution builds, in a seeded

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gsets import (
@@ -204,6 +204,49 @@ def test_round_containment_follows_its_definition(n, data):
     )
     empty = [out.fused.level(f) is None for f in range(n)]
     assert empty == sorted(empty, reverse=True)  # the empty levels are a prefix
+
+
+def _edge_config(data) -> SimConfig:
+    """A config near the rounding edge: |truth| up to 2**60 and fault_offset_min a few ulps above the width."""
+    n = data.draw(st.integers(1, 5))
+    # half the truths are near the width's scale, where the bound starts to decline, and half about
+    # 2**53 times the width, where a faulty centre can round onto the truth
+    scale = data.draw(st.integers(-4, 58))
+    width = data.draw(st.floats(1.0, 2.0)) * 2.0**scale
+    truth = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(1.0, 2.0)) * 2.0 ** min(
+        59, scale + data.draw(st.one_of(st.integers(-6, 2), st.integers(48, 60))))
+    offset_min = width
+    for _ in range(data.draw(st.integers(1, 8))):
+        offset_min = math.nextafter(offset_min, math.inf)
+    return SimConfig(n, truth, width, data.draw(st.integers(0, n - 1)), offset_min, data.draw(st.integers(0, 2**64 - 1)))
+
+
+@given(st.data())
+def test_no_round_fails_where_the_bound_holds(data):
+    # the bound lets the CLI write a report before its last round has run; a round that raised
+    # after that would leave a partial report on stdout
+    cfg = _edge_config(data)
+    assume(simulate._no_round_can_fail(cfg))
+    for k in range(200):
+        simulate._draw_round(cfg, k)
+
+
+@pytest.mark.parametrize("overrides, holds", [
+    ({}, True),
+    (dict(truth=0.0, correct_halfwidth_max=1.0, fault_offset_min=2.5), True),
+    (dict(truth=-40.0, correct_halfwidth_max=2.0, fault_offset_min=5.0), True),
+    (dict(truth=2.0**55), False),
+    (dict(truth=1e16, correct_halfwidth_max=1.0, fault_offset_min=2.5), False),
+    (dict(truth=1e20), False),
+    (dict(truth=2.0**53, correct_halfwidth_max=1.0, fault_offset_min=2.5), False),
+    (dict(truth=-(2.0**53), correct_halfwidth_max=1.0, fault_offset_min=2.5), False),
+    (dict(truth=-1.7e308, correct_halfwidth_max=1e307, fault_offset_min=2e307), False),
+    (dict(correct_halfwidth_max=1e308, fault_offset_min=1.5e308), False),
+], ids=["base", "cli-defaults", "bench-101x200", "truth-2**55", "truth-1e16", "truth-1e20", "truth-2**53",
+        "truth--2**53", "endpoint-overflow", "offset-overflow"])
+def test_the_bound_on_fixed_configs(overrides, holds):
+    # at 2**53 only the test of a centre above the truth declines, at -2**53 only the one below it
+    assert simulate._no_round_can_fail(config(**overrides)) is holds
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
