@@ -218,7 +218,8 @@ def _edge_config(data) -> SimConfig:
     offset_min = width
     for _ in range(data.draw(st.integers(1, 8))):
         offset_min = math.nextafter(offset_min, math.inf)
-    return SimConfig(n, truth, width, data.draw(st.integers(0, n - 1)), offset_min, data.draw(st.integers(0, 2**64 - 1)))
+    faulty, seed = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2**64 - 1))
+    return SimConfig(n, truth, width, faulty, offset_min, seed)
 
 
 @given(st.data())
