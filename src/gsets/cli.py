@@ -160,10 +160,12 @@ def _cmd_simulate(args: argparse.Namespace):
         fault_offset_min=args.offset,
         seed=args.seed,
     )
-    chunks = formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds)))
-    # streamed when no round can fail; otherwise every round runs before the first write,
-    # so a late round's error leaves stdout empty
-    return chunks if _no_round_can_fail(config) else list(chunks)
+    if not _no_round_can_fail(config):
+        # a round may fail: every round is drawn once before the first write, so that a late
+        # round's error leaves stdout empty, and drawn again as it is written
+        for k in range(args.rounds):
+            _draw_round(config, k)
+    return formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds)))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -22,9 +22,11 @@ Four writers render a document through ``dumps_canonical`` a part at a
 time, so it is never held as a tree.  ``simulation_chunks`` writes the
 simulation report, which is written only, one chunk per batch of rounds
 straight off the simulator's plain floats: a batch's endpoints and faulty
-indices take one encoder call, a round's fused levels reuse the text of its
-endpoints, and its containment flags and empty levels are written from the
-simulator's counts.  ``granular_set_chunks`` writes
+indices take one encoder call, as one flat array of each round's lower
+endpoints, upper endpoints and faulty indices in turn, whose text is split
+at its commas and dealt back by the rounds' sizes; a round's fused levels
+reuse the text of its endpoints, and its containment flags and empty levels
+are written from the simulator's counts.  ``granular_set_chunks`` writes
 ``granular_set_doc``, the document ``granulate`` writes and the one shape
 ``parse_granular_set`` reads, one level at a time, from the same per-level
 builder.  ``graded_intervals_chunks`` writes ``graded_intervals_doc`` and
@@ -507,9 +509,9 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
 
 
 def _rounds_doc(rounds: list[tuple]) -> list:
-    """A batch of drawn rounds as one array for the encoder: each round's lower endpoints, upper
-    endpoints and faulty indices, three flat arrays a round."""
-    return [part for los, his, faulty, *_ in rounds for part in (los, his, faulty)]
+    """A batch of drawn rounds as one flat array for the encoder: each round's lower endpoints, upper
+    endpoints and faulty indices, in turn."""
+    return [x for los, his, faulty, *_ in rounds for part in (los, his, faulty) for x in part]
 
 
 def _rounds_text(rounds: list[tuple], first: int) -> str:
@@ -520,15 +522,15 @@ def _rounds_text(rounds: list[tuple], first: int) -> str:
     truth."""
     text = dumps_canonical(_rounds_doc(rounds))
     # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a batch through _real
-    if ".0," in text or ".0]" in text:
+    if ".0," in text or text.endswith(".0]"):
         text = dumps_canonical(_rounds_doc([(list(map(_real, los)), list(map(_real, his)), faulty)
                                             for los, his, faulty, *_ in rounds]))
-    # "[[lo,..],[hi,..],[f,..],..]" -> the items of each flat array: no rendered number holds a comma or a bracket
-    parts = iter(text[2:-2].split("],["))
+    # "[x,x,..]" -> its numbers' text in the array's order: no rendered number holds a comma
+    tokens = iter(text[1:-1].split(","))
     items = [""] if first else []
-    for index, (los, his, _, lows, highs, empty, missing), lo_part, hi_part, faulty in zip(
-            count(first), rounds, parts, parts, parts):
-        lo_tokens, hi_tokens = lo_part.split(","), hi_part.split(",")
+    for index, (los, his, faulty, lows, highs, empty, missing) in zip(count(first), rounds):
+        lo_tokens, hi_tokens = list(islice(tokens, len(los))), list(islice(tokens, len(his)))
+        faulty = ",".join(islice(tokens, len(faulty)))
         measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
         # a fused endpoint is one of the round's endpoints, and equal reals render alike
         lo_text, hi_text = dict(zip(los, lo_tokens)), dict(zip(his, hi_tokens))

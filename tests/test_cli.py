@@ -521,6 +521,15 @@ class TestSimulate:
         assert code == 0
         assert peak <= 256 * 1024
 
+    @pytest.mark.parametrize("rounds", [2000, 8000])
+    def test_a_declined_config_holds_the_same_memory_at_any_round_count(self, rounds):
+        # at truth 1e16 the bound declines the config, so every round is drawn once before the
+        # first write and again as it is written: peaks were 558 and 1894 KiB when the text was held
+        argv = ["simulate", "--sensors", "3", "--faulty", "1", "--truth", "1e16", "--rounds", str(rounds)]
+        code, _, peak = _traced_main(argv, warm=argv[:-1] + ["1"])
+        assert code == 0
+        assert peak <= 256 * 1024
+
     @pytest.mark.parametrize("sensors, faulty, rounds", [(9, 2, 2000), (31, 10, 800)])
     def test_memory_is_bounded_by_the_output(self, tmp_path, sensors, faulty, rounds):
         # the report is held only as its own text, never as outcomes or a document tree
@@ -743,8 +752,8 @@ class TestProcessDeterminism:
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_reader_closing_early_on_a_held_report_is_one_error_line(self):
-        # at truth 1e16 a faulty centre may round onto the truth, so the 1.0 MB report is held
-        # until its last round has run, and only then meets the closed pipe
+        # at truth 1e16 a faulty centre may round onto the truth, so every round is drawn before the
+        # first write, and only then does the 1.0 MB report meet the closed pipe
         argv = ["simulate", "--sensors", "9", "--faulty", "3", "--rounds", "2000", "--truth", "1e16"]
         code, err = closed_after(10, argv)
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

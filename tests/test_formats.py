@@ -810,7 +810,7 @@ class TestSimulationChunks:
             # integral only past 1e16, whose shortest form has no ".0"
             _float_round((Interval(-(2.0**60), 1e300), Interval(2.0**60, 2.0**60)), set(), 0.0),
             _float_round((Interval(-0.0, -0.0),), set(), 0.0),
-            # the one integral endpoint closes the round's text
+            # the one integral endpoint is the round's last, before its faulty index
             _float_round((Interval(0.25, 0.5), Interval(0.5, 2.0)), {0}, 1.0),
         ]
         config = SimConfig(8, -0.0, 1.0, 2, 2.5, 0)
@@ -823,6 +823,15 @@ class TestSimulationChunks:
         assert '"intervals":[[0.25,0.75],[-1.5,0.5],[2.5e-300,0.25]]' in text
         assert '"intervals":[[0.25,0.5],[0.5,2]]' in text
         assert '"intervals":[[-1.152921504606847e+18,1e+300],[1.152921504606847e+18,1.152921504606847e+18]]' in text
+
+    def test_an_integral_last_number_alone_is_re_rendered(self):
+        # with no faulty sensor, the last upper endpoint closes the batch's flat array, so its ".0"
+        # is followed by the bracket, not by a comma
+        drawn, outcome = _float_round((Interval(0.25, 0.5), Interval(0.5, 2.0)), set(), 1.0)
+        config = SimConfig(2, 1.0, 1.0, 0, 2.5, 0)
+        text = "".join(simulation_chunks(config, [drawn]))
+        assert text == dumps_canonical(_reference_report(config, [outcome]))
+        assert '"intervals":[[0.25,0.5],[0.5,2]]' in text
 
     @settings(max_examples=200)
     @given(st.lists(st.lists(_edge_intervals, min_size=1, max_size=8), min_size=1, max_size=5), st.floats(-10.0, 10.0))
