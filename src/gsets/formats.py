@@ -25,8 +25,9 @@ straight off the simulator's plain floats: a batch's endpoints and faulty
 indices take one encoder call, as one flat array of each round's lower
 endpoints, upper endpoints and faulty indices in turn, whose text is split
 at its commas and dealt back by the rounds' sizes; a round's fused levels
-reuse the text of its endpoints, and its containment flags and empty levels
-are written from the simulator's counts.  ``granular_set_chunks`` writes
+reuse the text of its endpoints, or are ``null`` where the lower end exceeds
+the upper, and its containment flags come from the simulator's count of
+leading levels that miss the truth.  ``granular_set_chunks`` writes
 ``granular_set_doc``, the document ``granulate`` writes and the one shape
 ``parse_granular_set`` reads, one level at a time, from the same per-level
 builder.  ``graded_intervals_chunks`` writes ``graded_intervals_doc`` and
@@ -517,9 +518,9 @@ def _rounds_doc(rounds: list[tuple]) -> list:
 def _rounds_text(rounds: list[tuple], first: int) -> str:
     """Drawn rounds `first`, `first` + 1, ... as items of the report's ``rounds`` array, after a comma
     unless `first` is 0.  One encoder call renders the endpoints and faulty indices of them all; a
-    round's measurements and fused levels are written from its endpoints' text, and its empty levels
-    and containment flags from the kernel's counts of leading levels that are empty and that miss the
-    truth."""
+    round's measurements and fused levels are written from its endpoints' text, a level as ``null``
+    where its lower end exceeds its upper end, and its containment flags from the kernel's count of
+    leading levels that miss the truth."""
     text = dumps_canonical(_rounds_doc(rounds))
     # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a batch through _real
     if ".0," in text or text.endswith(".0]"):
@@ -528,14 +529,13 @@ def _rounds_text(rounds: list[tuple], first: int) -> str:
     # "[x,x,..]" -> its numbers' text in the array's order: no rendered number holds a comma
     tokens = iter(text[1:-1].split(","))
     items = [""] if first else []
-    for index, (los, his, faulty, lows, highs, empty, missing) in zip(count(first), rounds):
+    for index, (los, his, faulty, lows, highs, missing) in zip(count(first), rounds):
         lo_tokens, hi_tokens = list(islice(tokens, len(los))), list(islice(tokens, len(his)))
         faulty = ",".join(islice(tokens, len(faulty)))
         measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
         # a fused endpoint is one of the round's endpoints, and equal reals render alike
         lo_text, hi_text = dict(zip(los, lo_tokens)), dict(zip(his, hi_tokens))
-        levels = "null," * empty + ",".join([f"[{lo_text[lo]},{hi_text[hi]}]"
-                                              for lo, hi in zip(lows[empty:], highs[empty:])])
+        levels = ",".join(["null" if lo > hi else f"[{lo_text[lo]},{hi_text[hi]}]" for lo, hi in zip(lows, highs)])
         contains = ",".join(["false"] * missing + ["true"] * (len(los) - missing))
         # the keys in sorted order; every round's fused chain covers budgets 0 .. sensors - 1
         items.append(f'{{"contains_truth":[{contains}],"faulty":[{faulty}],"fused":{{"f_min":0,"levels":'
@@ -561,8 +561,8 @@ def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[st
     rounds = iter(rounds)
     first = 0
     while batch := list(islice(rounds, max(1, _BATCH // (2 * config.num_sensors + config.num_faulty)))):
-        # rendered by a call of its own, so that its temporaries are freed before the text is held
-        # and the next batch is drawn: live across a yield, they would interleave with the held text
+        # rendered by a call of its own, so that its temporaries are freed before the text is
+        # yielded: as this generator's locals they would stay alive while the next batch is drawn
         yield _rounds_text(batch, first)
         first += len(batch)
     yield "]}"

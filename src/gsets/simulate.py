@@ -5,8 +5,8 @@ faulty intervals displaced far enough to provably exclude it, then fuses
 the lot for every fault budget and records which budgets recover the truth.
 One kernel draws a round in plain floats and sorts it once: ``simulate_round``
 reads its levels off the kernel's sorts, ``formats.simulation_chunks`` writes it as drawn.
-The kernel returns the endpoints as two lists in sensor order and, in place of a flag per
-level, the counts of leading levels that are empty and that miss the truth.
+The kernel returns the endpoints as two lists in sensor order, the order statistics the levels
+are read off, and, in place of a flag per level, the count of leading levels that miss the truth.
 """
 
 from __future__ import annotations
@@ -106,9 +106,8 @@ def _round_rng(seed: int, round_index: int) -> random.Random:
 def _draw_round(config: SimConfig, round_index: int) -> tuple:
     """``simulate_round`` in plain floats: each sensor's lower and upper endpoint in sensor order, the
     faulty indices in order, the order statistics that levels 0 .. num_sensors - 1 are read off, and
-    the counts of leading levels that are empty and that miss the truth.  Once the levels are checked
-    to be nested, each count covers every such level: nonempty levels and levels that hold the truth
-    only grow with the fault budget."""
+    the count of leading levels that miss the truth.  Once the levels are checked to be nested, the
+    count covers every such level: once a level holds the truth, every larger budget's level does."""
     if round_index < 0:
         raise DomainError("round index must be nonnegative")
     rng = _round_rng(config.seed, round_index)
@@ -137,10 +136,7 @@ def _draw_round(config: SimConfig, round_index: int) -> tuple:
     missing = 0
     while missing < len(lows) and not lows[missing] <= truth <= highs[missing]:
         missing += 1
-    empty = 0  # an empty level misses the truth
-    while empty < missing and lows[empty] > highs[empty]:
-        empty += 1
-    return los, his, sorted(faulty), lows, highs, empty, missing
+    return los, his, sorted(faulty), lows, highs, missing
 
 
 def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
@@ -151,7 +147,7 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     same width class whose centre sits at least fault_offset_min away from
     the truth, on a random side.
     """
-    los, his, faulty, lows, highs, _, missing = _draw_round(config, round_index)
+    los, his, faulty, lows, highs, missing = _draw_round(config, round_index)
     n = len(los)
     return SimOutcome(tuple(map(Interval._unchecked, los, his)), frozenset(faulty),
                       _graded_levels(lows, highs, 0, n - 1), (False,) * missing + (True,) * (n - missing))

@@ -532,7 +532,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("sensors, faulty, rounds", [(9, 2, 2000), (31, 10, 800)])
     def test_memory_is_bounded_by_the_output(self, tmp_path, sensors, faulty, rounds):
-        # the report is held only as its own text, never as outcomes or a document tree
+        # the report is never held whole, as outcomes, a document tree or text; the bound by its size is loose
         argv = ["simulate", "--sensors", str(sensors), "--faulty", str(faulty), "--rounds", str(rounds)]
         out_path = tmp_path / "report.json"
         code, _, peak = _traced_main(argv, out_path, warm=argv[:-1] + ["1"])

@@ -761,10 +761,9 @@ def _float_round(items, faulty, truth):
     los, his = [iv.lo for iv in items], [iv.hi for iv in items]
     lows, highs = _order_statistics(los, his)
     containment = [lo <= truth <= hi for lo, hi in zip(lows, highs)]
-    empty = [lo > hi for lo, hi in zip(lows, highs)]
     outcome = SimOutcome(tuple(items), frozenset(faulty), graded_fusion(items, 0, len(items) - 1), tuple(containment))
-    # the sorts put the levels that are empty, and those that miss the truth, first
-    return (los, his, sorted(faulty), lows, highs, empty.count(True), containment.count(False)), outcome
+    # the sorts put the levels that miss the truth first
+    return (los, his, sorted(faulty), lows, highs, containment.count(False)), outcome
 
 
 class TestSimulationChunks:

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -420,6 +421,15 @@ class TestIntervalDistribution:
         d = random_graded(FIX, FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items()))
         seen = {sample(d, s) for s in range(200)}
         assert seen == {Interval(4, 8), Interval(2, 10), Interval(0, 12)}
+
+    def test_sample_falls_back_to_the_last_atom_past_the_summed_mass(self, monkeypatch):
+        # the masses sum to 1 - 5e-10, within the tolerance, so a draw in [0, 1) can land past the sum
+        d = IntervalDistribution(((Interval(0, 1), 0.5), (Interval(2, 3), 0.5 - 5e-10)))
+        draw = 1.0 - 2.5e-10
+        assert 0.5 + (0.5 - 5e-10) <= draw < 1.0
+        rng = SimpleNamespace(random=lambda: draw)
+        monkeypatch.setattr(intervals_module, "random", SimpleNamespace(Random=lambda seed: rng))
+        assert sample(d, 0) == Interval(2, 3)
 
     def test_sample_frequencies_track_probabilities(self):
         d = IntervalDistribution(((Interval(0, 1), 0.9), (None, 0.1)))

@@ -73,6 +73,15 @@ class TestPartitionConstruction:
     def test_inequality_on_different_blocks(self):
         assert part(["a", "b"], ["c"]) != part(["a"], ["b", "c"])
 
+    def test_equality_with_another_kind_is_left_to_the_other_operand(self):
+        p = part(["a"], ["b"])
+        assert p.__eq__((("a",), ("b",))) is NotImplemented
+        assert p != (("a",), ("b",))
+
+    def test_partitions_of_different_universes_are_unequal(self):
+        assert part(["a", "b"]).__eq__(part(["a", "c"])) is False
+        assert part(["a"]) != part(["a"], ["b"])
+
     def test_block_of_shares_one_set_per_block(self):
         p = part(["a", "b", "c"], ["d"])
         assert p.block_of("a") is p.block_of("b") is p.block_of("c")

@@ -160,14 +160,13 @@ class TestRoundChecks:
             simulate._draw_round(self.CFG, 0)
 
     def test_public_round_is_read_off_the_kernel(self):
-        los, his, faulty, lows, highs, empty, missing = simulate._draw_round(config(), 3)
+        los, his, faulty, lows, highs, missing = simulate._draw_round(config(), 3)
         out = simulate_round(config(), 3)
         assert out.faulty_indices == set(faulty) and faulty == sorted(faulty)
         assert [(iv.lo, iv.hi) for iv in out.intervals] == list(zip(los, his))
         assert [None if lv is None else (lv.lo, lv.hi) for lv in out.fused.levels] == [
             (lo, hi) if lo <= hi else None for lo, hi in zip(lows, highs)
         ]
-        assert out.fused.levels[:empty] == (None,) * empty and None not in out.fused.levels[empty:]
         assert out.truth_containment == (False,) * missing + (True,) * (len(los) - missing)
 
     def test_a_round_sorts_its_endpoints_once(self, monkeypatch):
