@@ -7,6 +7,11 @@ input cannot be parsed, the invocation itself is malformed, or standard
 output cannot be written.  An error line that standard error cannot take
 is dropped; the exit code still tells.
 
+Each handler returns either a whole document, which ``main`` renders with
+``formats.dumps_canonical`` once the handler has returned, so its inputs are
+freed before anything renders, or an iterator of the chunks of a document
+that streams.
+
 Each flag is defined once, in ``_FLAGS``.  Flags taking structured values
 (``--chain``, ``--targets``, ``--dist``) accept either a file path or inline
 JSON; an argument whose first non-space character is ``[`` or ``{`` is read
@@ -20,7 +25,7 @@ import errno
 import itertools
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import formats
 from .errors import DomainError, ParseError
@@ -62,25 +67,12 @@ def _split_names(value: str, what: str) -> list[str]:
     return names
 
 
-def _one_document(handler):
-    """A handler that builds one document, as the chunks of text ``main``
-    writes. The document is rendered after the handler has returned, so the
-    handler's inputs are freed first."""
-
-    def chunks(args: argparse.Namespace) -> list[str]:
-        return [formats.dumps_canonical(handler(args))]
-
-    return chunks
-
-
-@_one_document
 def _cmd_fuse(args: argparse.Namespace):
     intervals = formats.parse_intervals(_read_file(args.input), args.format)
     return formats.fusion_result_doc(fuse(intervals, args.faults))
 
 
 def _cmd_graded(args: argparse.Namespace):
-    # the parsed intervals are a temporary, freed before anything is rendered
     graded = graded_fusion(formats.parse_intervals(_read_file(args.input), args.format), args.fmin, args.fmax)
     return formats.graded_intervals_chunks(graded)
 
@@ -94,7 +86,6 @@ def _cmd_random(args: argparse.Namespace):
                 f"--seed through --seed + --sample - 1 must lie in 0..{MAX_SEED}"
                 f" (got {args.seed}..{args.seed + args.sample - 1})"
             )
-    # the parsed intervals are a temporary, freed before anything is rendered
     pushed = random_graded(
         formats.parse_intervals(_read_file(args.input), args.format),
         formats.parse_fault_distribution(_read_source(args.dist)),
@@ -103,7 +94,6 @@ def _cmd_random(args: argparse.Namespace):
     return formats.interval_distribution_chunks(pushed, draws)  # drawn as written
 
 
-@_one_document
 def _cmd_partition(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     attrs = _split_names(args.attrs, "attribute list")
@@ -111,7 +101,7 @@ def _cmd_partition(args: argparse.Namespace):
 
 
 def _cmd_granulate(args: argparse.Namespace):
-    # the parsed table is a temporary, freed before anything is rendered; it is parsed before the chain
+    # the table is parsed before the chain
     granular = granular_from_chain(
         formats.parse_table(_read_file(args.table)),
         formats.parse_graded_family(_read_source(args.chain)),
@@ -120,7 +110,6 @@ def _cmd_granulate(args: argparse.Namespace):
     return formats.granular_set_chunks(granular)
 
 
-@_one_document
 def _cmd_approx(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     attrs = _split_names(args.attrs, "attribute list")
@@ -129,7 +118,6 @@ def _cmd_approx(args: argparse.Namespace):
     return formats.approximation_pair_doc(pair, order=table.objects)
 
 
-@_one_document
 def _cmd_graded_approx(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     attrs = _split_names(args.attrs, "attribute list")
@@ -141,7 +129,6 @@ def _cmd_graded_approx(args: argparse.Namespace):
     }
 
 
-@_one_document
 def _cmd_sensitivity(args: argparse.Namespace):
     table = formats.parse_table(_read_file(args.table))
     chain = formats.parse_graded_family(_read_source(args.chain))
@@ -252,7 +239,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # a --help text has been flushed, or a usage error written
             return exc.code if isinstance(exc.code, int) else 2
-        _write(sys.stdout, itertools.chain(args.handler(args), "\n"))
+        out = args.handler(args)
+        if not isinstance(out, Iterator):  # a whole document, rendered after its handler's inputs are freed
+            out = (formats.dumps_canonical(out),)
+        _write(sys.stdout, itertools.chain(out, "\n"))
         return 0
     except (ParseError, OSError) as exc:
         code, error = 2, exc

@@ -18,26 +18,12 @@ Each value kind X has one document builder ``X_doc`` that returns plain JSON
 data and one parser ``parse_X`` (a table is read only, by ``parse_table``),
 and ``dumps_canonical`` is the only encoder:
 ``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
-Four writers render a document through ``dumps_canonical`` a part at a
-time, so it is never held as a tree.  ``simulation_chunks`` writes the
-simulation report, which is written only, one chunk per batch of rounds
-straight off the simulator's plain floats: a batch's endpoints and faulty
-indices take one encoder call, as one flat array of each round's lower
-endpoints, upper endpoints and faulty indices in turn, whose text is split
-at its commas and dealt back by the rounds' sizes; a round's fused levels
-reuse the text of its endpoints, or are ``null`` where the lower end exceeds
-the upper, and its containment flags come from the simulator's count of
-leading levels that miss the truth.  ``granular_set_chunks`` writes
-``granular_set_doc``, the document ``granulate`` writes and the one shape
-``parse_granular_set`` reads, one level at a time, from the same per-level
-builder.  ``graded_intervals_chunks`` writes ``graded_intervals_doc`` and
-``interval_distribution_chunks`` writes ``interval_distribution_doc``, with
-any sampled draws, a batch of levels, atoms or draws per chunk.  The CSV
-readers split their text into lines a block at a time.  The rough
-documents come straight from block labels.  A partition's blocks are one
-grouping of its labels, and its names are checked once on its universe; a
-granular set's levels share one universe, so one check covers them all.  The
-object sets of one document are ordered through one position map.  Canonical
+Every large document streams: ``simulation_chunks`` (the simulation report,
+which is written only), ``granular_set_chunks``, ``graded_intervals_chunks``
+and ``interval_distribution_chunks`` yield its ``dumps_canonical`` text a part
+at a time, so memory does not grow with the output, and
+``granular_set_chunks`` checks the names before its first chunk.  Every other
+document is built whole and rendered by one ``dumps_canonical`` call.  Canonical
 JSON has its keys sorted and no insignificant whitespace; blocks and objects
 are ordered by the partition's universe order (or lexicographically where no
 universe context exists), integral reals up to 2**53 in magnitude are

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_CASES, HASH_SEEDS, agreed_run, closed_after, fill, gsets_process, traced
-from gsets import GranularSet, Partition, infosys
+from gsets import GranularSet, InformationTable, Interval, Partition, infosys
 from gsets.cli import main
 from gsets.formats import dumps_canonical
 
@@ -553,6 +554,27 @@ class TestGoldenBytes:
     def test_one_golden_file_per_case(self, fixtures_dir):
         # a golden file with no case, or a case with no golden file, is stale
         assert sorted(path.stem for path in (fixtures_dir / "cli_golden").glob("*.json")) == sorted(GOLDEN_CASES)
+
+
+class TestWholeDocuments:
+    @pytest.mark.parametrize("case", ["fuse", "partition", "approx", "graded-approx", "sensitivity"])
+    def test_rendered_after_the_inputs_are_freed(self, monkeypatch, capsys, case):
+        # the handler returns its document and main renders it, so the parsed table or intervals
+        # are freed before the encoder runs
+        events = []
+        gc.collect()  # no value of an earlier test is left to be freed during the call
+        for cls in (InformationTable, Interval):
+            monkeypatch.setattr(cls, "__del__", lambda self: events.append("freed"), raising=False)
+
+        def render(doc):
+            events.append("render")
+            return dumps_canonical(doc)
+
+        monkeypatch.setattr("gsets.formats.dumps_canonical", render)
+        assert main(fill(GOLDEN_CASES[case])) == 0
+        first_render = events.index("render")
+        assert "freed" in events[:first_render]
+        assert "freed" not in events[first_render:]
 
 
 class TestUndecodableInput:
