@@ -13,7 +13,9 @@ change won in the metric's better direction (ties count for neither), and
 whether a gain could be claimed: the change won at least nine pairs in ten,
 and its median is better than the parent's by more than the parent's
 q3 - q1.  It also records whether every call wrote the same stdout on both
-sides, the seeds, the interpreter, the machine, ``nproc`` and both commits.
+sides, the seeds, the interpreter, the machine, ``nproc`` and both commits;
+records that name no commit, as ``perfbench/run.py`` writes outside a git
+work tree, are refused.
 A per-op table, read from each record's calls, shows which call shape moved
 and which call set ``peak_rss_mb``: for each op and side, the median over
 the runs of the op's median call in starts (as ``op_p50_starts`` takes it),
@@ -100,6 +102,9 @@ def summarize(parent: Path, change: Path, tag: str) -> dict:
     context = {key: _only({r["context"][key] for r in records}, key) for key in CONTEXT}
     commits = {side: _only({sides[side][pair]["context"]["commit"] for pair in pairs}, f"the {side} commit")
                for side in sides}
+    for side, commit in commits.items():
+        if commit is None:  # perfbench/run.py records none outside a git work tree
+            raise SummaryError(f"the {side} records name no commit")
 
     workloads = {}
     for name in sorted({workload for workload, _ in pairs}):

@@ -22,13 +22,16 @@ Every large document streams: ``simulation_chunks`` (the simulation report,
 which is written only), ``granular_set_chunks``, ``graded_intervals_chunks``
 and ``interval_distribution_chunks`` yield its ``dumps_canonical`` text a part
 at a time, so memory does not grow with the output, and
-``granular_set_chunks`` checks the names before its first chunk.  Every other
-document is built whole and rendered by one ``dumps_canonical`` call.  Canonical
-JSON has its keys sorted and no insignificant whitespace; blocks and objects
-are ordered by the partition's universe order (or lexicographically where no
-universe context exists), integral reals up to 2**53 in magnitude are
-rendered as integers and all other reals in shortest round-trip form, and
-the empty fused result is rendered as ``null``.
+``granular_set_chunks`` checks the names before its first chunk.  Each streamed
+array goes through one writer, ``_array_items``: a granular set is written one
+level per chunk, a simulation report by whole rounds, and every other array in
+about ``_BATCH`` items per chunk.  Any other document is built whole and
+rendered by one ``dumps_canonical`` call.  Canonical JSON has its keys sorted
+and no insignificant whitespace; blocks and objects are ordered by the
+partition's universe order (or lexicographically where no universe context
+exists), integral reals up to 2**53 in magnitude are rendered as integers and
+all other reals in shortest round-trip form, and the empty fused result is
+rendered as ``null``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, count, islice, starmap
+from itertools import chain, islice, starmap
 
 from .chains import GradedFamily
 from .errors import ParseError
@@ -62,13 +65,15 @@ def dumps_canonical(doc) -> str:
     return _encode(doc)
 
 
-def _array_items(docs: Iterable) -> Iterator[str]:
-    """The items of the JSON array of `docs`, comma-separated canonical JSON text,
-    ``_BATCH`` documents per encoder call, so one batch is held at a time."""
+def _array_items(docs: Iterable, size: int | None = None, render=None) -> Iterator[str]:
+    """The items of the JSON array of `docs`, comma-separated canonical JSON text, one chunk per
+    batch of `size` documents (``_BATCH`` if not given), so one batch is held at a time.  A batch is
+    rendered by `render`, a call of its own whose temporaries are freed before its text is
+    yielded, or else by one encoder call."""
     docs = iter(docs)
     sep = ""
-    while batch := list(islice(docs, _BATCH)):
-        yield sep + dumps_canonical(batch)[1:-1]
+    while batch := list(islice(docs, size or _BATCH)):
+        yield sep + (render(batch) if render else dumps_canonical(batch)[1:-1])
         sep = ","
 
 
@@ -430,8 +435,7 @@ def granular_set_chunks(granular: GranularSet) -> Iterator[str]:
     """
     _names(list(granular.universe), "partition block")
     yield '{"granular":true,"levels":['
-    for i, level in enumerate(granular.levels):
-        yield ("," if i else "") + dumps_canonical(_level_doc(level))
+    yield from _array_items(map(_level_doc, granular.levels), 1)
     yield "]}"
 
 
@@ -496,26 +500,26 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
 
 
 def _rounds_doc(rounds: list[tuple]) -> list:
-    """A batch of drawn rounds as one flat array for the encoder: each round's lower endpoints, upper
-    endpoints and faulty indices, in turn."""
-    return [x for los, his, faulty, *_ in rounds for part in (los, his, faulty) for x in part]
+    """A batch of numbered drawn rounds as one flat array for the encoder: each round's lower
+    endpoints, upper endpoints and faulty indices, in turn."""
+    return [x for _, (los, his, faulty, *_) in rounds for part in (los, his, faulty) for x in part]
 
 
-def _rounds_text(rounds: list[tuple], first: int) -> str:
-    """Drawn rounds `first`, `first` + 1, ... as items of the report's ``rounds`` array, after a comma
-    unless `first` is 0.  One encoder call renders the endpoints and faulty indices of them all; a
+def _rounds_text(rounds: list[tuple]) -> str:
+    """Rounds given as (index, drawn round) pairs, as comma-separated items of the report's
+    ``rounds`` array.  One encoder call renders the endpoints and faulty indices of them all; a
     round's measurements and fused levels are written from its endpoints' text, a level as ``null``
     where its lower end exceeds its upper end, and its containment flags from the kernel's count of
     leading levels that miss the truth."""
     text = dumps_canonical(_rounds_doc(rounds))
     # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a batch through _real
     if ".0," in text or text.endswith(".0]"):
-        text = dumps_canonical(_rounds_doc([(list(map(_real, los)), list(map(_real, his)), faulty)
-                                            for los, his, faulty, *_ in rounds]))
+        text = dumps_canonical(_rounds_doc([(index, (list(map(_real, los)), list(map(_real, his)), faulty))
+                                            for index, (los, his, faulty, *_) in rounds]))
     # "[x,x,..]" -> its numbers' text in the array's order: no rendered number holds a comma
     tokens = iter(text[1:-1].split(","))
-    items = [""] if first else []
-    for index, (los, his, faulty, lows, highs, missing) in zip(count(first), rounds):
+    items = []
+    for index, (los, his, faulty, lows, highs, missing) in rounds:
         lo_tokens, hi_tokens = list(islice(tokens, len(los))), list(islice(tokens, len(his)))
         faulty = ",".join(islice(tokens, len(faulty)))
         measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
@@ -533,8 +537,8 @@ def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[st
     """The simulator's report as canonical JSON text: its configuration, then one chunk per batch
     of rounds, rendered as soon as ``simulate._draw_round`` draws them in plain floats.  The chunks
     join to ``dumps_canonical`` of the whole report, its keys written in sorted order around the
-    encoder's output.  A batch takes one encoder call, for about ``_BATCH`` numbers: a round's
-    endpoints and faulty indices."""
+    encoder's output.  A batch is as many whole rounds as fit in ``_BATCH`` numbers, a round's
+    endpoints and faulty indices, and at least one, rendered by one encoder call."""
     config_doc = {
         "sensors": config.num_sensors,
         "truth": _real(config.truth),
@@ -544,11 +548,6 @@ def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[st
         "seed": config.seed,
     }
     yield '{"config":' + dumps_canonical(config_doc) + ',"rounds":['
-    rounds = iter(rounds)
-    first = 0
-    while batch := list(islice(rounds, max(1, _BATCH // (2 * config.num_sensors + config.num_faulty)))):
-        # rendered by a call of its own, so that its temporaries are freed before the text is
-        # yielded: as this generator's locals they would stay alive while the next batch is drawn
-        yield _rounds_text(batch, first)
-        first += len(batch)
+    yield from _array_items(enumerate(rounds), max(1, _BATCH // (2 * config.num_sensors + config.num_faulty)),
+                            _rounds_text)
     yield "]}"

@@ -22,6 +22,24 @@ PROB_TOLERANCE = 1e-9
 MAX_SEED = 2**64 - 1
 
 
+def _check_int(value, what: str) -> None:
+    """The one count rule, for fault budgets, fault counts and the simulator's counts: only an int
+    that is not a bool is taken."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer")
+
+
+def _float(value, what: str) -> float:
+    """The one real rule, for probability masses and the simulator's reals: only an int that is not
+    a bool, or a float, is taken, as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an int or a float")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise DomainError(f"{what} is out of the range of a float") from None
+
+
 @total_ordering
 class Interval(Value):
     """Closed real interval [lo, hi] with finite endpoints, ordered by (lo, hi)."""
@@ -91,6 +109,7 @@ class GradedIntervals(Value):
     def __init__(self, f_min: int, levels: Iterable[FusionResult]) -> None:
         levels = tuple(levels)
         self._init(f_min, levels)
+        _check_int(f_min, "f_min")
         if f_min < 0:
             raise DomainError("f_min must be nonnegative")
         if not levels:
@@ -104,6 +123,7 @@ class GradedIntervals(Value):
         return self.f_min + len(self.levels) - 1
 
     def level(self, f: int) -> FusionResult:
+        _check_int(f, "fault count")
         if not self.f_min <= f <= self.f_max:
             raise DomainError(f"fault count {f} outside range {self.f_min}..{self.f_max}")
         return self.levels[f - self.f_min]
@@ -121,13 +141,6 @@ def _check_pmf(probabilities: Collection[float]) -> None:
         raise DomainError(f"probabilities sum to {total!r}, expected 1")
 
 
-def _mass(p) -> float:
-    """A probability mass as a float; only an int that is not a bool, or a float, is taken."""
-    if not isinstance(p, (int, float)) or isinstance(p, bool):
-        raise DomainError("probability must be an int or a float")
-    return float(p)
-
-
 class FaultDistribution(Value):
     """Discrete probability distribution over fault counts."""
 
@@ -138,9 +151,9 @@ class FaultDistribution(Value):
         # a parsed support is already (int, float) pairs, kept as they are
         if any(pair.__class__ is not tuple or len(pair) != 2 or pair[0].__class__ is not int
                or pair[1].__class__ is not float for pair in support):
-            if any(not isinstance(f, int) or isinstance(f, bool) for f, _ in support):
-                raise DomainError("fault count must be an integer")
-            support = [(int(f), _mass(p)) for f, p in support]
+            for f, _ in support:
+                _check_int(f, "fault count")
+            support = [(int(f), _float(p, "probability")) for f, p in support]
         support.sort()
         support = tuple(support)
         self._init(support)
@@ -167,7 +180,7 @@ class IntervalDistribution(Value):
         for result, p in atoms:
             if result is not None and not isinstance(result, Interval):
                 raise DomainError(f"not a fusion result: {result!r}")
-            merged[result] = merged.get(result, 0.0) + _mass(p)
+            merged[result] = merged.get(result, 0.0) + _float(p, "probability")
         if not merged:
             raise DomainError("interval distribution has no atoms")
         _check_pmf(merged.values())
@@ -212,11 +225,14 @@ def fuse(intervals: Iterable[Interval], f: int) -> FusionResult:
     endpoint the (f+1)-th smallest upper bound; an inverted pair yields the
     empty result.  Invariant under permutation of the input.
     """
+    _check_int(f, "fault count")
     return _level(*_sorted_ends(intervals), f)
 
 
 def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> GradedIntervals:
     """Fuse at every fault budget in f_min..f_max, off one pair of endpoint sorts."""
+    _check_int(f_min, "f_min")
+    _check_int(f_max, "f_max")
     return _graded_levels(*_sorted_ends(intervals), f_min, f_max)
 
 

@@ -18,7 +18,9 @@ from functools import cache
 
 from ._value import Value
 from .errors import DomainError
-from .intervals import MAX_SEED, GradedIntervals, Interval, _check_nested, _graded_levels, _order_statistics
+from .intervals import (
+    MAX_SEED, GradedIntervals, Interval, _check_int, _check_nested, _float, _graded_levels, _order_statistics
+)
 from .intervals import graded_fusion  # unused here, but the traced replay wraps gsets.simulate.graded_fusion
 
 
@@ -26,13 +28,20 @@ class SimConfig(Value):
     """Parameters of one simulated sensor round.
 
     fault_offset_min must exceed correct_halfwidth_max so that a displaced
-    interval cannot reach back to the truth.
+    interval cannot reach back to the truth.  The counts and the seed are ints,
+    and the reals are stored as floats, so equal configurations draw equal rounds.
     """
 
     __slots__ = ("num_sensors", "truth", "correct_halfwidth_max", "num_faulty", "fault_offset_min", "seed")
 
     def __init__(self, num_sensors: int, truth: float, correct_halfwidth_max: float, num_faulty: int,
                  fault_offset_min: float, seed: int) -> None:
+        _check_int(num_sensors, "num_sensors")
+        _check_int(num_faulty, "num_faulty")
+        _check_int(seed, "seed")
+        truth = _float(truth, "truth")
+        correct_halfwidth_max = _float(correct_halfwidth_max, "correct_halfwidth_max")
+        fault_offset_min = _float(fault_offset_min, "fault_offset_min")
         if num_sensors < 1:
             raise DomainError("need at least one sensor")
         if not math.isfinite(truth):
@@ -147,6 +156,7 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     same width class whose centre sits at least fault_offset_min away from
     the truth, on a random side.
     """
+    _check_int(round_index, "round index")
     los, his, faulty, lows, highs, missing = _draw_round(config, round_index)
     n = len(los)
     return SimOutcome(tuple(map(Interval._unchecked, los, his)), frozenset(faulty),
@@ -160,6 +170,7 @@ def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:
     iterator reaches it, so a failing round raises there, and memory does
     not grow with the count unless the caller keeps the rounds.
     """
+    _check_int(rounds, "round count")
     if rounds < 0:
         raise DomainError("round count must be nonnegative")
     return (simulate_round(config, k) for k in range(rounds))

@@ -87,6 +87,16 @@ def test_records_that_cannot_be_compared_exit_2(script, tmp_path, capsys, mixed)
     assert not (tmp_path / "BENCH_t.json").exists()
 
 
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_records_with_no_commit_exit_2(script, tmp_path, capsys, side):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    record(parent, "rough", 1, None if side == "parent" else "p", 2.0, 1.0)
+    record(change, "rough", 1, None if side == "change" else "c", 1.9, 1.1)
+    assert script.main([str(parent), str(change), "--tag", "t"]) == 2
+    assert capsys.readouterr().err == f"error: the {side} records name no commit\n"
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
 PARENT_STARTS = [2.0, 2.01, 2.02, 2.03, 2.04, 2.05, 2.06, 2.07, 2.08, 2.09]
 
 

@@ -781,17 +781,32 @@ class TestSimulationChunks:
         # the configuration, one batch of up to 21 rounds with its separator, the close
         assert len(chunks) == 1 + (rounds > 0) + 1
 
-    @pytest.mark.parametrize("rounds", [lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 1],
-                             ids=["b-1", "b", "b+1", "2b+1"])
-    def test_batches_join_to_the_canonical_report(self, rounds):
+    @pytest.mark.parametrize(
+        "rounds, numbers",
+        [(lambda b: b - 1, formats._BATCH), (lambda b: b, formats._BATCH), (lambda b: b + 1, formats._BATCH),
+         (lambda b: 2 * b + 1, formats._BATCH), (lambda b: 2 * b + 1, 64)],
+        ids=["b-1", "b", "b+1", "2b+1", "2b+1-batch64"],
+    )
+    def test_batches_join_to_the_canonical_report(self, rounds, numbers):
         config = SimConfig(9, 0.25, 1.0, 3, 2.5, 5)
-        batch = formats._BATCH // (2 * 9 + 3)  # 12 rounds of 18 endpoints and 3 faulty indices
+        # 12 rounds of 18 endpoints and 3 faulty indices, or 3 under a 64-number batch
+        batch = numbers // (2 * 9 + 3)
         rounds = rounds(batch)
-        chunks = list(simulation_chunks(config, _drawn(config, rounds)))
+        with patch.object(formats, "_BATCH", numbers):
+            chunks = list(simulation_chunks(config, _drawn(config, rounds)))
         assert "".join(chunks) == dumps_canonical(_reference_report(config, simulate_rounds(config, rounds)))
         # the configuration, one chunk per batch, each after its separator, the close
         assert len(chunks) == 2 + -(-rounds // batch)
         assert all(chunk.startswith(',{"contains_truth":') for chunk in chunks[2:-1])
+
+    # 235 numbers a round, so one fits in a batch; 352, past the batch, so the floor of one round holds
+    @pytest.mark.parametrize("sensors, faulty", [(101, 33), (151, 50)])
+    def test_a_round_of_many_numbers_is_a_chunk_of_its_own(self, sensors, faulty):
+        config = SimConfig(sensors, 0.0, 1.0, faulty, 2.5, 3)
+        chunks = list(simulation_chunks(config, _drawn(config, 3)))
+        assert "".join(chunks) == dumps_canonical(_reference_report(config, simulate_rounds(config, 3)))
+        # the configuration, one chunk per round, the close
+        assert len(chunks) == 2 + 3
 
     def test_fused_endpoints_render_as_the_measurements_do(self):
         # each fused endpoint's text is looked up by value among the rendered measurements:

@@ -107,6 +107,11 @@ class TestFuse:
         with pytest.raises(DomainError, match="fault count exceeds measurement count"):
             fuse(FIX, 3)
 
+    @pytest.mark.parametrize("f", [1.0, True, "1"])
+    def test_budget_must_be_an_int(self, f):
+        with pytest.raises(DomainError, match="^fault count must be an integer$"):
+            fuse(FIX, f)
+
     @given(intervals(), st.randoms(use_true_random=False))
     def test_permutation_invariance(self, items, rng):
         f = rng.randrange(len(items))
@@ -163,6 +168,22 @@ class TestGradedFusion:
     def test_bad_ranges_rejected(self, fmin, fmax):
         with pytest.raises(DomainError, match="invalid fault range"):
             graded_fusion(FIX, fmin, fmax)
+
+    @pytest.mark.parametrize("fmin, fmax, name", [(0.0, 1, "f_min"), (True, 2, "f_min"), (0, 2.0, "f_max")])
+    def test_budgets_must_be_ints(self, fmin, fmax, name):
+        # a bool f_min would be written as "f_min":true, which parse_graded_intervals rejects
+        with pytest.raises(DomainError, match=f"^{name} must be an integer$"):
+            graded_fusion(FIX, fmin, fmax)
+
+    @pytest.mark.parametrize("f_min", [0.5, 0.0, True])
+    def test_constructor_takes_an_int_f_min(self, f_min):
+        with pytest.raises(DomainError, match="^f_min must be an integer$"):
+            GradedIntervals(f_min, (Interval(0, 1),))
+
+    @pytest.mark.parametrize("f", [1.0, 0.5, True])
+    def test_level_takes_an_int_fault_count(self, f):
+        with pytest.raises(DomainError, match="^fault count must be an integer$"):
+            graded_fusion(FIX, 0, 2).level(f)
 
     def test_level_lookup_by_fault_count(self):
         g = graded_fusion(FIX, 1, 2)

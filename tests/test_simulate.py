@@ -42,11 +42,28 @@ class TestSimConfig:
             (dict(seed=2**64), "64-bit"),
             # with no faulty sensor an infinite offset is never drawn, but the report shows it
             (dict(fault_offset_min=float("inf"), num_faulty=0), "finite"),
+            # the counts and the seed take an int that is not a bool, the reals an int or a float
+            (dict(num_sensors=3.5), "^num_sensors must be an integer$"),
+            (dict(num_faulty=1.0), "^num_faulty must be an integer$"),
+            (dict(num_faulty=True), "^num_faulty must be an integer$"),
+            (dict(seed=1.0), "^seed must be an integer$"),
+            (dict(seed=False), "^seed must be an integer$"),
+            (dict(truth="0"), "^truth must be an int or a float$"),
+            (dict(truth=True), "^truth must be an int or a float$"),
+            (dict(correct_halfwidth_max=None), "^correct_halfwidth_max must be an int or a float$"),
+            (dict(fault_offset_min="2.5"), "^fault_offset_min must be an int or a float$"),
+            (dict(truth=10**400), "^truth is out of the range of a float$"),
         ],
     )
     def test_invalid_configs(self, overrides, msg):
         with pytest.raises(DomainError, match=msg):
             config(**overrides)
+
+    def test_equal_configs_draw_equal_rounds(self):
+        # the round streams are seeded from the seed's text, so an equal config must hold the same values
+        ints = config(truth=3, correct_halfwidth_max=1, fault_offset_min=2.5)
+        assert ints == config() and hash(ints) == hash(config())
+        assert list(simulate_rounds(ints, 5)) == list(simulate_rounds(config(), 5))
 
 
 class TestSimulateRound:
@@ -100,6 +117,16 @@ class TestSimulateRound:
     def test_negative_round_rejected(self):
         with pytest.raises(DomainError, match="nonnegative"):
             simulate_round(config(), -1)
+
+    @pytest.mark.parametrize("index", [0.0, True, "0"])
+    def test_round_index_must_be_an_int(self, index):
+        with pytest.raises(DomainError, match="^round index must be an integer$"):
+            simulate_round(config(), index)
+
+    @pytest.mark.parametrize("count", [2.0, True, "2"])
+    def test_round_count_must_be_an_int(self, count):
+        with pytest.raises(DomainError, match="^round count must be an integer$"):
+            simulate_rounds(config(), count)
 
     def test_faulty_interval_rounded_onto_truth_rejected(self):
         # at truth 1e20 a displacement of a few units is below one float step
