@@ -50,6 +50,7 @@ from .intervals import (
     GradedIntervals,
     Interval,
     IntervalDistribution,
+    _is_int,
 )
 from .partitions import GranularSet, Partition, validate_granular
 from .simulate import SimConfig
@@ -94,10 +95,6 @@ def _load_json(text: str):
     except ValueError:
         # an integer past the interpreter's digit limit for str-to-int conversion
         raise ParseError("invalid JSON: integer with too many digits") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, where: str) -> float:

@@ -3,8 +3,8 @@
 Objects are rows, attributes are columns, and cells hold categorical tokens
 compared by exact string equality.  A table stores each column as its
 distinct values, in order of first appearance, and one code per object: a
-byte per cell while the column has under 256 values, a tuple of ints (eight
-bytes per cell) for a wider one.  Choosing an attribute set induces an
+byte per cell while the column has at most 256 values, a tuple of ints
+(eight bytes per cell) for a wider one.  Choosing an attribute set induces an
 indiscernibility partition; a nested chain of attribute sets induces a
 granular set; a target set of objects gets lower/upper approximations that
 respond monotonically to growing targets and growing attribute sets.
@@ -84,7 +84,7 @@ class InformationTable(Value):
                 chunk.append(bytes(coded) if len(known) <= 256 else coded)
         values = tuple(map(tuple, ids))
         codes = tuple(
-            b"".join(chunk) if len(column) < 256 else tuple(itertools.chain.from_iterable(chunk))
+            b"".join(chunk) if len(column) <= 256 else tuple(itertools.chain.from_iterable(chunk))
             for column, chunk in zip(values, chunks)
         )
         self._init(tuple(obj_pos), tuple(attr_pos), values, codes, obj_pos, attr_pos)

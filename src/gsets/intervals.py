@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections.abc import Collection, Iterable, Sequence
 from functools import total_ordering
-from itertools import islice
+from itertools import accumulate, islice
 
 from ._value import Value
 from .errors import DomainError
@@ -22,10 +23,14 @@ PROB_TOLERANCE = 1e-9
 MAX_SEED = 2**64 - 1
 
 
+def _is_int(value) -> bool:
+    """The one count test, for the library's counts and the parsers' integers: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_int(value, what: str) -> None:
-    """The one count rule, for fault budgets, fault counts and the simulator's counts: only an int
-    that is not a bool is taken."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """The one count rule, for fault budgets, fault counts, seeds and the simulator's counts."""
+    if not _is_int(value):
         raise DomainError(f"{what} must be an integer")
 
 
@@ -170,10 +175,11 @@ class IntervalDistribution(Value):
     """Discrete distribution over fused results.
 
     Atoms with identical results are merged with their probabilities summed,
-    and stored in canonical order (empty first, then by endpoints).
+    and stored in canonical order (empty first, then by endpoints); `_cum` holds
+    the running masses of every atom but the last, in that order, for `sample`.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_cum")
 
     def __init__(self, atoms: Iterable[tuple[FusionResult, float]]) -> None:
         merged: dict[FusionResult, float] = {}
@@ -184,7 +190,8 @@ class IntervalDistribution(Value):
         if not merged:
             raise DomainError("interval distribution has no atoms")
         _check_pmf(merged.values())
-        self._init(tuple(sorted(merged.items(), key=lambda a: _result_key(a[0]))))
+        atoms = tuple(sorted(merged.items(), key=lambda a: _result_key(a[0])))
+        self._init(atoms, tuple(accumulate(p for _, p in islice(atoms, len(atoms) - 1))))
 
 
 def _check_nested(lows: Sequence[float], highs: Sequence[float]) -> None:
@@ -268,18 +275,13 @@ def random_graded(intervals: Iterable[Interval], dist: FaultDistribution) -> Int
 
 
 def sample(dist: IntervalDistribution, seed: int) -> FusionResult:
-    """Draw one atom, reproducibly for a given seed.
+    """Draw one atom, reproducibly for a given int seed.
 
-    Uses the stdlib Mersenne Twister seeded with `seed`; a single uniform
-    draw is mapped through the cumulative probabilities of the atoms in
-    their canonical order.
+    Uses the stdlib Mersenne Twister seeded with `seed`: one binary search over
+    the running masses finds the first atom whose running mass exceeds its
+    single uniform draw, or the last atom when the draw is past them all.
     """
+    _check_int(seed, "seed")
     if not 0 <= seed <= MAX_SEED:
         raise DomainError("seed must be an unsigned 64-bit integer")
-    x = random.Random(seed).random()
-    acc = 0.0
-    for result, p in dist.atoms:
-        acc += p
-        if x < acc:
-            return result
-    return dist.atoms[-1][0]
+    return dist.atoms[bisect_right(dist._cum, random.Random(seed).random())][0]

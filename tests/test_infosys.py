@@ -432,10 +432,11 @@ class TestColumnCodes:
             assert table.value("o598", "wide") == "v299" and table.value("o699", "wide") == "v99"
             _check_against_oracle(table, [["narrow"], ["narrow", "wide"]], objects[::3])
 
-    def test_column_of_256_values_is_wide(self):
-        rows = [(f"v{i}",) for i in range(256)]
-        for table in self._both([f"o{i}" for i in range(256)], ("p",), rows):
-            assert type(table._codes[0]) is tuple and table.value("o255", "p") == "v255"
+    @pytest.mark.parametrize("width, kind", [(256, bytes), (257, tuple)])
+    def test_a_column_is_bytes_up_to_256_values(self, width, kind):
+        rows = [(f"v{i}",) for i in range(width)]
+        for table in self._both([f"o{i}" for i in range(width)], ("p",), rows):
+            assert type(table._codes[0]) is kind and table.value(f"o{width - 1}", "p") == f"v{width - 1}"
 
     def test_keys_past_a_machine_word(self):
         # nine attributes of about 260 values: the keys of a from-scratch

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -438,6 +439,12 @@ class TestIntervalDistribution:
         with pytest.raises(DomainError, match="seed"):
             sample(d, 2**64)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_sample_takes_only_an_int_seed(self, seed):
+        d = IntervalDistribution(((Interval(1, 2), 1.0),))
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            sample(d, seed)
+
     def test_sample_hits_every_atom(self):
         d = random_graded(FIX, FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items()))
         seen = {sample(d, s) for s in range(200)}
@@ -457,6 +464,44 @@ class TestIntervalDistribution:
         draws = 100000
         hits = sum(sample(d, s) == Interval(0, 1) for s in range(draws))
         assert 0.89 <= hits / draws <= 0.91
+
+
+def _scan(atoms, x):
+    """The draw as a walk over the atoms: the first whose running mass exceeds x, else the last."""
+    acc = 0.0
+    for result, p in atoms:
+        acc += p
+        if x < acc:
+            return result
+    return atoms[-1][0]
+
+
+@st.composite
+def _short_pmfs(draw):
+    """Masses of one to eight atoms, with some too small to move a running sum (1e-20), and with
+    the total shaved by up to 5e-10 below 1, within PROB_TOLERANCE."""
+    weights = draw(st.lists(st.one_of(st.just(1e-20), st.floats(0.01, 1.0)), min_size=1, max_size=8))
+    total = math.fsum(weights)
+    masses = [w / total for w in weights]
+    largest = masses.index(max(masses))
+    masses[largest] -= draw(st.floats(0.0, 5e-10))
+    return masses
+
+
+@given(_short_pmfs(), st.integers(0, intervals_module.MAX_SEED))
+@settings(max_examples=300)
+def test_sample_draws_the_atom_of_the_scan(masses, seed):
+    d = IntervalDistribution((Interval(i, i + 1), p) for i, p in enumerate(masses))
+    assert sample(d, seed) == _scan(d.atoms, random.Random(seed).random())
+    # a seeded draw seldom lands on a running mass or past the total, so draw there too
+    sums, acc = {0.0}, 0.0
+    for p in masses:
+        acc += p
+        sums |= {acc, math.nextafter(acc, 0.0), math.nextafter(acc, 1.0)}
+    for x in sorted(x for x in sums if x < 1.0):
+        rng = SimpleNamespace(random=lambda: x)
+        with patch.object(intervals_module, "random", SimpleNamespace(Random=lambda seed: rng)):
+            assert sample(d, seed) == _scan(d.atoms, x)
 
 
 @given(intervals(max_size=50), st.data())
