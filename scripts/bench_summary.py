@@ -12,7 +12,9 @@ the ratio of the medians (change / parent) and the number of pairs the
 change won in the metric's better direction (ties count for neither), and
 whether a gain could be claimed: the change won at least nine pairs in ten,
 and its median is better than the parent's by more than the parent's
-q3 - q1.  It also records whether every call wrote the same stdout on both
+q3 - q1; and whether the change's median is within the metric's ``bound``:
+no worse than the parent's by more than that fraction of it (with a zero
+parent median, no worse at all).  It also records whether every call wrote the same stdout on both
 sides, the seeds, the interpreter, the machine, ``nproc`` and both commits;
 records that name no commit, as ``perfbench/run.py`` writes outside a git
 work tree, are refused.
@@ -126,6 +128,9 @@ def summarize(parent: Path, change: Path, tag: str) -> dict:
                 "change_wins": wins,
                 "claim_holds": 10 * wins >= 9 * len(seeds)
                 and sign * (new["median"] - old["median"]) > old["q3"] - old["q1"],
+                # how much worse the change is, against the bound's share of the parent; a zero
+                # parent median leaves no room
+                "within_bound": sign * (old["median"] - new["median"]) <= metric["bound"] * abs(old["median"]),
             }
         workloads[name] = {"seeds": seeds, "same_stdout": same, "metrics": summary, "ops": _ops(runs)}
     return {"tag": tag, "context": context, "commits": commits, "workloads": workloads}

@@ -505,9 +505,9 @@ def _rounds_doc(rounds: list[tuple]) -> list:
 def _rounds_text(rounds: list[tuple]) -> str:
     """Rounds given as (index, drawn round) pairs, as comma-separated items of the report's
     ``rounds`` array.  One encoder call renders the endpoints and faulty indices of them all; a
-    round's measurements and fused levels are written from its endpoints' text, a level as ``null``
-    where its lower end exceeds its upper end, and its containment flags from the kernel's count of
-    leading levels that miss the truth."""
+    round's measurements are written from its endpoints' text, and level f from the text of the
+    sensors at index f of the kernel's sort orders, as ``null`` where its lower end exceeds its upper
+    end.  Its containment flags come from the kernel's count of leading levels that miss the truth."""
     text = dumps_canonical(_rounds_doc(rounds))
     # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a batch through _real
     if ".0," in text or text.endswith(".0]"):
@@ -516,13 +516,14 @@ def _rounds_text(rounds: list[tuple]) -> str:
     # "[x,x,..]" -> its numbers' text in the array's order: no rendered number holds a comma
     tokens = iter(text[1:-1].split(","))
     items = []
-    for index, (los, his, faulty, lows, highs, missing) in rounds:
+    for index, (los, his, faulty, lo_order, hi_order, missing) in rounds:
         lo_tokens, hi_tokens = list(islice(tokens, len(los))), list(islice(tokens, len(his)))
         faulty = ",".join(islice(tokens, len(faulty)))
         measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
-        # a fused endpoint is one of the round's endpoints, and equal reals render alike
-        lo_text, hi_text = dict(zip(los, lo_tokens)), dict(zip(his, hi_tokens))
-        levels = ",".join(["null" if lo > hi else f"[{lo_text[lo]},{hi_text[hi]}]" for lo, hi in zip(lows, highs)])
+        # a fused endpoint is the sensor's own, so its text is the measurement's; among equal
+        # reals the sort's tie order cannot show, as equal reals render alike (-0.0 too, as 0)
+        levels = ",".join(["null" if los[i] > his[j] else f"[{lo_tokens[i]},{hi_tokens[j]}]"
+                           for i, j in zip(lo_order, hi_order)])
         contains = ",".join(["false"] * missing + ["true"] * (len(los) - missing))
         # the keys in sorted order; every round's fused chain covers budgets 0 .. sensors - 1
         items.append(f'{{"contains_truth":[{contains}],"faulty":[{faulty}],"fused":{{"f_min":0,"levels":'
@@ -532,7 +533,8 @@ def _rounds_text(rounds: list[tuple]) -> str:
 
 def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[str]:
     """The simulator's report as canonical JSON text: its configuration, then one chunk per batch
-    of rounds, rendered as soon as ``simulate._draw_round`` draws them in plain floats.  The chunks
+    of rounds, rendered as soon as ``simulate._draw_round`` draws them in plain floats, each fused
+    level read through the round's sort orders off its rendered measurements.  The chunks
     join to ``dumps_canonical`` of the whole report, its keys written in sorted order around the
     encoder's output.  A batch is as many whole rounds as fit in ``_BATCH`` numbers, a round's
     endpoints and faulty indices, and at least one, rendered by one encoder call."""

@@ -3,10 +3,13 @@
 Each round plants a known truth, draws correct intervals around it and
 faulty intervals displaced far enough to provably exclude it, then fuses
 the lot for every fault budget and records which budgets recover the truth.
-One kernel draws a round in plain floats and sorts it once: ``simulate_round``
-reads its levels off the kernel's sorts, ``formats.simulation_chunks`` writes it as drawn.
-The kernel returns the endpoints as two lists in sensor order, the order statistics the levels
-are read off, and, in place of a flag per level, the count of leading levels that miss the truth.
+One kernel draws a round in plain floats and sorts its sensors once each way: by lower end
+descending and by upper end ascending.  Level f runs from the lower end of the f-th sensor of the
+first order to the upper end of the f-th of the second, so ``simulate_round`` maps the orders to
+its levels' values and ``formats.simulation_chunks`` reads each level's text through them off the
+round's rendered measurements.  The kernel returns the endpoints as two lists in sensor order, the
+faulty indices, the two sort orders and, in place of a flag per level, the count of leading levels
+that miss the truth.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from functools import cache
 
 from ._value import Value
 from .errors import DomainError
-from .intervals import (
-    MAX_SEED, GradedIntervals, Interval, _check_int, _check_nested, _float, _graded_levels, _order_statistics
-)
+from .intervals import MAX_SEED, GradedIntervals, Interval, _check_int, _float, _graded_levels
 from .intervals import graded_fusion  # unused here, but the traced replay wraps gsets.simulate.graded_fusion
 
 
@@ -75,7 +76,8 @@ def _no_round_can_fail(config: SimConfig) -> bool:
     #   and the second below it, no faulty interval holds the truth.
     # - No endpoint is larger in magnitude than (|truth| + 2.0 * m0) + w, so when that is finite,
     #   no endpoint overflows.
-    # The order statistics of finite endpoints are always nested, so then no check can fire.
+    # The kernel checks no chain, as the levels read through its sort orders are nested by
+    # construction; so then no check can fire.
     truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
     return ((truth + offset_min) - width > truth and (truth - offset_min) + width < truth
             and math.isfinite((abs(truth) + 2.0 * offset_min) + width))
@@ -114,9 +116,13 @@ def _round_rng(seed: int, round_index: int) -> random.Random:
 
 def _draw_round(config: SimConfig, round_index: int) -> tuple:
     """``simulate_round`` in plain floats: each sensor's lower and upper endpoint in sensor order, the
-    faulty indices in order, the order statistics that levels 0 .. num_sensors - 1 are read off, and
-    the count of leading levels that miss the truth.  Once the levels are checked to be nested, the
-    count covers every such level: once a level holds the truth, every larger budget's level does."""
+    faulty indices in order, the stable sort orders ``lo_order`` (lower ends descending) and
+    ``hi_order`` (upper ends ascending), and the count of leading levels that miss the truth.  Level f
+    is [los[lo_order[f]], his[hi_order[f]]], empty where its lower end exceeds its upper end.  The
+    levels are nested by construction, as the f-th largest lower end never rises and the f-th
+    smallest upper end never falls as f grows, so the count covers every such level: once a level
+    holds the truth, every larger budget's level does.  A sensor whose endpoints overflow or cross,
+    or that lies on the wrong side of the truth, is named with its round in the error."""
     if round_index < 0:
         raise DomainError("round index must be nonnegative")
     rng = _round_rng(config.seed, round_index)
@@ -134,18 +140,23 @@ def _draw_round(config: SimConfig, round_index: int) -> tuple:
         else:
             lo, hi = truth - u, truth + v
         if not -math.inf < lo <= hi < math.inf:
-            Interval(lo, hi)  # the checked constructor raises its own message
+            try:
+                Interval(lo, hi)  # the checked constructor words the fault
+            except DomainError as exc:
+                kind = "faulty" if i in faulty else "correct"
+                raise DomainError(f"round {round_index}: {kind} sensor {i}: {exc}") from None
         if (lo <= truth <= hi) is (i in faulty):
             raise DomainError(f"round {round_index}: " + (f"faulty sensor {i} contains the truth after float rounding"
                                                           if i in faulty else f"correct sensor {i} misses the truth"))
         los.append(lo)
         his.append(hi)
-    lows, highs = _order_statistics(los, his)
-    _check_nested(lows, highs)
+    n = len(los)
+    lo_order = sorted(range(n), key=los.__getitem__, reverse=True)
+    hi_order = sorted(range(n), key=his.__getitem__)
     missing = 0
-    while missing < len(lows) and not lows[missing] <= truth <= highs[missing]:
+    while missing < n and not los[lo_order[missing]] <= truth <= his[hi_order[missing]]:
         missing += 1
-    return los, his, sorted(faulty), lows, highs, missing
+    return los, his, sorted(faulty), lo_order, hi_order, missing
 
 
 def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
@@ -157,8 +168,9 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     the truth, on a random side.
     """
     _check_int(round_index, "round index")
-    los, his, faulty, lows, highs, missing = _draw_round(config, round_index)
+    los, his, faulty, lo_order, hi_order, missing = _draw_round(config, round_index)
     n = len(los)
+    lows, highs = [los[i] for i in lo_order], [his[i] for i in hi_order]
     return SimOutcome(tuple(map(Interval._unchecked, los, his)), frozenset(faulty),
                       _graded_levels(lows, highs, 0, n - 1), (False,) * missing + (True,) * (n - missing))
 

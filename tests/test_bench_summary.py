@@ -123,6 +123,28 @@ def test_the_claim_rule(script, tmp_path, parent_starts, change_starts, holds):
     assert metrics["items_per_start"]["claim_holds"] is holds
 
 
+@pytest.mark.parametrize(
+    "old, new, within",
+    [
+        # (op_p50_starts, items_per_start) per side, both metrics with a bound of 0.25:
+        # a quarter worse is at the bound, a little more is past it
+        ((2.0, 8.0), (2.5, 6.0), (True, True)),
+        ((2.0, 8.0), (2.6, 5.9), (False, False)),
+        # better by any amount is within
+        ((2.0, 8.0), (1.0, 16.0), (True, True)),
+        # a zero parent median leaves no room: equal or better is within, any worse is not
+        ((0.0, 0.0), (0.0, 0.1), (True, True)),
+        ((0.0, 0.0), (0.1, 0.0), (False, True)),
+    ],
+    ids=["at-the-bound", "past-the-bound", "better", "zero-parent-within", "zero-parent-worse"],
+)
+def test_the_bound_check(script, tmp_path, old, new, within):
+    record(tmp_path / "parent", "fusion", 1, "p", *old)
+    record(tmp_path / "change", "fusion", 1, "c", *new)
+    metrics = script.summarize(tmp_path / "parent", tmp_path / "change", "t")["workloads"]["fusion"]["metrics"]
+    assert (metrics["op_p50_starts"]["within_bound"], metrics["items_per_start"]["within_bound"]) == within
+
+
 def test_the_per_op_table(script, tmp_path):
     # (op, starts, maxrss_kb) per call; two calls of "a" and one of "b" a run, "c" only on one side
     parent_runs = [[("a", 3.0, 100), ("a", 3.2, 140), ("b", 1.5, 90), ("c", 1.0, 10)],

@@ -485,6 +485,15 @@ class TestSimulate:
         assert err.startswith("error: round 0: faulty sensor") and err.count("\n") == 1
         assert "contains the truth" in err
 
+    def test_an_overflowing_round_names_its_sensor(self, capsys):
+        # the faulty sensor is drawn at least 1e308 above a truth of 1e308, past the largest float
+        code, out, err = run_cli(
+            capsys, "simulate", "--sensors", "3", "--faulty", "1", "--rounds", "1", "--truth", "1e308",
+            "--offset", "1e308",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: round 0: faulty sensor 1: interval endpoints must be finite\n"
+
     def test_late_round_failure_leaves_stdout_empty(self, capsys):
         # at 2**55 a float step is 8; rounds 0-4 keep their faulty sensors off the truth, round 5 does not
         code, out, err = run_cli(

@@ -1,6 +1,7 @@
 import json
 import random
 from functools import partial
+from itertools import groupby
 from unittest.mock import patch
 
 import pytest
@@ -58,7 +59,6 @@ from gsets.formats import (
     sensitivity_profile_doc,
     simulation_chunks,
 )
-from gsets.intervals import _order_statistics
 from strategies import block_labelings, grid_values, intervals, table_with_attr_chain, tables
 
 FIX = [Interval(0, 10), Interval(2, 8), Interval(4, 12)]
@@ -759,11 +759,26 @@ def _drawn(config: SimConfig, rounds: int):
 def _float_round(items, faulty, truth):
     """A round of given measurements in the writer's input form, and as a SimOutcome."""
     los, his = [iv.lo for iv in items], [iv.hi for iv in items]
-    lows, highs = _order_statistics(los, his)
-    containment = [lo <= truth <= hi for lo, hi in zip(lows, highs)]
+    lo_order = sorted(range(len(items)), key=los.__getitem__, reverse=True)
+    hi_order = sorted(range(len(items)), key=his.__getitem__)
+    containment = [los[i] <= truth <= his[j] for i, j in zip(lo_order, hi_order)]
     outcome = SimOutcome(tuple(items), frozenset(faulty), graded_fusion(items, 0, len(items) - 1), tuple(containment))
     # the sorts put the levels that miss the truth first
-    return (los, his, sorted(faulty), lows, highs, containment.count(False)), outcome
+    return (los, his, sorted(faulty), lo_order, hi_order, containment.count(False)), outcome
+
+
+def _permute_ties(order, ends, data):
+    """`order` with the indices of each run of equal endpoints (-0.0 and 0.0 alike) in a drawn order."""
+    out = []
+    for _, run in groupby(order, key=ends.__getitem__):
+        out += data.draw(st.permutations(list(run)))
+    return out
+
+
+# few distinct ends, so that ties are common: -0.0 against 0.0, and integral reals on both sides of 2**53
+_tied_intervals = st.lists(
+    st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 2.0**53, 2.0**53 + 2, 1e300]), min_size=2, max_size=2
+).map(lambda ends: Interval(min(ends), max(ends)))
 
 
 class TestSimulationChunks:
@@ -809,7 +824,7 @@ class TestSimulationChunks:
         assert len(chunks) == 2 + 3
 
     def test_fused_endpoints_render_as_the_measurements_do(self):
-        # each fused endpoint's text is looked up by value among the rendered measurements:
+        # each fused endpoint's text is the rendered measurement of the sensor the sort orders name:
         # ties, -0.0 against 0.0, and integral reals on both sides of 2**53 must all come out
         # as the document builders render them; a round whose raw text has a ".0" is re-rendered
         big = 2.0**53
@@ -854,6 +869,19 @@ class TestSimulationChunks:
         rounds = [_float_round(items, set(range(0, len(items), 2)), truth) for items in rounds]
         config = SimConfig(8, truth, 1.0, 0, 2.5, 0)
         text = "".join(simulation_chunks(config, [drawn for drawn, _ in rounds]))
+        assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(_tied_intervals, min_size=1, max_size=8), min_size=1, max_size=4),
+           st.sampled_from([-0.0, 0.0, 0.5, 2.0]), st.data())
+    def test_tie_order_does_not_change_the_bytes(self, rounds, truth, data):
+        # the kernel's sorts are stable, but the writer must not lean on it: any order among sensors
+        # with equal endpoints names equal reals, and equal reals render alike
+        rounds = [_float_round(items, set(range(1, len(items), 2)), truth) for items in rounds]
+        permuted = [(los, his, faulty, _permute_ties(lo_order, los, data), _permute_ties(hi_order, his, data), missing)
+                    for (los, his, faulty, lo_order, hi_order, missing), _ in rounds]
+        config = SimConfig(8, truth, 1.0, 0, 2.5, 0)
+        text = "".join(simulation_chunks(config, permuted))
         assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
 
     @settings(max_examples=30, deadline=None)

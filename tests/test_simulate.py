@@ -167,11 +167,20 @@ class TestRoundChecks:
             ([1.5, 0.5] + [0.5] * 5, [2], "round 4: correct sensor 0 misses the truth"),
             # sensor 1 faulty with a zero offset, centred on the truth
             ([0.5] * 4 + [-1.0, 0.5, 0.5], [1], "round 4: faulty sensor 1 contains the truth after float rounding"),
-            # sensor 0 holds the truth at an infinite end, and sensor 1 would miss it
-            ([-math.inf, 0.5, 1.5] + [0.5] * 5, [2], "interval endpoints must be finite"),
-            ([math.nan, 0.5, 1.5] + [0.5] * 5, [2], "interval endpoints must be finite"),
-            ([0.5] * 4 + [math.nan, 0.5, 0.5], [1], "interval endpoints must be finite"),
-            ([3.0, 0.999] + [0.5] * 5, [2], "interval lower endpoint 2.0 exceeds upper endpoint 0.0010000000000000009"),
+            # sensor 0 holds the truth at an infinite end, and sensor 1 would miss it; an endpoint
+            # fault is worded by the interval constructor, and its id is that wording
+            pytest.param([-math.inf, 0.5, 1.5] + [0.5] * 5, [2],
+                         "round 4: correct sensor 0: interval endpoints must be finite",
+                         id="draws2-faulty2-interval endpoints must be finite"),
+            pytest.param([math.nan, 0.5, 1.5] + [0.5] * 5, [2],
+                         "round 4: correct sensor 0: interval endpoints must be finite",
+                         id="draws3-faulty3-interval endpoints must be finite"),
+            pytest.param([0.5] * 4 + [math.nan, 0.5, 0.5], [1],
+                         "round 4: faulty sensor 1: interval endpoints must be finite",
+                         id="draws4-faulty4-interval endpoints must be finite"),
+            pytest.param([3.0, 0.999] + [0.5] * 5, [2],
+                         "round 4: correct sensor 0: interval lower endpoint 2.0 exceeds upper endpoint 0.0010000000000000009",
+                         id="draws5-faulty5-interval lower endpoint 2.0 exceeds upper endpoint 0.0010000000000000009"),
         ],
     )
     def test_first_bad_sensor_is_named(self, monkeypatch, draws, faulty, message):
@@ -180,30 +189,44 @@ class TestRoundChecks:
             simulate_round(self.CFG, 4)
         assert str(info.value) == message
 
-    def test_levels_are_checked_for_nesting_every_round(self, monkeypatch):
-        sort = simulate._order_statistics
-        monkeypatch.setattr(simulate, "_order_statistics", lambda los, his: [s[::-1] for s in sort(los, his)])
-        with pytest.raises(DomainError, match=r"^levels 0 and 1 are not nested$"):
-            simulate._draw_round(self.CFG, 0)
+    @given(st.integers(1, 101), st.data())
+    def test_levels_are_checked_for_nesting_every_round(self, n, data):
+        # the kernel checks no chain: the levels read through its sort orders are the fusion's order
+        # statistics, nested by construction, and its count is of the leading levels that miss the truth
+        cfg = _random_config(n, data)
+        los, his, _, lo_order, hi_order, missing = simulate._draw_round(cfg, data.draw(st.integers(0, 10**6)))
+        assert sorted(lo_order) == sorted(hi_order) == list(range(n))
+        lows, highs = [los[i] for i in lo_order], [his[j] for j in hi_order]
+        assert (lows, highs) == intervals._order_statistics(los, his)
+        for lo, hi, outer_lo, outer_hi in zip(lows, highs, lows[1:], highs[1:]):
+            assert lo > hi or outer_lo <= lo <= hi <= outer_hi
+        hits = [lo <= cfg.truth <= hi for lo, hi in zip(lows, highs)]
+        assert hits == [False] * missing + [True] * (n - missing)
 
     def test_public_round_is_read_off_the_kernel(self):
-        los, his, faulty, lows, highs, missing = simulate._draw_round(config(), 3)
+        los, his, faulty, lo_order, hi_order, missing = simulate._draw_round(config(), 3)
         out = simulate_round(config(), 3)
         assert out.faulty_indices == set(faulty) and faulty == sorted(faulty)
         assert [(iv.lo, iv.hi) for iv in out.intervals] == list(zip(los, his))
         assert [None if lv is None else (lv.lo, lv.hi) for lv in out.fused.levels] == [
-            (lo, hi) if lo <= hi else None for lo, hi in zip(lows, highs)
+            (los[i], his[j]) if los[i] <= his[j] else None for i, j in zip(lo_order, hi_order)
         ]
         assert out.truth_containment == (False,) * missing + (True,) * (len(los) - missing)
 
     def test_a_round_sorts_its_endpoints_once(self, monkeypatch):
-        # the levels are read off the kernel's sorts, not sorted again by graded_fusion
+        # the kernel sorts the sensors once each way, and the levels are read through those orders,
+        # not sorted again by value, by the fusion kernel or by graded_fusion
         calls = []
-        sort = intervals._order_statistics
-        for module in (simulate, intervals):
-            monkeypatch.setattr(module, "_order_statistics", lambda los, his: calls.append(1) or sort(los, his))
+
+        def counted(items, **kwargs):
+            calls.append((type(items), kwargs.get("reverse", False)))
+            return sorted(items, **kwargs)
+
+        monkeypatch.setattr(simulate, "sorted", counted, raising=False)
+        monkeypatch.setattr(intervals, "_order_statistics", lambda los, his: pytest.fail("sorted by value"))
         simulate_round(config(), 0)
-        assert len(calls) == 1
+        # the sensors by lower end descending and by upper end ascending, then the faulty indices
+        assert calls == [(range, True), (range, False), (set, False)]
 
 
 def _random_config(n, data) -> SimConfig:
