@@ -179,7 +179,8 @@ class TestRoundChecks:
                          "round 4: faulty sensor 1: interval endpoints must be finite",
                          id="draws4-faulty4-interval endpoints must be finite"),
             pytest.param([3.0, 0.999] + [0.5] * 5, [2],
-                         "round 4: correct sensor 0: interval lower endpoint 2.0 exceeds upper endpoint 0.0010000000000000009",
+                         "round 4: correct sensor 0: "
+                         "interval lower endpoint 2.0 exceeds upper endpoint 0.0010000000000000009",
                          id="draws5-faulty5-interval lower endpoint 2.0 exceeds upper endpoint 0.0010000000000000009"),
         ],
     )
