@@ -2,10 +2,10 @@
 
 Standard output carries exactly one canonical JSON document; diagnostics
 go to standard error as ``error: <reason>``.  Exit codes: 0 on success,
-1 when a precondition or invariant is violated (domain error), 2 when
-input cannot be parsed, the invocation itself is malformed, or standard
-output cannot be written.  An error line that standard error cannot take
-is dropped; the exit code still tells.
+1 when a precondition or invariant is violated (domain error) or memory
+runs out, 2 when input cannot be parsed, the invocation itself is
+malformed, or standard output cannot be written.  An error line that
+standard error cannot take is dropped; the exit code still tells.
 
 Each handler returns either a whole document, which ``main`` renders with
 ``formats.dumps_canonical`` once the handler has returned, so its inputs are
@@ -37,7 +37,7 @@ from .infosys import (
     sensitivity_profile,
 )
 from .intervals import MAX_SEED, fuse, graded_fusion, random_graded, sample
-from .simulate import SimConfig, _draw_round, _no_round_can_fail
+from .simulate import SimConfig, _check_round, _draw_round, _no_round_can_fail
 
 
 def _read_file(path: str) -> str:
@@ -148,10 +148,10 @@ def _cmd_simulate(args: argparse.Namespace):
         seed=args.seed,
     )
     if not _no_round_can_fail(config):
-        # a round may fail: every round is drawn once before the first write, so that a late
-        # round's error leaves stdout empty, and drawn again as it is written
+        # a round may fail: every round is drawn and checked once before the first write, so that a
+        # late round's error leaves stdout empty, and drawn again, unchecked, as it is written
         for k in range(args.rounds):
-            _draw_round(config, k)
+            _check_round(config, k, _draw_round(config, k))
     return formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds)))
 
 
@@ -248,6 +248,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, error = 2, exc
     except DomainError as exc:
         code, error = 1, exc
+    except MemoryError:  # the request's storage is freed as the error unwinds, so the line can be written
+        code, error = 1, "out of memory"
     try:
         _write(sys.stderr, (f"error: {error}\n",))
     except OSError:

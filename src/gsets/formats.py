@@ -56,6 +56,7 @@ from .partitions import GranularSet, Partition, validate_granular
 from .simulate import SimConfig
 
 _INT_RENDER_LIMIT = 2**53
+_float_text = float.__repr__  # the encoder's own rendering of a finite float
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 _BLOCK = 1 << 14  # characters of CSV text split into lines at a time
 _BATCH = 256  # array items per encoder call of a chunked writer
@@ -496,49 +497,8 @@ def parse_sensitivity_profile(text: str) -> list[SensitivityRecord]:
 # simulation reports
 
 
-def _rounds_doc(rounds: list[tuple]) -> list:
-    """A batch of numbered drawn rounds as one flat array for the encoder: each round's lower
-    endpoints, upper endpoints and faulty indices, in turn."""
-    return [x for _, (los, his, faulty, *_) in rounds for part in (los, his, faulty) for x in part]
-
-
-def _rounds_text(rounds: list[tuple]) -> str:
-    """Rounds given as (index, drawn round) pairs, as comma-separated items of the report's
-    ``rounds`` array.  One encoder call renders the endpoints and faulty indices of them all; a
-    round's measurements are written from its endpoints' text, and level f from the text of the
-    sensors at index f of the kernel's sort orders, as ``null`` where its lower end exceeds its upper
-    end.  Its containment flags come from the kernel's count of leading levels that miss the truth."""
-    text = dumps_canonical(_rounds_doc(rounds))
-    # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a batch through _real
-    if ".0," in text or text.endswith(".0]"):
-        text = dumps_canonical(_rounds_doc([(index, (list(map(_real, los)), list(map(_real, his)), faulty))
-                                            for index, (los, his, faulty, *_) in rounds]))
-    # "[x,x,..]" -> its numbers' text in the array's order: no rendered number holds a comma
-    tokens = iter(text[1:-1].split(","))
-    items = []
-    for index, (los, his, faulty, lo_order, hi_order, missing) in rounds:
-        lo_tokens, hi_tokens = list(islice(tokens, len(los))), list(islice(tokens, len(his)))
-        faulty = ",".join(islice(tokens, len(faulty)))
-        measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
-        # a fused endpoint is the sensor's own, so its text is the measurement's; among equal
-        # reals the sort's tie order cannot show, as equal reals render alike (-0.0 too, as 0)
-        levels = ",".join(["null" if los[i] > his[j] else f"[{lo_tokens[i]},{hi_tokens[j]}]"
-                           for i, j in zip(lo_order, hi_order)])
-        contains = ",".join(["false"] * missing + ["true"] * (len(los) - missing))
-        # the keys in sorted order; every round's fused chain covers budgets 0 .. sensors - 1
-        items.append(f'{{"contains_truth":[{contains}],"faulty":[{faulty}],"fused":{{"f_min":0,"levels":'
-                     f'[{levels}]}},"intervals":[[{measured}]],"round":{index}}}')
-    return ",".join(items)
-
-
-def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[str]:
-    """The simulator's report as canonical JSON text: its configuration, then one chunk per batch
-    of rounds, rendered as soon as ``simulate._draw_round`` draws them in plain floats, each fused
-    level read through the round's sort orders off its rendered measurements.  The chunks
-    join to ``dumps_canonical`` of the whole report, its keys written in sorted order around the
-    encoder's output.  A batch is as many whole rounds as fit in ``_BATCH`` numbers, a round's
-    endpoints and faulty indices, and at least one, rendered by one encoder call."""
-    config_doc = {
+def _config_doc(config: SimConfig) -> dict:
+    return {
         "sensors": config.num_sensors,
         "truth": _real(config.truth),
         "halfwidth": _real(config.correct_halfwidth_max),
@@ -546,7 +506,46 @@ def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[st
         "offset": _real(config.fault_offset_min),
         "seed": config.seed,
     }
-    yield '{"config":' + dumps_canonical(config_doc) + ',"rounds":['
+
+
+def _rounds_text(rounds: list[tuple]) -> str:
+    """Rounds given as (index, drawn round) pairs, as comma-separated items of the report's
+    ``rounds`` array.  A round's endpoints are rendered as the encoder renders a finite float, and
+    re-rendered through ``_real`` only where one of them is integral; its measurements are written
+    from that text, its first ``empty`` levels (the kernel's count of leading empty levels) as
+    ``null``, and each later level f from the text of the sensors at index f of the kernel's sort
+    orders, with no float compared.  Its containment flags come from the kernel's count of leading
+    levels that miss the truth.  The drawn rounds must be sound: the caller checks them, or the
+    bound has proved that no check could fire, so every endpoint is finite."""
+    items = []
+    for index, (los, his, faulty, lo_order, hi_order, missing, empty) in rounds:
+        lo_tokens, hi_tokens = list(map(_float_text, los)), list(map(_float_text, his))
+        measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
+        # only an integral real's shortest form ends in .0 (-0.0's too): re-render such a round through _real
+        if ".0," in measured or ".0]" in measured or measured.endswith(".0"):
+            lo_tokens, hi_tokens = [repr(_real(x)) for x in los], [repr(_real(x)) for x in his]
+            measured = "],[".join([f"{lo},{hi}" for lo, hi in zip(lo_tokens, hi_tokens)])
+        # a fused endpoint is the sensor's own, so its text is the measurement's; among equal
+        # reals the sort's tie order cannot show, as equal reals render alike (-0.0 too, as 0)
+        levels = ",".join(["null"] * empty + [f"[{lo_tokens[i]},{hi_tokens[j]}]"
+                                              for i, j in zip(lo_order[empty:], hi_order[empty:])])
+        contains = ",".join(["false"] * missing + ["true"] * (len(los) - missing))
+        # the keys in sorted order; every round's fused chain covers budgets 0 .. sensors - 1
+        items.append(f'{{"contains_truth":[{contains}],"faulty":[{",".join(map(str, faulty))}],"fused":{{"f_min":0,'
+                     f'"levels":[{levels}]}},"intervals":[[{measured}]],"round":{index}}}')
+    return ",".join(items)
+
+
+def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[str]:
+    """The simulator's report as canonical JSON text: its configuration, then one chunk per batch
+    of rounds, rendered as soon as ``simulate._draw_round`` draws them in plain floats, each fused
+    level read through the round's sort orders off its rendered measurements and each leading empty
+    level written from the kernel's count.  The rounds are not checked here: ``cli`` checks each
+    round of a config before the first chunk, unless ``simulate._no_round_can_fail`` proves that no
+    check could fire.  The chunks join to ``dumps_canonical`` of the whole report, its keys written
+    in sorted order around the rounds' text.  A batch is as many whole rounds as fit in ``_BATCH``
+    numbers, a round's endpoints and faulty indices, and at least one, rendered by one call."""
+    yield '{"config":' + dumps_canonical(_config_doc(config)) + ',"rounds":['
     yield from _array_items(enumerate(rounds), max(1, _BATCH // (2 * config.num_sensors + config.num_faulty)),
                             _rounds_text)
     yield "]}"

@@ -9,7 +9,10 @@ first order to the upper end of the f-th of the second, so ``simulate_round`` ma
 its levels' values and ``formats.simulation_chunks`` reads each level's text through them off the
 round's rendered measurements.  The kernel returns the endpoints as two lists in sensor order, the
 faulty indices, the two sort orders and, in place of a flag per level, the count of leading levels
-that miss the truth.
+that miss the truth and the count of leading levels that are empty.  It checks nothing: one checker,
+``_check_round``, names a round's first unsound sensor.  ``simulate_round`` checks every round; the
+CLI checks every round of a config before its first write unless ``_no_round_can_fail`` proves that
+no check could fire, and then checks none.
 """
 
 from __future__ import annotations
@@ -63,12 +66,15 @@ class SimConfig(Value):
 
 
 def _no_round_can_fail(config: SimConfig) -> bool:
-    """True only if no round of `config` can raise in ``_draw_round``: a sufficient test, not a
-    necessary one.  It repeats the kernel's float operations in the kernel's order."""
+    """True only if ``_check_round`` can raise for no round of `config`: a sufficient test, not a
+    necessary one.  It repeats the kernel's float operations in the kernel's order.  Where it holds,
+    no check needs to run."""
     # Rounding to nearest is monotone: x <= y implies fl(x) <= fl(y), so each bound below holds
-    # after every rounding step.  With w = width and m0 = offset_min, in the kernel's terms:
+    # after every rounding step (Goldberg 1991).  With w = width and m0 = offset_min, in the
+    # kernel's terms:
     # - u = w * (1.0 - uniform()) and v likewise lie in [0, w], as 1.0 - uniform() lies in (0, 1];
-    #   so a correct sensor's truth - u <= truth <= truth + v holds the truth.
+    #   so a correct sensor's truth - u <= truth <= truth + v holds the truth, and no sensor's
+    #   centre - u rises above its centre + v, so no interval's ends cross.
     # - m = m0 * (1.0 + uniform()) lies in [m0, 2.0 * m0], as 1.0 + uniform() lies in [1, 2].
     #   A centre truth + m is at least truth + m0, so its lower end (truth + m) - u is at least
     #   (truth + m0) - w; a centre truth + -m, which is truth - m, is at most truth - m0, so its
@@ -76,8 +82,7 @@ def _no_round_can_fail(config: SimConfig) -> bool:
     #   and the second below it, no faulty interval holds the truth.
     # - No endpoint is larger in magnitude than (|truth| + 2.0 * m0) + w, so when that is finite,
     #   no endpoint overflows.
-    # The kernel checks no chain, as the levels read through its sort orders are nested by
-    # construction; so then no check can fire.
+    # So where all three hold, no sensor of any round can fail a check of ``_check_round``.
     truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
     return ((truth + offset_min) - width > truth and (truth - offset_min) + width < truth
             and math.isfinite((abs(truth) + 2.0 * offset_min) + width))
@@ -115,14 +120,16 @@ def _round_rng(seed: int, round_index: int) -> random.Random:
 
 
 def _draw_round(config: SimConfig, round_index: int) -> tuple:
-    """``simulate_round`` in plain floats: each sensor's lower and upper endpoint in sensor order, the
-    faulty indices in order, the stable sort orders ``lo_order`` (lower ends descending) and
-    ``hi_order`` (upper ends ascending), and the count of leading levels that miss the truth.  Level f
-    is [los[lo_order[f]], his[hi_order[f]]], empty where its lower end exceeds its upper end.  The
-    levels are nested by construction, as the f-th largest lower end never rises and the f-th
-    smallest upper end never falls as f grows, so the count covers every such level: once a level
-    holds the truth, every larger budget's level does.  A sensor whose endpoints overflow or cross,
-    or that lies on the wrong side of the truth, is named with its round in the error."""
+    """``simulate_round`` in plain floats, drawn and not checked: each sensor's lower and upper endpoint
+    in sensor order, the faulty indices in order, the stable sort orders ``lo_order`` (lower ends
+    descending) and ``hi_order`` (upper ends ascending), the count of leading levels that miss the
+    truth, and the count of leading levels that are empty.  Level f is [los[lo_order[f]],
+    his[hi_order[f]]], empty where its lower end exceeds its upper end.  The levels are nested by
+    construction, as the f-th largest lower end never rises and the f-th smallest upper end never
+    falls as f grows, so both counts cover every such level: once a level holds the truth, every
+    larger budget's level does, and once a level is not empty, no larger budget's level is.  An empty
+    level misses the truth, so the empty levels never outnumber the missing ones.  Whether the round
+    is sound is ``_check_round``'s to say; a config that ``_no_round_can_fail`` clears needs no check."""
     if round_index < 0:
         raise DomainError("round index must be nonnegative")
     rng = _round_rng(config.seed, round_index)
@@ -139,6 +146,27 @@ def _draw_round(config: SimConfig, round_index: int) -> tuple:
             lo, hi = center - u, center + v
         else:
             lo, hi = truth - u, truth + v
+        los.append(lo)
+        his.append(hi)
+    n = len(los)
+    lo_order = sorted(range(n), key=los.__getitem__, reverse=True)
+    hi_order = sorted(range(n), key=his.__getitem__)
+    missing = 0
+    while missing < n and not los[lo_order[missing]] <= truth <= his[hi_order[missing]]:
+        missing += 1
+    empty = 0
+    while empty < missing and los[lo_order[empty]] > his[hi_order[empty]]:
+        empty += 1
+    return los, his, sorted(faulty), lo_order, hi_order, missing, empty
+
+
+def _check_round(config: SimConfig, round_index: int, drawn: tuple) -> None:
+    """Raise for the first unsound sensor of a round that ``_draw_round`` drew, in sensor order: one
+    whose endpoints overflow or cross, or else one that lies on the wrong side of the truth.  The
+    error names the round and the sensor."""
+    los, his, faulty = drawn[0], drawn[1], set(drawn[2])
+    truth = config.truth
+    for i, (lo, hi) in enumerate(zip(los, his)):
         if not -math.inf < lo <= hi < math.inf:
             try:
                 Interval(lo, hi)  # the checked constructor words the fault
@@ -148,15 +176,6 @@ def _draw_round(config: SimConfig, round_index: int) -> tuple:
         if (lo <= truth <= hi) is (i in faulty):
             raise DomainError(f"round {round_index}: " + (f"faulty sensor {i} contains the truth after float rounding"
                                                           if i in faulty else f"correct sensor {i} misses the truth"))
-        los.append(lo)
-        his.append(hi)
-    n = len(los)
-    lo_order = sorted(range(n), key=los.__getitem__, reverse=True)
-    hi_order = sorted(range(n), key=his.__getitem__)
-    missing = 0
-    while missing < n and not los[lo_order[missing]] <= truth <= his[hi_order[missing]]:
-        missing += 1
-    return los, his, sorted(faulty), lo_order, hi_order, missing
 
 
 def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
@@ -168,7 +187,9 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     the truth, on a random side.
     """
     _check_int(round_index, "round index")
-    los, his, faulty, lo_order, hi_order, missing = _draw_round(config, round_index)
+    drawn = _draw_round(config, round_index)
+    _check_round(config, round_index, drawn)
+    los, his, faulty, lo_order, hi_order, missing, _ = drawn
     n = len(los)
     lows, highs = [los[i] for i in lo_order], [his[i] for i in hi_order]
     return SimOutcome(tuple(map(Interval._unchecked, los, his)), frozenset(faulty),

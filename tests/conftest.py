@@ -94,10 +94,12 @@ def _child_env(unbuffered=False, **env):
     return env
 
 
-def gsets_process(args, *, unbuffered=False, input=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
-    """Run ``python <args>`` in `_child_env`."""
+def gsets_process(args, *, unbuffered=False, input=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                  preexec_fn=None, **env):
+    """Run ``python <args>`` in `_child_env`, calling `preexec_fn` in the child before it starts."""
     env = _child_env(unbuffered, **env)
-    return subprocess.run([sys.executable, *args], input=input, stdout=stdout, stderr=stderr, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], input=input, stdout=stdout, stderr=stderr, env=env, timeout=60,
+                          preexec_fn=preexec_fn)
 
 
 def closed_after(n: int, argv: list[str]) -> tuple[int, str]:

@@ -503,6 +503,23 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.startswith("error: round 5: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "write-through"])
+    def test_running_out_of_memory_is_one_error_line(self, unbuffered):
+        # a round of 10**9 sensors asks for gigabytes at once: run it only under this address-space cap
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            limit = 10**9 if hard == resource.RLIM_INFINITY else min(10**9, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        run = gsets_process(["-m", "gsets", "simulate", "--sensors", "1000000000", "--faulty", "500000000",
+                             "--rounds", "1"], unbuffered=unbuffered, preexec_fn=cap)
+        assert (run.returncode, run.stderr) == (1, b"error: out of memory\n")
+        # the report streams, so its head may already be out
+        assert run.stdout in (b"", b'{"config":{"faulty":500000000,"halfwidth":1,"offset":2.5,"seed":0,'
+                                   b'"sensors":1000000000,"truth":0},"rounds":[')
+
     @pytest.mark.parametrize(
         "flags, sha256",
         [
@@ -513,11 +530,19 @@ class TestSimulate:
             (["--sensors", "101", "--faulty", "33", "--rounds", "200", "--seed", "19", "--truth", "-40",
               "--halfwidth", "2", "--offset", "5"],
              "d4c9c58d734a275f9374fbaf8a2a26573892e0f97c31dad1c6146e0b4b9d91fd"),
+            # a config the bound declines, so every round is checked before the first write, with
+            # reals past 2**53 that keep their real form
+            (["--sensors", "9", "--faulty", "3", "--rounds", "300", "--seed", "21", "--truth", "1e16"],
+             "6200ada3228e94a91cda61cab58f84ec9ec84d0049d1bbf80a56126deb4c6d03"),
+            # a config the bound clears at truth 2**52, where every round has an integral endpoint and
+            # is re-rendered
+            (["--sensors", "9", "--faulty", "3", "--rounds", "300", "--seed", "21", "--truth", "4503599627370496"],
+             "40ad56ed4661cda9bd1ddc97524b4d4a2481dc8a27b8bf256398856add4dc058"),
         ],
-        ids=["9x2000", "31x800", "101x200"],
+        ids=["9x2000", "31x800", "101x200", "9x300-truth-1e16", "9x300-truth-2**52"],
     )
     def test_bench_scale_reports_keep_their_bytes(self, capsys, flags, sha256):
-        # the three shapes the benchmark runs, a third of the sensors faulty
+        # the three shapes the benchmark runs, a third of the sensors faulty, and two truths far out
         code, out, err = run_cli(capsys, "simulate", *flags)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

@@ -544,6 +544,21 @@ class TestParseRejections:
             (parse_graded_intervals, '{"f_min":0,"levels":{}}', "'levels' must be an array"),
             (parse_interval_distribution, '{"atoms":[{"p":1}]}', "atom 1: expected an object with keys 'p' and 'result'"),
         ],
+        # the ids pytest built from the texts and messages before they were written out, so a
+        # reworded message keeps them
+        ids=[
+            "parse_intervals-lo,hi\n5,1\n-line 2: lower endpoint exceeds upper endpoint",
+            "parse_intervals-lo,hi\n5\n-line 2: expected 2 fields, got 1",
+            "parse2-[[5,1]]-item 1: lower endpoint exceeds upper endpoint",
+            "parse3-[[5]]-item 1: expected [lo, hi]",
+            "parse_fusion_result-[5,1]-value: lower endpoint exceeds upper endpoint",
+            "parse_fusion_result-[5]-value: expected null or [lo, hi]",
+            'parse_graded_intervals-{"f_min":0,"levels":[true]}-level 1: expected null or [lo, hi]',
+            "parse7-[[\"a\",1]]-item 1: expected a number, got 'a'",
+            'parse_graded_intervals-{"f_min":"0","levels":[]}-\'f_min\' must be an integer',
+            'parse_graded_intervals-{"f_min":0,"levels":{}}-\'levels\' must be an array',
+            'parse_interval_distribution-{"atoms":[{"p":1}]}-atom 1: expected an object with keys \'p\' and \'result\'',
+        ],
     )
     def test_interval_messages_name_the_source(self, parse, text, message):
         with pytest.raises(ParseError) as exc:
@@ -762,9 +777,10 @@ def _float_round(items, faulty, truth):
     lo_order = sorted(range(len(items)), key=los.__getitem__, reverse=True)
     hi_order = sorted(range(len(items)), key=his.__getitem__)
     containment = [los[i] <= truth <= his[j] for i, j in zip(lo_order, hi_order)]
+    empty = [los[i] > his[j] for i, j in zip(lo_order, hi_order)]
     outcome = SimOutcome(tuple(items), frozenset(faulty), graded_fusion(items, 0, len(items) - 1), tuple(containment))
-    # the sorts put the levels that miss the truth first
-    return (los, his, sorted(faulty), lo_order, hi_order, containment.count(False)), outcome
+    # the sorts put the levels that miss the truth first, and the empty ones first among those
+    return (los, his, sorted(faulty), lo_order, hi_order, containment.count(False), empty.count(True)), outcome
 
 
 def _permute_ties(order, ends, data):
@@ -841,6 +857,8 @@ class TestSimulationChunks:
             _float_round((Interval(-0.0, -0.0),), set(), 0.0),
             # the one integral endpoint is the round's last, before its faulty index
             _float_round((Interval(0.25, 0.5), Interval(0.5, 2.0)), {0}, 1.0),
+            # the one integral endpoint is an upper end inside the round
+            _float_round((Interval(0.25, 2.0), Interval(0.5, 2.5)), set(), 1.0),
         ]
         config = SimConfig(8, -0.0, 1.0, 2, 2.5, 0)
         chunks = list(simulation_chunks(config, [drawn for drawn, _ in rounds]))
@@ -850,12 +868,12 @@ class TestSimulationChunks:
         assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
         assert '"fused":{"f_min":0,"levels":[null,' in text and "[0,9007199254740994.0]" in text
         assert '"intervals":[[0.25,0.75],[-1.5,0.5],[2.5e-300,0.25]]' in text
-        assert '"intervals":[[0.25,0.5],[0.5,2]]' in text
+        assert '"intervals":[[0.25,0.5],[0.5,2]]' in text and '"intervals":[[0.25,2],[0.5,2.5]]' in text
         assert '"intervals":[[-1.152921504606847e+18,1e+300],[1.152921504606847e+18,1.152921504606847e+18]]' in text
 
     def test_an_integral_last_number_alone_is_re_rendered(self):
-        # with no faulty sensor, the last upper endpoint closes the batch's flat array, so its ".0"
-        # is followed by the bracket, not by a comma
+        # the last upper endpoint ends the round's measurements, so its ".0" is followed by no comma
+        # and no bracket
         drawn, outcome = _float_round((Interval(0.25, 0.5), Interval(0.5, 2.0)), set(), 1.0)
         config = SimConfig(2, 1.0, 1.0, 0, 2.5, 0)
         text = "".join(simulation_chunks(config, [drawn]))
@@ -878,8 +896,9 @@ class TestSimulationChunks:
         # the kernel's sorts are stable, but the writer must not lean on it: any order among sensors
         # with equal endpoints names equal reals, and equal reals render alike
         rounds = [_float_round(items, set(range(1, len(items), 2)), truth) for items in rounds]
-        permuted = [(los, his, faulty, _permute_ties(lo_order, los, data), _permute_ties(hi_order, his, data), missing)
-                    for (los, his, faulty, lo_order, hi_order, missing), _ in rounds]
+        permuted = [(los, his, faulty, _permute_ties(lo_order, los, data), _permute_ties(hi_order, his, data), missing,
+                     empty)
+                    for (los, his, faulty, lo_order, hi_order, missing, empty), _ in rounds]
         config = SimConfig(8, truth, 1.0, 0, 2.5, 0)
         text = "".join(simulation_chunks(config, permuted))
         assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))

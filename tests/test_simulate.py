@@ -3,11 +3,12 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsets import (
-    DomainError, SimConfig, fused_subset, graded_fusion, intervals, simulate, simulate_round, simulate_rounds
+    DomainError, SimConfig, formats, fused_subset, graded_fusion, intervals, simulate, simulate_round,
+    simulate_rounds,
 )
 
 BASE = dict(
@@ -53,6 +54,19 @@ class TestSimConfig:
             (dict(correct_halfwidth_max=None), "^correct_halfwidth_max must be an int or a float$"),
             (dict(fault_offset_min="2.5"), "^fault_offset_min must be an int or a float$"),
             (dict(truth=10**400), "^truth is out of the range of a float$"),
+        ],
+        # the ids pytest built from the messages before they were written out, so a reworded message keeps them
+        ids=[
+            "overrides0-at least one sensor", "overrides1-finite", "overrides2-positive", "overrides3-positive",
+            "overrides4-less than num_sensors", "overrides5-less than num_sensors", "overrides6-exceed",
+            "overrides7-64-bit", "overrides8-64-bit", "overrides9-finite",
+            "overrides10-^num_sensors must be an integer$", "overrides11-^num_faulty must be an integer$",
+            "overrides12-^num_faulty must be an integer$", "overrides13-^seed must be an integer$",
+            "overrides14-^seed must be an integer$", "overrides15-^truth must be an int or a float$",
+            "overrides16-^truth must be an int or a float$",
+            "overrides17-^correct_halfwidth_max must be an int or a float$",
+            "overrides18-^fault_offset_min must be an int or a float$",
+            "overrides19-^truth is out of the range of a float$",
         ],
     )
     def test_invalid_configs(self, overrides, msg):
@@ -190,12 +204,25 @@ class TestRoundChecks:
             simulate_round(self.CFG, 4)
         assert str(info.value) == message
 
+    def test_a_point_level_that_misses_the_truth_is_not_empty(self, monkeypatch):
+        # the faulty sensor's lower end meets both correct sensors' upper ends at 1.5, so level 0 is
+        # the point [1.5, 1.5]: it misses the truth and is not empty, so the report writes it
+        draws = [0.5, -0.5, 0.5, -0.5, 0.0, 0.5, 0.0]
+        monkeypatch.setattr(simulate, "_round_rng", lambda seed, k: _ScriptedRng(draws, [2]))
+        drawn = simulate._draw_round(self.CFG, 4)
+        simulate._check_round(self.CFG, 4, drawn)
+        assert drawn[5:] == (1, 0)
+        assert '"levels":[[1.5,1.5],[-0.5,1.5],[-0.5,3]]' in "".join(formats.simulation_chunks(self.CFG, [drawn]))
+
     @given(st.integers(1, 101), st.data())
     def test_levels_are_checked_for_nesting_every_round(self, n, data):
         # the kernel checks no chain: the levels read through its sort orders are the fusion's order
-        # statistics, nested by construction, and its count is of the leading levels that miss the truth
-        cfg = _random_config(n, data)
-        los, his, _, lo_order, hi_order, missing = simulate._draw_round(cfg, data.draw(st.integers(0, 10**6)))
+        # statistics, nested by construction, and its counts are of the leading levels that miss the
+        # truth and of the leading levels that are empty; near the rounding edge ends tie, so a level
+        # can be a point that misses the truth
+        cfg = _random_config(n, data) if data.draw(st.booleans()) else _edge_config(data)
+        n = cfg.num_sensors
+        los, his, _, lo_order, hi_order, missing, empty = simulate._draw_round(cfg, data.draw(st.integers(0, 10**6)))
         assert sorted(lo_order) == sorted(hi_order) == list(range(n))
         lows, highs = [los[i] for i in lo_order], [his[j] for j in hi_order]
         assert (lows, highs) == intervals._order_statistics(los, his)
@@ -203,15 +230,19 @@ class TestRoundChecks:
             assert lo > hi or outer_lo <= lo <= hi <= outer_hi
         hits = [lo <= cfg.truth <= hi for lo, hi in zip(lows, highs)]
         assert hits == [False] * missing + [True] * (n - missing)
+        crossed = [lo > hi for lo, hi in zip(lows, highs)]
+        assert crossed == [True] * empty + [False] * (n - empty)
+        assert empty <= missing
 
     def test_public_round_is_read_off_the_kernel(self):
-        los, his, faulty, lo_order, hi_order, missing = simulate._draw_round(config(), 3)
+        los, his, faulty, lo_order, hi_order, missing, empty = simulate._draw_round(config(), 3)
         out = simulate_round(config(), 3)
         assert out.faulty_indices == set(faulty) and faulty == sorted(faulty)
         assert [(iv.lo, iv.hi) for iv in out.intervals] == list(zip(los, his))
         assert [None if lv is None else (lv.lo, lv.hi) for lv in out.fused.levels] == [
             (los[i], his[j]) if los[i] <= his[j] else None for i, j in zip(lo_order, hi_order)
         ]
+        assert out.fused.levels[:empty] == (None,) * empty
         assert out.truth_containment == (False,) * missing + (True,) * (len(los) - missing)
 
     def test_a_round_sorts_its_endpoints_once(self, monkeypatch):
@@ -279,7 +310,71 @@ def test_no_round_fails_where_the_bound_holds(data):
     cfg = _edge_config(data)
     assume(simulate._no_round_can_fail(cfg))
     for k in range(200):
-        simulate._draw_round(cfg, k)
+        simulate._check_round(cfg, k, simulate._draw_round(cfg, k))
+
+
+def _in_loop_checks(config: SimConfig, round_index: int):
+    """The round drawn as the kernel once drew it, each sensor checked as it is drawn: the endpoints
+    up to the first unsound sensor, and that sensor's message or None."""
+    rng = simulate._round_rng(config.seed, round_index)
+    faulty = set(rng.sample(range(config.num_sensors), config.num_faulty))
+    truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
+    los, his = [], []
+    for i in range(config.num_sensors):
+        u = width * (1.0 - rng.random())
+        v = width * (1.0 - rng.random())
+        if i in faulty:
+            center = truth + rng.choice((-1.0, 1.0)) * (offset_min * (1.0 + rng.random()))
+            lo, hi = center - u, center + v
+        else:
+            lo, hi = truth - u, truth + v
+        los.append(lo)
+        his.append(hi)
+        sensor = f"round {round_index}: {'faulty' if i in faulty else 'correct'} sensor {i}"
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return los, his, f"{sensor}: interval endpoints must be finite"
+        if lo > hi:
+            return los, his, f"{sensor}: interval lower endpoint {lo} exceeds upper endpoint {hi}"
+        if i in faulty and lo <= truth <= hi:
+            return los, his, f"{sensor} contains the truth after float rounding"
+        if i not in faulty and not lo <= truth <= hi:
+            return los, his, f"{sensor} misses the truth"
+    return los, his, None
+
+
+def _bound_config(data) -> SimConfig:
+    """A config on either side of the bound: |truth| up to 1e300 or between 2**53 and 1e16, a width
+    from 2**-20 to 2**1022, where an offset can overflow, and fault_offset_min a few ulps above it."""
+    n = data.draw(st.integers(1, 8))
+    truth = data.draw(st.one_of(
+        st.floats(-1e300, 1e300),
+        st.builds(float.__mul__, st.sampled_from([-1.0, 1.0]), st.floats(2.0**53, 1e16)),
+    ))
+    width = data.draw(st.floats(1.0, 2.0)) * 2.0 ** data.draw(st.integers(-20, 1022))
+    offset_min = width
+    for _ in range(data.draw(st.integers(1, 8))):
+        offset_min = math.nextafter(offset_min, math.inf)
+    return SimConfig(n, truth, width, data.draw(st.integers(0, n - 1)), offset_min,
+                     data.draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_the_checker_raises_what_the_in_loop_checks_raised(data):
+    # the kernel draws and the checker checks: together they must draw and raise what the kernel did
+    # when it checked each sensor as it drew it, and nothing where the bound clears the config
+    cfg = _bound_config(data)
+    cleared = simulate._no_round_can_fail(cfg)
+    for k in range(20):
+        drawn = simulate._draw_round(cfg, k)
+        los, his, expected = _in_loop_checks(cfg, k)
+        assert (drawn[0][:len(los)], drawn[1][:len(his)]) == (los, his)
+        try:
+            simulate._check_round(cfg, k, drawn)
+        except DomainError as exc:
+            assert str(exc) == expected and not cleared
+        else:
+            assert expected is None
 
 
 @pytest.mark.parametrize("overrides, holds", [
