@@ -178,11 +178,15 @@ class TestRoundChecks:
         "draws, faulty, message",
         [
             # sensor 0 correct with u < 0, so its lower end passes the truth
-            ([1.5, 0.5] + [0.5] * 5, [2], "round 4: correct sensor 0 misses the truth"),
+            pytest.param([1.5, 0.5] + [0.5] * 5, [2], "round 4: correct sensor 0 misses the truth",
+                         id="draws0-faulty0-round 4: correct sensor 0 misses the truth"),
             # sensor 1 faulty with a zero offset, centred on the truth
-            ([0.5] * 4 + [-1.0, 0.5, 0.5], [1], "round 4: faulty sensor 1 contains the truth after float rounding"),
+            pytest.param([0.5] * 4 + [-1.0, 0.5, 0.5], [1],
+                         "round 4: faulty sensor 1 contains the truth after float rounding",
+                         id="draws1-faulty1-round 4: faulty sensor 1 contains the truth after float rounding"),
             # sensor 0 holds the truth at an infinite end, and sensor 1 would miss it; an endpoint
-            # fault is worded by the interval constructor, and its id is that wording
+            # fault is worded by the interval constructor, and the ids are the ones pytest built from
+            # the messages before they were written out
             pytest.param([-math.inf, 0.5, 1.5] + [0.5] * 5, [2],
                          "round 4: correct sensor 0: interval endpoints must be finite",
                          id="draws2-faulty2-interval endpoints must be finite"),
