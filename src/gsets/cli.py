@@ -37,7 +37,7 @@ from .infosys import (
     sensitivity_profile,
 )
 from .intervals import MAX_SEED, fuse, graded_fusion, random_graded, sample
-from .simulate import SimConfig, _check_round, _draw_round, _no_round_can_fail
+from .simulate import SimConfig, _check_round, _draw_rounds, _no_round_can_fail
 
 
 def _read_file(path: str) -> str:
@@ -150,9 +150,9 @@ def _cmd_simulate(args: argparse.Namespace):
     if not _no_round_can_fail(config):
         # a round may fail: every round is drawn and checked once before the first write, so that a
         # late round's error leaves stdout empty, and drawn again, unchecked, as it is written
-        for k in range(args.rounds):
-            _check_round(config, k, _draw_round(config, k))
-    return formats.simulation_chunks(config, (_draw_round(config, k) for k in range(args.rounds)))
+        for k, drawn in enumerate(_draw_rounds(config, range(args.rounds))):
+            _check_round(config, k, drawn)
+    return formats.simulation_chunks(config, _draw_rounds(config, range(args.rounds)))
 
 
 class _Parser(argparse.ArgumentParser):

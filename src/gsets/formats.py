@@ -538,7 +538,7 @@ def _rounds_text(rounds: list[tuple]) -> str:
 
 def simulation_chunks(config: SimConfig, rounds: Iterable[tuple]) -> Iterator[str]:
     """The simulator's report as canonical JSON text: its configuration, then one chunk per batch
-    of rounds, rendered as soon as ``simulate._draw_round`` draws them in plain floats, each fused
+    of rounds, rendered as soon as ``simulate._draw_rounds`` draws them in plain floats, each fused
     level read through the round's sort orders off its rendered measurements and each leading empty
     level written from the kernel's count.  The rounds are not checked here: ``cli`` checks each
     round of a config before the first chunk, unless ``simulate._no_round_can_fail`` proves that no

@@ -3,28 +3,35 @@
 Each round plants a known truth, draws correct intervals around it and
 faulty intervals displaced far enough to provably exclude it, then fuses
 the lot for every fault budget and records which budgets recover the truth.
-One kernel draws a round in plain floats and sorts its sensors once each way: by lower end
-descending and by upper end ascending.  Level f runs from the lower end of the f-th sensor of the
-first order to the upper end of the f-th of the second, so ``simulate_round`` maps the orders to
-its levels' values and ``formats.simulation_chunks`` reads each level's text through them off the
-round's rendered measurements.  The kernel returns the endpoints as two lists in sensor order, the
-faulty indices, the two sort orders and, in place of a flag per level, the count of leading levels
-that miss the truth and the count of leading levels that are empty.  It checks nothing: one checker,
-``_check_round``, names a round's first unsound sensor.  ``simulate_round`` checks every round; the
-CLI checks every round of a config before its first write unless ``_no_round_can_fail`` proves that
-no check could fire, and then checks none.
+One kernel, ``_draw_rounds``, draws rounds in plain floats and sorts each round's sensors once each
+way: by lower end descending and by upper end ascending.  Level f runs from the lower end of the
+f-th sensor of the first order to the upper end of the f-th of the second, so ``simulate_round``
+builds its levels through the orders, and ``formats.simulation_chunks`` reads each level's text
+through them off the round's rendered measurements; both write the leading empty levels from the
+kernel's count and compare no float for them.  The kernel returns the endpoints as two lists in
+sensor order, the faulty indices, the two sort orders and, in place of a flag per level, the count
+of leading levels that miss the truth and the count of leading levels that are empty.
+
+A report draws from one generator, reseeded for each round with an int derived from the seed and
+the round index alone, so any round is reproducible alone.  The faulty set and the faulty sensors'
+sides are the draws that ``random.sample`` and ``random.choice`` make on CPython 3.10-3.13, read
+straight off ``getrandbits``; a property in the tests checks them against those functions.
+
+The kernel checks nothing: one checker, ``_check_round``, names a round's first unsound sensor.
+``simulate_round`` checks every round; the CLI checks every round of a config before its first
+write unless ``_no_round_can_fail`` proves that no check could fire, and then checks none.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache
+from random import Random
 
 from ._value import Value
 from .errors import DomainError
-from .intervals import MAX_SEED, GradedIntervals, Interval, _check_int, _float, _graded_levels
+from .intervals import MAX_SEED, GradedIntervals, Interval, _check_int, _float
 from .intervals import graded_fusion  # unused here, but the traced replay wraps gsets.simulate.graded_fusion
 
 
@@ -113,51 +120,84 @@ def _sha256():
     return sha256
 
 
-def _round_rng(seed: int, round_index: int) -> random.Random:
-    # independent stream per (seed, round): rounds are reproducible in isolation
-    digest = _sha256()(f"{seed}:{round_index}".encode("ascii")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+def _draw_rounds(config: SimConfig, round_indices: Iterable[int]) -> Iterator[tuple]:
+    """The one draw kernel: ``simulate_round`` in plain floats for each of `round_indices`, drawn and
+    not checked.  Each round is each sensor's lower and upper endpoint in sensor order, the faulty
+    indices in order, the stable sort orders ``lo_order`` (lower ends descending) and ``hi_order``
+    (upper ends ascending), the count of leading levels that miss the truth, and the count of
+    leading levels that are empty.  Level f is [los[lo_order[f]], his[hi_order[f]]], empty where
+    its lower end exceeds its upper end.  The levels are nested by construction, as the f-th largest
+    lower end never rises and the f-th smallest upper end never falls as f grows, so both counts
+    cover every such level: once a level holds the truth, every larger budget's level does, and once
+    a level is not empty, no larger budget's level is.  An empty level misses the truth, so the empty
+    levels never outnumber the missing ones.  Whether a round is sound is ``_check_round``'s to say;
+    a config that ``_no_round_can_fail`` clears needs no check.
+
+    One generator serves the rounds, reseeded for each with the first 8 bytes, read big-endian, of
+    the SHA-256 of ``"{seed}:{round}"``, so each round is reproducible alone: reseeding leaves the
+    state that ``random.Random`` of the same int starts in.  The faulty set and each faulty sensor's
+    side are read off ``getrandbits`` as ``random.sample(range(n), k)`` and
+    ``random.choice((-1.0, 1.0))`` draw them on CPython 3.10-3.13: a draw below m takes
+    ``getrandbits(m.bit_length())`` until it is below m; ``sample`` runs a partial Fisher-Yates over
+    the indices while n is at most its set size, else redraws an index already taken; the side is a
+    draw below 2, and 0 is -1.0."""
+    n, k = config.num_sensors, config.num_faulty
+    truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
+    rng = Random(0)  # reseeded before every round
+    reseed, bits, uniform = rng.seed, rng.getrandbits, rng.random
+    sha256, prefix = _sha256(), f"{config.seed}:"
+    pooled = n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)  # sample's set size
+    n_bits, sensors = n.bit_length(), range(n)
+    for round_index in round_indices:
+        reseed(int.from_bytes(sha256(f"{prefix}{round_index}".encode("ascii")).digest()[:8], "big"))
+        faulty = set()
+        if pooled:
+            pool = list(sensors)
+            for m in range(n, n - k, -1):
+                m_bits = m.bit_length()
+                j = bits(m_bits)
+                while j >= m:
+                    j = bits(m_bits)
+                faulty.add(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            for _ in range(k):
+                j = bits(n_bits)
+                while j >= n or j in faulty:
+                    j = bits(n_bits)
+                faulty.add(j)
+        los, his = [], []
+        for i in sensors:
+            # u, v uniform over (0, width]: 1 - random() lies in (0, 1]
+            u = width * (1.0 - uniform())
+            v = width * (1.0 - uniform())
+            if i in faulty:
+                side = bits(2)
+                while side >= 2:
+                    side = bits(2)
+                center = truth + (-1.0, 1.0)[side] * (offset_min * (1.0 + uniform()))
+                lo, hi = center - u, center + v
+            else:
+                lo, hi = truth - u, truth + v
+            los.append(lo)
+            his.append(hi)
+        lo_order = sorted(sensors, key=los.__getitem__, reverse=True)
+        hi_order = sorted(sensors, key=his.__getitem__)
+        missing = 0
+        while missing < n and not los[lo_order[missing]] <= truth <= his[hi_order[missing]]:
+            missing += 1
+        empty = 0
+        while empty < missing and los[lo_order[empty]] > his[hi_order[empty]]:
+            empty += 1
+        yield los, his, sorted(faulty), lo_order, hi_order, missing, empty
 
 
 def _draw_round(config: SimConfig, round_index: int) -> tuple:
-    """``simulate_round`` in plain floats, drawn and not checked: each sensor's lower and upper endpoint
-    in sensor order, the faulty indices in order, the stable sort orders ``lo_order`` (lower ends
-    descending) and ``hi_order`` (upper ends ascending), the count of leading levels that miss the
-    truth, and the count of leading levels that are empty.  Level f is [los[lo_order[f]],
-    his[hi_order[f]]], empty where its lower end exceeds its upper end.  The levels are nested by
-    construction, as the f-th largest lower end never rises and the f-th smallest upper end never
-    falls as f grows, so both counts cover every such level: once a level holds the truth, every
-    larger budget's level does, and once a level is not empty, no larger budget's level is.  An empty
-    level misses the truth, so the empty levels never outnumber the missing ones.  Whether the round
-    is sound is ``_check_round``'s to say; a config that ``_no_round_can_fail`` clears needs no check."""
+    """One round off the kernel, from a generator of its own, as a library round draws it."""
     if round_index < 0:
         raise DomainError("round index must be nonnegative")
-    rng = _round_rng(config.seed, round_index)
-    faulty = set(rng.sample(range(config.num_sensors), config.num_faulty))
-    uniform, choice = rng.random, rng.choice
-    truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
-    los, his = [], []
-    for i in range(config.num_sensors):
-        # u, v uniform over (0, width]: 1 - random() lies in (0, 1]
-        u = width * (1.0 - uniform())
-        v = width * (1.0 - uniform())
-        if i in faulty:
-            center = truth + choice((-1.0, 1.0)) * (offset_min * (1.0 + uniform()))
-            lo, hi = center - u, center + v
-        else:
-            lo, hi = truth - u, truth + v
-        los.append(lo)
-        his.append(hi)
-    n = len(los)
-    lo_order = sorted(range(n), key=los.__getitem__, reverse=True)
-    hi_order = sorted(range(n), key=his.__getitem__)
-    missing = 0
-    while missing < n and not los[lo_order[missing]] <= truth <= his[hi_order[missing]]:
-        missing += 1
-    empty = 0
-    while empty < missing and los[lo_order[empty]] > his[hi_order[empty]]:
-        empty += 1
-    return los, his, sorted(faulty), lo_order, hi_order, missing, empty
+    drawn, = _draw_rounds(config, (round_index,))
+    return drawn
 
 
 def _check_round(config: SimConfig, round_index: int, drawn: tuple) -> None:
@@ -189,11 +229,12 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     _check_int(round_index, "round index")
     drawn = _draw_round(config, round_index)
     _check_round(config, round_index, drawn)
-    los, his, faulty, lo_order, hi_order, missing, _ = drawn
-    n = len(los)
-    lows, highs = [los[i] for i in lo_order], [his[i] for i in hi_order]
-    return SimOutcome(tuple(map(Interval._unchecked, los, his)), frozenset(faulty),
-                      _graded_levels(lows, highs, 0, n - 1), (False,) * missing + (True,) * (n - missing))
+    los, his, faulty, lo_order, hi_order, missing, empty = drawn
+    n, new = len(los), Interval._unchecked
+    # the first `empty` levels are empty and the rest are not, by the kernel's count
+    levels = [None] * empty + [new(los[i], his[j]) for i, j in zip(lo_order[empty:], hi_order[empty:])]
+    return SimOutcome(tuple(map(new, los, his)), frozenset(faulty), GradedIntervals(0, levels),
+                      (False,) * missing + (True,) * (n - missing))
 
 
 def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:

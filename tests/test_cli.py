@@ -538,8 +538,18 @@ class TestSimulate:
             # is re-rendered
             (["--sensors", "9", "--faulty", "3", "--rounds", "300", "--seed", "21", "--truth", "4503599627370496"],
              "40ad56ed4661cda9bd1ddc97524b4d4a2481dc8a27b8bf256398856add4dc058"),
+            # the bench shapes draw the faulty set from random.sample's pool of indices; these draw
+            # from its set of indices taken, with k <= 5 (set size 21) and with k > 5 (set size 85),
+            # the last with an index drawn again in some rounds
+            (["--sensors", "200", "--faulty", "3", "--rounds", "50"],
+             "c3f70f3cb6dc4209059d570d039218523f05d6c66c06da2f66ce07a788cec360"),
+            (["--sensors", "2000", "--faulty", "7", "--rounds", "5"],
+             "a6b3048373153200f28f641f715fa08abf27eac79d2144a4a2c3273dcb97a172"),
+            (["--sensors", "86", "--faulty", "7", "--rounds", "100", "--seed", "5"],
+             "6a538671e490b942098e293572bd683d60ae616a481e36e96555cbdbb82cc0f1"),
         ],
-        ids=["9x2000", "31x800", "101x200", "9x300-truth-1e16", "9x300-truth-2**52"],
+        ids=["9x2000", "31x800", "101x200", "9x300-truth-1e16", "9x300-truth-2**52", "200x50-set-branch",
+             "2000x5-set-branch", "86x100-set-branch-redraws"],
     )
     def test_bench_scale_reports_keep_their_bytes(self, capsys, flags, sha256):
         # the three shapes the benchmark runs, a third of the sensors faulty, and two truths far out

@@ -95,6 +95,6 @@ def test_the_names_the_traced_replay_patches_exist():
     # and the compute functions the CLI imports by name from the compute modules
     for name in [
         "approximation_pair", "graded_approximations", "granular_from_chain", "indiscernibility_partition",
-        "sensitivity_profile", "fuse", "graded_fusion", "random_graded", "sample", "_draw_round",
+        "sensitivity_profile", "fuse", "graded_fusion", "random_graded", "sample", "_draw_rounds",
     ]:
         assert getattr(cli, name).__module__ in {"gsets.infosys", "gsets.intervals", "gsets.simulate"}, name

@@ -153,19 +153,20 @@ class TestSimulateRound:
 
 
 class _ScriptedRng:
-    """A round's generator with scripted draws: the sample is `faulty` and every side is +1."""
+    """A round's generator with scripted draws: the first bit draws are `faulty`, which a pool of
+    three sensors takes as they are, and every later one is 1, so every side is +1."""
 
     def __init__(self, draws, faulty):
-        self.draws, self.faulty = list(draws), faulty
+        self.draws, self.bits = list(draws), list(faulty)
 
-    def sample(self, population, k):
-        return list(self.faulty)
+    def seed(self, x):
+        pass
+
+    def getrandbits(self, k):
+        return self.bits.pop(0) if self.bits else 1
 
     def random(self):
         return self.draws.pop(0)
-
-    def choice(self, seq):
-        return seq[1]
 
 
 class TestRoundChecks:
@@ -203,7 +204,7 @@ class TestRoundChecks:
         ],
     )
     def test_first_bad_sensor_is_named(self, monkeypatch, draws, faulty, message):
-        monkeypatch.setattr(simulate, "_round_rng", lambda seed, k: _ScriptedRng(draws, faulty))
+        monkeypatch.setattr(simulate, "Random", lambda seed: _ScriptedRng(draws, faulty))
         with pytest.raises(DomainError) as info:
             simulate_round(self.CFG, 4)
         assert str(info.value) == message
@@ -212,7 +213,7 @@ class TestRoundChecks:
         # the faulty sensor's lower end meets both correct sensors' upper ends at 1.5, so level 0 is
         # the point [1.5, 1.5]: it misses the truth and is not empty, so the report writes it
         draws = [0.5, -0.5, 0.5, -0.5, 0.0, 0.5, 0.0]
-        monkeypatch.setattr(simulate, "_round_rng", lambda seed, k: _ScriptedRng(draws, [2]))
+        monkeypatch.setattr(simulate, "Random", lambda seed: _ScriptedRng(draws, [2]))
         drawn = simulate._draw_round(self.CFG, 4)
         simulate._check_round(self.CFG, 4, drawn)
         assert drawn[5:] == (1, 0)
@@ -317,33 +318,65 @@ def test_no_round_fails_where_the_bound_holds(data):
         simulate._check_round(cfg, k, simulate._draw_round(cfg, k))
 
 
-def _in_loop_checks(config: SimConfig, round_index: int):
-    """The round drawn as the kernel once drew it, each sensor checked as it is drawn: the endpoints
-    up to the first unsound sensor, and that sensor's message or None."""
-    rng = simulate._round_rng(config.seed, round_index)
+def _stdlib_round(config: SimConfig, round_index: int):
+    """The round drawn with the standard library's own calls: a ``random.Random`` seeded with the first
+    8 bytes, big-endian, of the SHA-256 of ASCII "{seed}:{round}", the faulty set from its ``sample``
+    and each faulty side from its ``choice``; (faulty, lo, hi) for each sensor in sensor order."""
+    digest = hashlib.sha256(f"{config.seed}:{round_index}".encode("ascii")).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
     faulty = set(rng.sample(range(config.num_sensors), config.num_faulty))
     truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
-    los, his = [], []
     for i in range(config.num_sensors):
         u = width * (1.0 - rng.random())
         v = width * (1.0 - rng.random())
         if i in faulty:
             center = truth + rng.choice((-1.0, 1.0)) * (offset_min * (1.0 + rng.random()))
-            lo, hi = center - u, center + v
+            yield True, center - u, center + v
         else:
-            lo, hi = truth - u, truth + v
+            yield False, truth - u, truth + v
+
+
+def _in_loop_checks(config: SimConfig, round_index: int):
+    """The round drawn as the kernel once drew it, each sensor checked as it is drawn: the endpoints
+    up to the first unsound sensor, and that sensor's message or None."""
+    truth = config.truth
+    los, his = [], []
+    for i, (faulty, lo, hi) in enumerate(_stdlib_round(config, round_index)):
         los.append(lo)
         his.append(hi)
-        sensor = f"round {round_index}: {'faulty' if i in faulty else 'correct'} sensor {i}"
+        sensor = f"round {round_index}: {'faulty' if faulty else 'correct'} sensor {i}"
         if not (math.isfinite(lo) and math.isfinite(hi)):
             return los, his, f"{sensor}: interval endpoints must be finite"
         if lo > hi:
             return los, his, f"{sensor}: interval lower endpoint {lo} exceeds upper endpoint {hi}"
-        if i in faulty and lo <= truth <= hi:
+        if faulty and lo <= truth <= hi:
             return los, his, f"{sensor} contains the truth after float rounding"
-        if i not in faulty and not lo <= truth <= hi:
+        if not faulty and not lo <= truth <= hi:
             return los, his, f"{sensor} misses the truth"
     return los, his, None
+
+
+@given(st.data())
+def test_a_reports_rounds_are_the_standard_library_draws(data):
+    # the kernel reads the faulty set and the sides off getrandbits: they must be what sample and
+    # choice draw, on both sides of sample's set size (a pool of the indices up to it, a set of the
+    # indices taken past it), and each round of one report's generator must be the round drawn alone,
+    # in any order
+    pooled = data.draw(st.booleans())
+    # past k = 341 the set size passes 3000 sensors, so only a pool is drawn
+    k = data.draw(st.one_of(st.integers(0, 5), st.integers(6, 2999 if pooled else 341)))
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    # a set of indices draws below n alone, so n is a power of two at times: there a draw takes one bit
+    # more than the bits of n - 1
+    n = data.draw(st.integers(k + 1, min(setsize, 3000)) if pooled else st.one_of(
+        st.integers(setsize + 1, 3000), st.sampled_from([2**p for p in range(12) if setsize < 2**p])))
+    width = data.draw(st.floats(0.01, 10.0))
+    cfg = SimConfig(n, data.draw(st.floats(-1e3, 1e3)), width, k, width * data.draw(st.floats(1.01, 10.0)),
+                    data.draw(st.integers(0, 2**64 - 1)))
+    indices = data.draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=4))
+    for round_index, drawn in zip(indices, simulate._draw_rounds(cfg, indices), strict=True):
+        sides, los, his = zip(*_stdlib_round(cfg, round_index))
+        assert drawn[:3] == (list(los), list(his), [i for i, faulty in enumerate(sides) if faulty])
 
 
 def _bound_config(data) -> SimConfig:
@@ -401,12 +434,21 @@ def test_the_bound_on_fixed_configs(overrides, holds):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 @pytest.mark.parametrize("round_index", [0, 1, 10**6])
-def test_round_seed_is_the_sha256_prefix(seed, round_index):
-    # the documented derivation: the first 8 bytes, big-endian, of the
-    # SHA-256 of ASCII "{seed}:{round}" seed random.Random
+def test_round_seed_is_the_sha256_prefix(monkeypatch, seed, round_index):
+    # the documented derivation: after another round, the report's generator is reseeded to the
+    # state that random.Random starts in from the first 8 bytes, big-endian, of the SHA-256 of
+    # ASCII "{seed}:{round}"
+    states = []
+
+    class Recorded(random.Random):
+        def seed(self, *args):
+            super().seed(*args)
+            states.append(self.getstate())
+
+    monkeypatch.setattr(simulate, "Random", Recorded)
+    list(simulate._draw_rounds(config(seed=seed), [7, round_index]))
     digest = hashlib.sha256(f"{seed}:{round_index}".encode("ascii")).digest()
-    expected = random.Random(int.from_bytes(digest[:8], "big"))
-    assert simulate._round_rng(seed, round_index).getstate() == expected.getstate()
+    assert states[-1] == random.Random(int.from_bytes(digest[:8], "big")).getstate()
 
 
 class TestSimulateRounds:
