@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from functools import total_ordering
 from itertools import accumulate, islice
+from operator import attrgetter
 
 from ._value import Value
 from .errors import DomainError
@@ -119,9 +120,10 @@ class GradedIntervals(Value):
             raise DomainError("f_min must be nonnegative")
         if not levels:
             raise DomainError("graded intervals need at least one level")
-        # the empty level as [inf, -inf]: empty, and inside no nonempty level
-        _check_nested([math.inf if lv is None else lv.lo for lv in levels],
-                      [-math.inf if lv is None else lv.hi for lv in levels])
+        # an empty level (None) lies inside every level, and a nonempty one inside no empty level
+        for i, (inner, outer) in enumerate(zip(levels, levels[1:])):
+            if inner is not None and (outer is None or not (outer.lo <= inner.lo and inner.hi <= outer.hi)):
+                raise DomainError(f"levels {i} and {i + 1} are not nested")
 
     @property
     def f_max(self) -> int:
@@ -194,34 +196,31 @@ class IntervalDistribution(Value):
         self._init(atoms, tuple(accumulate(p for _, p in islice(atoms, len(atoms) - 1))))
 
 
-def _check_nested(lows: Sequence[float], highs: Sequence[float]) -> None:
-    """The one chain condition: each nonempty level [lows[i], highs[i]] (empty if lo > hi) lies inside the next."""
-    for i, (lo, hi, outer_lo, outer_hi) in enumerate(zip(lows, highs, lows[1:], highs[1:])):
-        if lo <= hi and not (outer_lo <= lo and hi <= outer_hi):
-            raise DomainError(f"levels {i} and {i + 1} are not nested")
+def _order_statistics(items: Sequence, lo: Callable, hi: Callable) -> tuple[list, list]:
+    """The one fusion kernel: the measurements `items` (intervals, or a round's sensor indices) in
+    two stable orders, by lower end ``lo(item)`` descending and by upper end ``hi(item)`` ascending,
+    so that level f runs from ``lo(lo_order[f])`` to ``hi(hi_order[f])``, empty where the first
+    exceeds the second.  Tied ends (-0.0 and 0.0 among them) keep their input order."""
+    return sorted(items, key=lo, reverse=True), sorted(items, key=hi)
 
 
-def _order_statistics(lows: Iterable[float], highs: Iterable[float]) -> tuple[list[float], list[float]]:
-    """The one fusion kernel: the lower endpoints sorted descending and the
-    upper endpoints ascending, so that level f is read off index f of each."""
-    lows = sorted(lows, reverse=True)
-    if not lows:
-        raise DomainError("no measurements")
-    return lows, sorted(highs)
+_lo, _hi = attrgetter("lo"), attrgetter("hi")  # an interval's ends
 
 
-def _sorted_ends(intervals: Iterable[Interval]) -> tuple[list[float], list[float]]:
+def _sorted_ends(intervals: Iterable[Interval]) -> tuple[list, list]:
     items = list(intervals)
-    return _order_statistics([iv.lo for iv in items], [iv.hi for iv in items])
+    if not items:
+        raise DomainError("no measurements")
+    return _order_statistics(items, _lo, _hi)
 
 
-def _level(lows: list[float], highs: list[float], f: int) -> FusionResult:
-    """Level f of the sorted endpoints, once the fault count is checked."""
+def _level(lo_order: list, hi_order: list, f: int) -> FusionResult:
+    """Level f of the sorted intervals, once the fault count is checked."""
     if f < 0:
         raise DomainError("fault count must be nonnegative")
-    if f >= len(lows):
+    if f >= len(lo_order):
         raise DomainError("fault count exceeds measurement count")
-    lo, hi = lows[f], highs[f]
+    lo, hi = lo_order[f].lo, hi_order[f].hi
     return Interval._unchecked(lo, hi) if lo <= hi else None
 
 
@@ -240,20 +239,24 @@ def graded_fusion(intervals: Iterable[Interval], f_min: int, f_max: int) -> Grad
     """Fuse at every fault budget in f_min..f_max, off one pair of endpoint sorts."""
     _check_int(f_min, "f_min")
     _check_int(f_max, "f_max")
-    return _graded_levels(*_sorted_ends(intervals), f_min, f_max)
-
-
-def _graded_levels(lows: list[float], highs: list[float], f_min: int, f_max: int) -> GradedIntervals:
-    """Levels f_min..f_max of the sorted endpoints, once the fault range is checked.
-
-    They are nested by the fusion rule itself; the GradedIntervals
-    constructor re-asserts the chain condition.
-    """
-    if not 0 <= f_min <= f_max <= len(lows) - 1:
+    lo_order, hi_order = _sorted_ends(intervals)
+    if not 0 <= f_min <= f_max <= len(lo_order) - 1:
         raise DomainError("invalid fault range")
-    new = Interval._unchecked  # the endpoints are checked where they are read or drawn; the reader decides lo <= hi
-    levels = islice(zip(lows, highs), f_min, f_max + 1)
-    return GradedIntervals(f_min, (new(lo, hi) if lo <= hi else None for lo, hi in levels))
+    # the empty levels come first: as f grows, a level's lower end never rises and its upper end never falls
+    empty = f_min
+    while empty <= f_max and lo_order[empty].lo > hi_order[empty].hi:
+        empty += 1
+    return _graded_levels(_lo, _hi, lo_order, hi_order, f_min, f_max, empty)
+
+
+def _graded_levels(lo: Callable, hi: Callable, lo_order: list, hi_order: list, f_min: int, f_max: int,
+                   empty: int) -> GradedIntervals:
+    """The one level builder: levels f_min..f_max read through the kernel's orders, each below `empty`
+    empty and the rest not, so no float is compared.  The ends are checked where they are read or
+    drawn, and the GradedIntervals constructor re-asserts the nesting that the fusion rule makes."""
+    start = max(f_min, empty)
+    return GradedIntervals(f_min, [None] * (start - f_min) + [
+        Interval._unchecked(lo(a), hi(b)) for a, b in zip(lo_order[start:f_max + 1], hi_order[start:f_max + 1])])
 
 
 def as_rough_pair(graded: GradedIntervals) -> tuple[FusionResult, FusionResult]:
@@ -269,9 +272,9 @@ def random_graded(intervals: Iterable[Interval], dist: FaultDistribution) -> Int
     Every result is read off one pair of endpoint sorts; the IntervalDistribution
     constructor pools fault counts that fuse to the same result into one atom.
     """
-    lows, highs = _sorted_ends(intervals)
+    lo_order, hi_order = _sorted_ends(intervals)
     # pooled as they are read off, so no result is held per fault count
-    return IntervalDistribution((_level(lows, highs, f), p) for f, p in dist.support)
+    return IntervalDistribution((_level(lo_order, hi_order, f), p) for f, p in dist.support)
 
 
 def sample(dist: IntervalDistribution, seed: int) -> FusionResult:

@@ -3,35 +3,28 @@
 Each round plants a known truth, draws correct intervals around it and
 faulty intervals displaced far enough to provably exclude it, then fuses
 the lot for every fault budget and records which budgets recover the truth.
-One kernel, ``_draw_rounds``, draws rounds in plain floats and sorts each round's sensors once each
-way: by lower end descending and by upper end ascending.  Level f runs from the lower end of the
-f-th sensor of the first order to the upper end of the f-th of the second, so ``simulate_round``
-builds its levels through the orders, and ``formats.simulation_chunks`` reads each level's text
-through them off the round's rendered measurements; both write the leading empty levels from the
-kernel's count and compare no float for them.  The kernel returns the endpoints as two lists in
-sensor order, the faulty indices, the two sort orders and, in place of a flag per level, the count
-of leading levels that miss the truth and the count of leading levels that are empty.
-
-A report draws from one generator, reseeded for each round with an int derived from the seed and
-the round index alone, so any round is reproducible alone.  The faulty set and the faulty sensors'
-sides are the draws that ``random.sample`` and ``random.choice`` make on CPython 3.10-3.13, read
-straight off ``getrandbits``; a property in the tests checks them against those functions.
+One kernel, ``_draw_rounds``, draws rounds in plain floats and orders each round's sensors through
+the fusion kernel, ``intervals._order_statistics``.  The library builds a round's levels through
+those orders with ``intervals._graded_levels``, and ``formats.simulation_chunks`` writes their text
+off the round's rendered measurements.  Each call draws from one generator, reseeded for each round
+from the seed and the round index alone, so any round is reproducible alone.
 
 The kernel checks nothing: one checker, ``_check_round``, names a round's first unsound sensor.
-``simulate_round`` checks every round; the CLI checks every round of a config before its first
-write unless ``_no_round_can_fail`` proves that no check could fire, and then checks none.
+The library checks each round as its iterator reaches it; the CLI checks every round of a config
+before its first write unless ``_no_round_can_fail`` proves that no check could fire, and then
+checks none.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 from random import Random
 
 from ._value import Value
 from .errors import DomainError
-from .intervals import MAX_SEED, GradedIntervals, Interval, _check_int, _float
+from .intervals import MAX_SEED, GradedIntervals, Interval, _check_int, _float, _graded_levels, _order_statistics
 from .intervals import graded_fusion  # unused here, but the traced replay wraps gsets.simulate.graded_fusion
 
 
@@ -123,33 +116,38 @@ def _sha256():
 def _draw_rounds(config: SimConfig, round_indices: Iterable[int]) -> Iterator[tuple]:
     """The one draw kernel: ``simulate_round`` in plain floats for each of `round_indices`, drawn and
     not checked.  Each round is each sensor's lower and upper endpoint in sensor order, the faulty
-    indices in order, the stable sort orders ``lo_order`` (lower ends descending) and ``hi_order``
-    (upper ends ascending), the count of leading levels that miss the truth, and the count of
-    leading levels that are empty.  Level f is [los[lo_order[f]], his[hi_order[f]]], empty where
-    its lower end exceeds its upper end.  The levels are nested by construction, as the f-th largest
-    lower end never rises and the f-th smallest upper end never falls as f grows, so both counts
-    cover every such level: once a level holds the truth, every larger budget's level does, and once
-    a level is not empty, no larger budget's level is.  An empty level misses the truth, so the empty
-    levels never outnumber the missing ones.  Whether a round is sound is ``_check_round``'s to say;
-    a config that ``_no_round_can_fail`` clears needs no check.
+    indices in order, the fusion kernel's stable orders ``lo_order`` (lower ends descending) and
+    ``hi_order`` (upper ends ascending), the count of leading levels that miss the truth, and the
+    count of leading levels that are empty.  Level f is [los[lo_order[f]], his[hi_order[f]]], empty
+    where its lower end exceeds its upper end.  The levels are nested by construction, as the f-th
+    largest lower end never rises and the f-th smallest upper end never falls as f grows, so both
+    counts cover every such level: once a level holds the truth, every larger budget's level does,
+    and once a level is not empty, no larger budget's level is.  An empty level misses the truth, so
+    the empty levels never outnumber the missing ones.  Whether a round is sound is
+    ``_check_round``'s to say; a config that ``_no_round_can_fail`` clears needs no check.
 
-    One generator serves the rounds, reseeded for each with the first 8 bytes, read big-endian, of
-    the SHA-256 of ``"{seed}:{round}"``, so each round is reproducible alone: reseeding leaves the
-    state that ``random.Random`` of the same int starts in.  The faulty set and each faulty sensor's
-    side are read off ``getrandbits`` as ``random.sample(range(n), k)`` and
-    ``random.choice((-1.0, 1.0))`` draw them on CPython 3.10-3.13: a draw below m takes
+    One generator serves the rounds: each round's seed is the first 8 bytes, read big-endian, of the
+    SHA-256 of ``"{seed}:{round}"``.  The generator is built from the first round's seed and reseeded
+    for each later round, so each round is reproducible alone: reseeding leaves the state that
+    ``random.Random`` of the same int starts in.  The faulty set and each faulty sensor's side are
+    read off ``getrandbits`` as ``random.sample(range(n), k)`` and ``random.choice((-1.0, 1.0))``
+    draw them on CPython 3.10-3.13, which a property in the tests checks: a draw below m takes
     ``getrandbits(m.bit_length())`` until it is below m; ``sample`` runs a partial Fisher-Yates over
     the indices while n is at most its set size, else redraws an index already taken; the side is a
     draw below 2, and 0 is -1.0."""
     n, k = config.num_sensors, config.num_faulty
     truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
-    rng = Random(0)  # reseeded before every round
-    reseed, bits, uniform = rng.seed, rng.getrandbits, rng.random
+    rng = None  # built from the first round's seed, and reseeded for each later round
     sha256, prefix = _sha256(), f"{config.seed}:"
     pooled = n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)  # sample's set size
     n_bits, sensors = n.bit_length(), range(n)
     for round_index in round_indices:
-        reseed(int.from_bytes(sha256(f"{prefix}{round_index}".encode("ascii")).digest()[:8], "big"))
+        seed = int.from_bytes(sha256(f"{prefix}{round_index}".encode("ascii")).digest()[:8], "big")
+        if rng is None:
+            rng = Random(seed)
+            reseed, bits, uniform = rng.seed, rng.getrandbits, rng.random
+        else:
+            reseed(seed)
         faulty = set()
         if pooled:
             pool = list(sensors)
@@ -181,8 +179,7 @@ def _draw_rounds(config: SimConfig, round_indices: Iterable[int]) -> Iterator[tu
                 lo, hi = truth - u, truth + v
             los.append(lo)
             his.append(hi)
-        lo_order = sorted(sensors, key=los.__getitem__, reverse=True)
-        hi_order = sorted(sensors, key=his.__getitem__)
+        lo_order, hi_order = _order_statistics(sensors, los.__getitem__, his.__getitem__)
         missing = 0
         while missing < n and not los[lo_order[missing]] <= truth <= his[hi_order[missing]]:
             missing += 1
@@ -192,16 +189,8 @@ def _draw_rounds(config: SimConfig, round_indices: Iterable[int]) -> Iterator[tu
         yield los, his, sorted(faulty), lo_order, hi_order, missing, empty
 
 
-def _draw_round(config: SimConfig, round_index: int) -> tuple:
-    """One round off the kernel, from a generator of its own, as a library round draws it."""
-    if round_index < 0:
-        raise DomainError("round index must be nonnegative")
-    drawn, = _draw_rounds(config, (round_index,))
-    return drawn
-
-
 def _check_round(config: SimConfig, round_index: int, drawn: tuple) -> None:
-    """Raise for the first unsound sensor of a round that ``_draw_round`` drew, in sensor order: one
+    """Raise for the first unsound sensor of a round that ``_draw_rounds`` drew, in sensor order: one
     whose endpoints overflow or cross, or else one that lies on the wrong side of the truth.  The
     error names the round and the sensor."""
     los, his, faulty = drawn[0], drawn[1], set(drawn[2])
@@ -227,14 +216,9 @@ def simulate_round(config: SimConfig, round_index: int = 0) -> SimOutcome:
     the truth, on a random side.
     """
     _check_int(round_index, "round index")
-    drawn = _draw_round(config, round_index)
-    _check_round(config, round_index, drawn)
-    los, his, faulty, lo_order, hi_order, missing, empty = drawn
-    n, new = len(los), Interval._unchecked
-    # the first `empty` levels are empty and the rest are not, by the kernel's count
-    levels = [None] * empty + [new(los[i], his[j]) for i, j in zip(lo_order[empty:], hi_order[empty:])]
-    return SimOutcome(tuple(map(new, los, his)), frozenset(faulty), GradedIntervals(0, levels),
-                      (False,) * missing + (True,) * (n - missing))
+    if round_index < 0:
+        raise DomainError("round index must be nonnegative")
+    return next(_outcomes(config, (round_index,)))
 
 
 def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:
@@ -247,4 +231,16 @@ def simulate_rounds(config: SimConfig, rounds: int) -> Iterator[SimOutcome]:
     _check_int(rounds, "round count")
     if rounds < 0:
         raise DomainError("round count must be nonnegative")
-    return (simulate_round(config, k) for k in range(rounds))
+    return _outcomes(config, range(rounds))
+
+
+def _outcomes(config: SimConfig, round_indices: Sequence[int]) -> Iterator[SimOutcome]:
+    """The library's rounds: each drawn by the kernel from the call's one generator and checked as
+    the iterator reaches it, its levels built from the kernel's orders and count of empty levels."""
+    for round_index, drawn in zip(round_indices, _draw_rounds(config, round_indices)):
+        _check_round(config, round_index, drawn)
+        los, his, faulty, lo_order, hi_order, missing, empty = drawn
+        n = len(los)
+        yield SimOutcome(tuple(map(Interval._unchecked, los, his)), frozenset(faulty),
+                         _graded_levels(los.__getitem__, his.__getitem__, lo_order, hi_order, 0, n - 1, empty),
+                         (False,) * missing + (True,) * (n - missing))

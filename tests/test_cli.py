@@ -1056,6 +1056,50 @@ def test_a_call_loads_neither_typing_nor_pathlib(module_record):
 
 
 # ---------------------------------------------------------------------------
+# hostile argv, each case written out
+
+SIM = ["simulate", "--sensors", "5", "--faulty", "2", "--rounds", "3"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param([*SIM, "--truth", "nan"], 1, id="simulate-nan-truth"),
+    pytest.param([*SIM, "--halfwidth", "5e-324", "--offset", "1e-323"], 0, id="simulate-subnormal-widths"),
+    pytest.param([*SIM, "--halfwidth", "1e308", "--offset", "1.5e308"], 1, id="simulate-overflowing-offset"),
+    pytest.param([*SIM, "--seed", str(2**64)], 1, id="simulate-seed-2**64"),
+    # int() takes digits grouped by underscores
+    pytest.param(["simulate", "--sensors", "1_0", "--faulty", "2", "--rounds", "3"], 0, id="simulate-sensors-1_0"),
+    pytest.param(["fuse", "--input", "{intervals}", "--faults", "1" * 23], 1, id="fuse-23-digit-fault-count"),
+    pytest.param(["random", "--input", "{intervals}", "--dist", '{{"%s":1}}' % ("1" * 23)], 1,
+                 id="random-23-digit-fault-count"),
+    pytest.param(["graded", "--input", "{intervals}", "--fmin", "2", "--fmax", "1"], 1, id="graded-inverted-range"),
+    pytest.param(["random", "--input", "{intervals}", "--dist", '{{"0":1e-400,"1":1}}'], 1,
+                 id="random-underflowing-mass"),
+    pytest.param(["random", "--input", "{intervals}", "--dist", '{{"0":0.5,"0":0.5}}'], 1, id="random-duplicate-key"),
+    pytest.param(["partition", "--table", "{table}", "--attrs", "P1,P1"], 0, id="partition-repeated-attributes"),
+    pytest.param(["approx", "--table", "{table}", "--attrs", "P1", "--target", "O1,,O2"], 2,
+                 id="approx-empty-target-token"),
+    pytest.param(["graded-approx", "--table", "{table}", "--attrs", "P1", "--targets", '[["O1"],["O1"]]'], 0,
+                 id="graded-approx-repeated-target-level"),
+    pytest.param(["graded-approx", "--table", "{table}", "--attrs", "P1", "--targets", "[]"], 2,
+                 id="graded-approx-empty-target-chain"),
+    pytest.param(["granulate", "--table", "{table}", "--chain", "[]"], 2, id="granulate-empty-attribute-chain"),
+    pytest.param(["fuse", "--input", "/dev/null", "--faults", "0"], 2, id="fuse-dev-null"),
+    pytest.param(["fuse", "--input", "/proc/self/status", "--faults", "0"], 2, id="fuse-proc-self-status"),
+    pytest.param(["fuse", "--input", "{directory}", "--faults", "0"], 2, id="fuse-directory"),
+])
+def test_hostile_argv_keeps_the_exit_code_contract(fixtures_dir, argv, code):
+    # 0 with one canonical document and nothing on stderr, or 1 or 2 with nothing on stdout and one error line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(fill(argv, directory=str(fixtures_dir))) == code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and out == dumps_canonical(json.loads(out)) + "\n"
+    else:
+        assert out == "" and err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
 # fuzzed contents under well-formed argv
 
 

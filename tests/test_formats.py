@@ -768,7 +768,7 @@ class TestGradedIntervalsChunks:
 
 def _drawn(config: SimConfig, rounds: int):
     """The writer's input: the simulator's rounds in plain floats."""
-    return (simulate._draw_round(config, k) for k in range(rounds))
+    return simulate._draw_rounds(config, range(rounds))
 
 
 def _float_round(items, faulty, truth):

@@ -377,6 +377,25 @@ def test_fused_levels_are_plain_intervals(read):
         assert pickle.dumps(level) == pickle.dumps(twin) and pickle.loads(pickle.dumps(level)) == twin
 
 
+@given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 1.0]), st.sampled_from([-0.0, 0.0, 1.0])), min_size=1,
+                max_size=8))
+def test_signed_zero_ties_give_the_stable_sorts_endpoint(ends):
+    # -0.0 and 0.0 compare equal, so only a stable sort fixes which one a tied level takes: the first
+    # in input order among the tied lower ends, and among the tied upper ends; repr tells the two apart
+    items = [Interval(min(a, b), max(a, b)) for a, b in ends]
+    lows = sorted([iv.lo for iv in items], reverse=True)
+    highs = sorted([iv.hi for iv in items])
+    expected = [repr((lo, hi)) if lo <= hi else "None" for lo, hi in zip(lows, highs)]
+
+    def shown(level):
+        return "None" if level is None else repr((level.lo, level.hi))
+
+    n = len(items)
+    assert [shown(fuse(items, f)) for f in range(n)] == expected
+    assert [shown(level) for level in graded_fusion(items, 0, n - 1).levels] == expected
+    assert [shown(random_graded(items, FaultDistribution([(f, 1.0)])).atoms[0][0]) for f in range(n)] == expected
+
+
 class TestRandomGraded:
     def test_fixture_distribution(self):
         d = FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items())
@@ -525,12 +544,12 @@ def test_nesting_on_adversarial_seeded_lists():
 
 
 def _endpoint_sorts(monkeypatch, call) -> list[int]:
-    """The length of every list of floats `call` sorts inside the intervals module."""
+    """The length of every list of measurements `call` sorts inside the intervals module."""
     seen = []
 
     def counting_sorted(iterable, **kwargs):
         values = list(iterable)
-        if values and all(type(v) is float for v in values):
+        if values and all(type(v) is Interval for v in values):
             seen.append(len(values))
         return sorted(values, **kwargs)
 

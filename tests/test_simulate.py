@@ -214,7 +214,7 @@ class TestRoundChecks:
         # the point [1.5, 1.5]: it misses the truth and is not empty, so the report writes it
         draws = [0.5, -0.5, 0.5, -0.5, 0.0, 0.5, 0.0]
         monkeypatch.setattr(simulate, "Random", lambda seed: _ScriptedRng(draws, [2]))
-        drawn = simulate._draw_round(self.CFG, 4)
+        drawn, = simulate._draw_rounds(self.CFG, [4])
         simulate._check_round(self.CFG, 4, drawn)
         assert drawn[5:] == (1, 0)
         assert '"levels":[[1.5,1.5],[-0.5,1.5],[-0.5,3]]' in "".join(formats.simulation_chunks(self.CFG, [drawn]))
@@ -227,10 +227,11 @@ class TestRoundChecks:
         # can be a point that misses the truth
         cfg = _random_config(n, data) if data.draw(st.booleans()) else _edge_config(data)
         n = cfg.num_sensors
-        los, his, _, lo_order, hi_order, missing, empty = simulate._draw_round(cfg, data.draw(st.integers(0, 10**6)))
+        (los, his, _, lo_order, hi_order, missing, empty), = simulate._draw_rounds(
+            cfg, [data.draw(st.integers(0, 10**6))])
         assert sorted(lo_order) == sorted(hi_order) == list(range(n))
         lows, highs = [los[i] for i in lo_order], [his[j] for j in hi_order]
-        assert (lows, highs) == intervals._order_statistics(los, his)
+        assert (lows, highs) == (sorted(los, reverse=True), sorted(his))
         for lo, hi, outer_lo, outer_hi in zip(lows, highs, lows[1:], highs[1:]):
             assert lo > hi or outer_lo <= lo <= hi <= outer_hi
         hits = [lo <= cfg.truth <= hi for lo, hi in zip(lows, highs)]
@@ -240,7 +241,7 @@ class TestRoundChecks:
         assert empty <= missing
 
     def test_public_round_is_read_off_the_kernel(self):
-        los, his, faulty, lo_order, hi_order, missing, empty = simulate._draw_round(config(), 3)
+        (los, his, faulty, lo_order, hi_order, missing, empty), = simulate._draw_rounds(config(), [3])
         out = simulate_round(config(), 3)
         assert out.faulty_indices == set(faulty) and faulty == sorted(faulty)
         assert [(iv.lo, iv.hi) for iv in out.intervals] == list(zip(los, his))
@@ -251,8 +252,8 @@ class TestRoundChecks:
         assert out.truth_containment == (False,) * missing + (True,) * (len(los) - missing)
 
     def test_a_round_sorts_its_endpoints_once(self, monkeypatch):
-        # the kernel sorts the sensors once each way, and the levels are read through those orders,
-        # not sorted again by value, by the fusion kernel or by graded_fusion
+        # the fusion kernel sorts the sensors once each way, and the levels are read through those
+        # orders, not sorted again, by the kernel or by graded_fusion
         calls = []
 
         def counted(items, **kwargs):
@@ -260,7 +261,7 @@ class TestRoundChecks:
             return sorted(items, **kwargs)
 
         monkeypatch.setattr(simulate, "sorted", counted, raising=False)
-        monkeypatch.setattr(intervals, "_order_statistics", lambda los, his: pytest.fail("sorted by value"))
+        monkeypatch.setattr(intervals, "sorted", counted, raising=False)
         simulate_round(config(), 0)
         # the sensors by lower end descending and by upper end ascending, then the faulty indices
         assert calls == [(range, True), (range, False), (set, False)]
@@ -314,8 +315,8 @@ def test_no_round_fails_where_the_bound_holds(data):
     # after that would leave a partial report on stdout
     cfg = _edge_config(data)
     assume(simulate._no_round_can_fail(cfg))
-    for k in range(200):
-        simulate._check_round(cfg, k, simulate._draw_round(cfg, k))
+    for k, drawn in enumerate(simulate._draw_rounds(cfg, range(200))):
+        simulate._check_round(cfg, k, drawn)
 
 
 def _stdlib_round(config: SimConfig, round_index: int):
@@ -402,8 +403,7 @@ def test_the_checker_raises_what_the_in_loop_checks_raised(data):
     # when it checked each sensor as it drew it, and nothing where the bound clears the config
     cfg = _bound_config(data)
     cleared = simulate._no_round_can_fail(cfg)
-    for k in range(20):
-        drawn = simulate._draw_round(cfg, k)
+    for k, drawn in enumerate(simulate._draw_rounds(cfg, range(20))):
         los, his, expected = _in_loop_checks(cfg, k)
         assert (drawn[0][:len(los)], drawn[1][:len(his)]) == (los, his)
         try:
@@ -467,7 +467,7 @@ class TestSimulateRounds:
 
     def test_negative_count_rejected_before_any_round_runs(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(simulate, "simulate_round", lambda cfg, k: drawn.append(k))
+        monkeypatch.setattr(simulate, "_draw_rounds", lambda cfg, ks: drawn.extend(ks))
         with pytest.raises(DomainError, match="round count must be nonnegative"):
             simulate_rounds(config(), -1)
         assert drawn == []
@@ -481,12 +481,33 @@ class TestSimulateRounds:
         assert [y for _, y in interleaved] == list(simulate_rounds(b_cfg, 6))
 
     def test_rounds_are_drawn_as_the_iterator_reaches_them(self, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(simulate, "simulate_round", lambda cfg, k: drawn.append(k) or k)
+        expected = [simulate_round(config(), k) for k in range(3)]
+        draw, drawn = simulate._draw_rounds, []
+
+        def recorded(cfg, ks):
+            for k, round_drawn in zip(ks, draw(cfg, ks)):
+                drawn.append(k)
+                yield round_drawn
+
+        monkeypatch.setattr(simulate, "_draw_rounds", recorded)
         outs = simulate_rounds(config(), 3)
         assert drawn == []
-        assert next(outs) == 0 and drawn == [0]
-        assert list(outs) == [1, 2] and drawn == [0, 1, 2]
+        assert next(outs) == expected[0] and drawn == [0]
+        assert list(outs) == expected[1:] and drawn == [0, 1, 2]
+
+    @pytest.mark.parametrize("rounds", [1, 5])
+    def test_a_call_builds_one_generator(self, monkeypatch, rounds):
+        # one generator, reseeded for each round, serves every round of one iterator
+        built = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simulate, "Random", Counted)
+        assert len(list(simulate_rounds(config(), rounds))) == rounds
+        assert len(built) == 1
 
 
 def test_containment_guarantee_over_many_seeded_rounds():
