@@ -6,7 +6,8 @@ Input formats
   array of two-element ``[lo, hi]`` arrays.
 * information tables: CSV with header ``object,<attr1>,<attr2>,...``.
 * chains and graded families: JSON array of arrays of name strings.
-* fault distributions: JSON object mapping fault counts to probabilities.
+* fault distributions: JSON object mapping fault counts to probabilities;
+  a repeated key is a repeated fault count, not an overwrite.
 
 The CSV dialect is deliberately strict: comma separated, no quoting,
 tokens must be nonempty and carry no surrounding whitespace.  Anything
@@ -86,9 +87,26 @@ def _real(x: float):
     return x
 
 
-def _load_json(text: str):
+class _RepeatedKeys(dict):
+    """A decoded JSON object that repeats a key: the dict `json.loads` gives, holding the last
+    value of each key, with every (key, value) pair of the text in `pairs`."""
+
+    pairs: list
+
+
+def _keep_repeats(pairs: list) -> dict:
+    """The ``object_pairs_hook`` that keeps the pairs of an object with a repeated key.  It
+    raises nothing, so a syntax error later in the text is still the one reported."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        data = _RepeatedKeys(data)
+        data.pairs = pairs
+    return data
+
+
+def _load_json(text: str, object_pairs_hook=None):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: invalid JSON: {exc.msg}") from None
     except RecursionError:
@@ -259,11 +277,12 @@ def fault_distribution_doc(dist: FaultDistribution) -> dict:
 
 
 def parse_fault_distribution(text: str) -> FaultDistribution:
-    data = _load_json(text)
+    data = _load_json(text, _keep_repeats)
     if not isinstance(data, dict) or not data:
         raise ParseError("expected a nonempty object mapping fault counts to probabilities")
     support = []
-    for key, value in data.items():
+    # every pair, so FaultDistribution meets a repeated key as a duplicate count
+    for key, value in data.pairs if isinstance(data, _RepeatedKeys) else data.items():
         if not (key.isascii() and key.isdigit()):
             raise ParseError(f"fault count {key!r} is not a nonnegative integer")
         try:

@@ -1,8 +1,9 @@
 """Fixtures and helpers shared by the test modules, which import the helpers
-from here and never from one another:
+from here and never from one another.  The brute-force oracles, the
+refinement oracle `refines_by_definition` among them, are in
+`references.py`.  Here are:
 
 - `traced`, the one place the tests start tracemalloc;
-- `refines_by_definition`, the brute-force refinement oracle;
 - `GOLDEN_CASES`, the CLI cases of ``fixtures/cli_cases.json``, and `fill`,
   which puts the fixture paths into an argv;
 - the one child launcher, and the only import of subprocess: `gsets_process`
@@ -73,15 +74,6 @@ def traced(call):
     finally:
         tracemalloc.stop()
     return result, held, peak
-
-
-def refines_by_definition(finer, coarser) -> bool:
-    """The brute-force refinement oracle: the two universes hold the same
-    elements, and every finer block lies inside one coarser block."""
-    coarse_block = {x: i for i, block in enumerate(coarser.blocks) for x in block}
-    return set(finer.universe) == coarse_block.keys() and all(
-        len({coarse_block[x] for x in block}) == 1 for block in finer.blocks
-    )
 
 
 def _child_env(unbuffered=False, **env):

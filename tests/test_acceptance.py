@@ -3,10 +3,10 @@
 Every randomized criterion runs a fixed-seed generator, so the suite is
 reproducible run to run.  Expected values are computed by independent
 brute-force oracles, never by the code under test: counting-based endpoint
-selection, set intersection/hull and all-pairs subset checks are defined in
-this file, and block containment is conftest's `refines_by_definition`,
-shared with the unit tests.  Verdict lines are emitted through the
-terminal-summary hook so they survive pytest's capture.
+selection, intersection/hull, nesting and block containment are the
+references of `tests/references.py`, shared with the unit tests.  Verdict
+lines are emitted through the terminal-summary hook so they survive pytest's
+capture.
 """
 
 import functools
@@ -16,7 +16,7 @@ import random
 import time
 
 import acceptance_report
-from conftest import refines_by_definition
+from references import ends, fused_ends, hull, meet, nested, refines_by_definition, same_blocks
 
 from gsets import (
     ApproximationPair,
@@ -82,33 +82,6 @@ def criterion(number, label, budget_seconds):
     return decorate
 
 
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def oracle_select_c(los, f):
-    # largest x among the left endpoints with at least f+1 endpoints >= x
-    return max(x for x in los if sum(1 for y in los if y >= x) >= f + 1)
-
-
-def oracle_select_d(his, f):
-    return min(x for x in his if sum(1 for y in his if y <= x) >= f + 1)
-
-
-def oracle_fuse(items, f):
-    c = oracle_select_c([iv.lo for iv in items], f)
-    d = oracle_select_d([iv.hi for iv in items], f)
-    return (c, d) if c <= d else None
-
-
-def oracle_nested(inner, outer):
-    if inner is None:
-        return True
-    if outer is None:
-        return False
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
-
-
 def rand_interval(rng):
     a = rng.randint(-40, 40) / 2.0
     b = rng.randint(-40, 40) / 2.0
@@ -138,11 +111,6 @@ def rand_nested_chain(rng, names, allow_empty=True):
     return [order[:k] for k in cuts]
 
 
-def same_blocks(a, b):
-    """The two partitions have the same blocks, each refining the other by definition."""
-    return refines_by_definition(a, b) and refines_by_definition(b, a)
-
-
 @criterion(1, "sample-table classes C1..C5 reproduced exactly", 1.0)
 def test_criterion_1_table_reproduction(sample_table, sample_chain_levels, expected_classes):
     for k, attrs in enumerate(sample_chain_levels, 1):
@@ -165,7 +133,7 @@ def test_criterion_3_nesting_property():
         items = rand_intervals(rng)
         results = [fuse(items, f) for f in range(len(items))]
         for inner, outer in zip(results, results[1:]):
-            if not oracle_nested(inner, outer):
+            if not nested(inner, outer):
                 violations += 1
     assert violations == 0
 
@@ -201,22 +169,11 @@ def test_criterion_5_extreme_budget_oracles():
     rng = random.Random(1005)
     for _ in range(1000):
         items = rand_intervals(rng)
-        lo = max(iv.lo for iv in items)
-        hi = min(iv.hi for iv in items)
-        expected_meet = (lo, hi) if lo <= hi else None
-        meet = fuse(items, 0)
-        if expected_meet is None:
-            assert meet is None
-        else:
-            assert meet is not None and (meet.lo, meet.hi) == expected_meet
-        join = fuse(items, len(items) - 1)
-        assert join is not None
-        assert (join.lo, join.hi) == (min(iv.lo for iv in items), max(iv.hi for iv in items))
+        assert ends(fuse(items, 0)) == meet(items)
+        assert ends(fuse(items, len(items) - 1)) == hull(items)
         # general budgets against the counting oracle
         f = rng.randint(0, len(items) - 1)
-        got = fuse(items, f)
-        want = oracle_fuse(items, f)
-        assert (got is None and want is None) or (got.lo, got.hi) == want
+        assert ends(fuse(items, f)) == fused_ends(items, f)
 
 
 @criterion(6, "granulation of 1000 random tables with nested chains validates", 30.0)

@@ -1075,6 +1075,8 @@ SIM = ["simulate", "--sensors", "5", "--faulty", "2", "--rounds", "3"]
     pytest.param(["random", "--input", "{intervals}", "--dist", '{{"0":1e-400,"1":1}}'], 1,
                  id="random-underflowing-mass"),
     pytest.param(["random", "--input", "{intervals}", "--dist", '{{"0":0.5,"0":0.5}}'], 1, id="random-duplicate-key"),
+    pytest.param(["random", "--input", "{intervals}", "--dist", '{{"0":0.5,"0":1}}'], 1,
+                 id="random-duplicate-key-last-wins"),
     pytest.param(["partition", "--table", "{table}", "--attrs", "P1,P1"], 0, id="partition-repeated-attributes"),
     pytest.param(["approx", "--table", "{table}", "--attrs", "P1", "--target", "O1,,O2"], 2,
                  id="approx-empty-target-token"),

@@ -351,6 +351,23 @@ class TestParseFaultDistribution:
         with pytest.raises(ParseError, match="nonempty"):
             parse_fault_distribution("{}")
 
+    @pytest.mark.parametrize("text", ['{"0":0.5,"0":1}', '{"0":0.5,"0":0.5}', '{"0":0.5,"00":0.5}'],
+                             ids=["last-would-win", "masses-sum-to-one", "leading-zero"])
+    def test_a_repeated_fault_count_is_rejected(self, text):
+        # json.loads alone keeps the last of two equal keys and drops the first mass
+        with pytest.raises(DomainError, match="^duplicate fault count in distribution$"):
+            parse_fault_distribution(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"0":{"a":1}}', "fault count 0: expected a number, got {'a': 1}"),
+        ('{"0":{"a":1,"a":2}}', "fault count 0: expected a number, got {'a': 2}"),
+        ('{"0":0.5,"0":1', "line 1, column 15: invalid JSON: Expecting ',' delimiter"),
+    ], ids=["nested-object", "nested-repeated-key", "syntax-error-after-a-repeat"])
+    def test_repeats_leave_the_other_messages_as_they_were(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_fault_distribution(text)
+        assert str(info.value) == message
+
 
 class TestCanonicalForm:
     def test_partition_example(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import refines_by_definition, traced
+from conftest import traced
 from gsets import (
     ApproximationPair,
     DomainError,
@@ -20,6 +20,7 @@ from gsets import (
     sensitivity_profile,
 )
 from gsets.formats import dumps_canonical, granular_set_chunks, granular_set_doc, parse_granular_set, parse_table
+from references import approximations, refines_by_definition, signature_blocks
 from strategies import table_with_attr_chain, table_with_target_chain, tables
 
 ALL = [f"O{i}" for i in range(1, 11)]
@@ -300,14 +301,6 @@ class TestSensitivityProfile:
         assert all(b >= a - 1e-12 for a, b in zip(accuracies, accuracies[1:]))
 
 
-def _signature_oracle(table, attrs):
-    # brute-force grouping, written from the definition
-    groups: dict = {}
-    for obj in table.objects:
-        groups.setdefault(tuple(table.value(obj, a) for a in sorted(attrs)), []).append(obj)
-    return Partition(table.objects, groups.values())
-
-
 def _seeded_case(n=2000, cards=(2, 3, 4, 5) * 3, target_levels=4):
     rng = random.Random(2000)
     attributes = tuple(f"A{j}" for j in range(len(cards)))
@@ -325,13 +318,10 @@ def _check_chain_levels(table, chain_levels):
     # stored finest first, so reversed chain order
     for level, incremental in zip(chain_levels, reversed(g.levels)):
         reference = indiscernibility_partition(table, level)
-        oracle = _signature_oracle(table, level)
-        assert reference == oracle
         assert incremental == reference
-        assert incremental.blocks == reference.blocks
-        # the oracle normalises its blocks by its own code path, so this pins
-        # the block order independently of the chain and reference kernels
-        assert incremental.blocks == oracle.blocks
+        # the oracle groups and orders its blocks by its own code path, so this
+        # pins the block order independently of the chain and reference kernels
+        assert incremental.blocks == reference.blocks == signature_blocks(table, level)
 
 
 def _check_graded(table, attrs, targets):
@@ -386,24 +376,13 @@ class TestIncrementalChainsMatchReference:
         assert peak <= 1200 * len(table.objects), f"{peak / len(table.objects):.0f} bytes per object"
 
 
-def _approximation_oracle(table, attrs, target):
-    # lower and upper approximations read off the oracle's blocks, from the definition
-    target = set(target)
-    blocks = _signature_oracle(table, attrs).blocks
-    return (
-        frozenset(x for block in blocks if target.issuperset(block) for x in block),
-        frozenset(x for block in blocks if target.intersection(block) for x in block),
-    )
-
-
 def _check_against_oracle(table, chain_levels, target):
     """Every partition, approximation pair and the granular set of the chain
     equal the ones read off the signatures."""
     _check_chain_levels(table, chain_levels)
     for attrs in chain_levels:
-        assert indiscernibility_partition(table, attrs).blocks == _signature_oracle(table, attrs).blocks
         pair = approximation_pair(table, attrs, target)
-        assert (pair.lower, pair.upper) == _approximation_oracle(table, attrs, target)
+        assert (pair.lower, pair.upper) == approximations(signature_blocks(table, attrs), target)
 
 
 def _csv(objects, attributes, rows):

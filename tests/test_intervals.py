@@ -25,19 +25,10 @@ from gsets import (
     random_graded,
     sample,
 )
+from references import atom_at, ends, fused_ends, hull, is_left_end, is_right_end, meet, nested
 from strategies import grid_values, intervals
 
 FIX = [Interval(0, 10), Interval(2, 8), Interval(4, 12)]
-
-
-def intersection_oracle(items):
-    lo = max(iv.lo for iv in items)
-    hi = min(iv.hi for iv in items)
-    return Interval(lo, hi) if lo <= hi else None
-
-
-def hull_oracle(items):
-    return Interval(min(iv.lo for iv in items), max(iv.hi for iv in items))
 
 
 class TestInterval:
@@ -127,20 +118,20 @@ class TestFuse:
         for f in range(len(doubled)):
             result = fuse(doubled, f)
             if f == 0:
-                assert result == intersection_oracle(doubled)
+                assert ends(result) == meet(doubled)
             if f == len(doubled) - 1:
-                assert result == hull_oracle(doubled)
+                assert ends(result) == hull(doubled)
 
     @given(intervals())
     def test_extreme_budgets_match_oracles(self, items):
-        assert fuse(items, 0) == intersection_oracle(items)
-        assert fuse(items, len(items) - 1) == hull_oracle(items)
+        assert ends(fuse(items, 0)) == meet(items)
+        assert ends(fuse(items, len(items) - 1)) == hull(items)
 
     @given(intervals())
     def test_adjacent_budgets_nest(self, items):
         results = [fuse(items, f) for f in range(len(items))]
         for inner, outer in zip(results, results[1:]):
-            assert fused_subset(inner, outer)
+            assert nested(inner, outer)
 
     @given(intervals(), grid_values)
     def test_containment_guarantee(self, items, truth):
@@ -485,16 +476,6 @@ class TestIntervalDistribution:
         assert 0.89 <= hits / draws <= 0.91
 
 
-def _scan(atoms, x):
-    """The draw as a walk over the atoms: the first whose running mass exceeds x, else the last."""
-    acc = 0.0
-    for result, p in atoms:
-        acc += p
-        if x < acc:
-            return result
-    return atoms[-1][0]
-
-
 @st.composite
 def _short_pmfs(draw):
     """Masses of one to eight atoms, with some too small to move a running sum (1e-20), and with
@@ -511,7 +492,7 @@ def _short_pmfs(draw):
 @settings(max_examples=300)
 def test_sample_draws_the_atom_of_the_scan(masses, seed):
     d = IntervalDistribution((Interval(i, i + 1), p) for i, p in enumerate(masses))
-    assert sample(d, seed) == _scan(d.atoms, random.Random(seed).random())
+    assert sample(d, seed) == atom_at(d.atoms, random.Random(seed).random())
     # a seeded draw seldom lands on a running mass or past the total, so draw there too
     sums, acc = {0.0}, 0.0
     for p in masses:
@@ -520,7 +501,7 @@ def test_sample_draws_the_atom_of_the_scan(masses, seed):
     for x in sorted(x for x in sums if x < 1.0):
         rng = SimpleNamespace(random=lambda: x)
         with patch.object(intervals_module, "random", SimpleNamespace(Random=lambda seed: rng)):
-            assert sample(d, seed) == _scan(d.atoms, x)
+            assert sample(d, seed) == atom_at(d.atoms, x)
 
 
 @given(intervals(max_size=50), st.data())
@@ -528,7 +509,7 @@ def test_sample_draws_the_atom_of_the_scan(masses, seed):
 def test_all_budget_pairs_nest(items, data):
     f1 = data.draw(st.integers(0, len(items) - 1), label="f1")
     f2 = data.draw(st.integers(f1, len(items) - 1), label="f2")
-    assert fused_subset(fuse(items, f1), fuse(items, f2))
+    assert nested(fuse(items, f1), fuse(items, f2))
 
 
 def test_nesting_on_adversarial_seeded_lists():
@@ -540,7 +521,7 @@ def test_nesting_on_adversarial_seeded_lists():
             items.append(Interval(a, b))
         chain = graded_fusion(items, 0, len(items) - 1)
         for inner, outer in zip(chain.levels, chain.levels[1:]):
-            assert fused_subset(inner, outer)
+            assert nested(inner, outer)
 
 
 def _endpoint_sorts(monkeypatch, call) -> list[int]:
@@ -586,28 +567,19 @@ def test_large_seeded_chain_matches_counting_characterization():
     lows = [iv.lo for iv in items]
     highs = [iv.hi for iv in items]
 
-    # Counted, not sorted: c is the (f+1)-th largest lower endpoint and d
-    # the (f+1)-th smallest upper endpoint.
-    def is_left_end(c, f):
-        return sum(lo > c for lo in lows) <= f < sum(lo >= c for lo in lows)
-
-    def is_right_end(d, f):
-        return sum(hi < d for hi in highs) <= f < sum(hi <= d for hi in highs)
-
     chain = graded_fusion(items, 0, n - 1)
     first = next(f for f, level in enumerate(chain.levels) if level is not None)
     assert 0 < first < n - 1
     for f in range(first, n):
         level = chain.levels[f]
-        assert level is not None and is_left_end(level.lo, f) and is_right_end(level.hi, f), f
+        # counted, not sorted: the (f+1)-th largest lower end and the (f+1)-th smallest upper end
+        assert level is not None and is_left_end(lows, level.lo, f) and is_right_end(highs, level.hi, f), f
     # c falls and d rises with f, so the levels below `first` are empty
     # exactly when the one just below it is.
-    c = next(lo for lo in lows if is_left_end(lo, first - 1))
-    d = next(hi for hi in highs if is_right_end(hi, first - 1))
-    assert c > d
+    assert fused_ends(items, first - 1) is None
     assert all(level is None for level in chain.levels[:first])
     for inner, outer in zip(chain.levels, chain.levels[1:]):
-        assert fused_subset(inner, outer)
+        assert nested(inner, outer)
 
     weights = [rng.random() + 0.05 for _ in range(n)]
     total = math.fsum(weights)

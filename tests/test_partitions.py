@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import refines_by_definition, traced
+from conftest import traced
 from gsets import (
     DomainError,
     GranularSet,
@@ -12,6 +12,7 @@ from gsets import (
     refines,
     validate_granular,
 )
+from references import refines_by_definition
 from strategies import block_labelings
 
 

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsets import (
-    DomainError, SimConfig, formats, fused_subset, graded_fusion, intervals, simulate, simulate_round,
-    simulate_rounds,
+    DomainError, SimConfig, formats, graded_fusion, intervals, simulate, simulate_round, simulate_rounds,
 )
+from references import nested
 
 BASE = dict(
     num_sensors=7,
@@ -126,7 +126,7 @@ class TestSimulateRound:
     def test_chain_is_nested_on_generated_data(self):
         out = simulate_round(config(), 9)
         for inner, outer in zip(out.fused.levels, out.fused.levels[1:]):
-            assert fused_subset(inner, outer)
+            assert nested(inner, outer)
 
     def test_negative_round_rejected(self):
         with pytest.raises(DomainError, match="nonnegative"):
