@@ -7,7 +7,8 @@ Input formats
 * information tables: CSV with header ``object,<attr1>,<attr2>,...``.
 * chains and graded families: JSON array of arrays of name strings.
 * fault distributions: JSON object mapping fault counts to probabilities;
-  a repeated key is a repeated fault count, not an overwrite.
+  a repeated key is a repeated fault count.  Every other reader rejects an
+  object with a repeated key.
 
 The CSV dialect is deliberately strict: comma separated, no quoting,
 tokens must be nonempty and carry no surrounding whitespace.  Anything
@@ -15,24 +16,21 @@ else is rejected with a 1-based location.
 
 Output
 ------
-Each value kind X has one document builder ``X_doc`` that returns plain JSON
-data and one parser ``parse_X`` (a table is read only, by ``parse_table``),
-and ``dumps_canonical`` is the only encoder:
-``parse_X(dumps_canonical(X_doc(v)))`` returns a value equal to ``v``.
-Every large document streams: ``simulation_chunks`` (the simulation report,
-which is written only), ``granular_set_chunks``, ``graded_intervals_chunks``
-and ``interval_distribution_chunks`` yield its ``dumps_canonical`` text a part
-at a time, so memory does not grow with the output, and
+Each value kind X has one writer and one parser ``parse_X`` of its text (a
+table is read only, and the simulation report written only).  A kind whose
+document may be large streams it: ``X_chunks`` for the granular set, graded
+intervals, interval distribution and simulation yields the canonical JSON
+text a part at a time, so memory does not grow with the output, and
 ``granular_set_chunks`` checks the names before its first chunk.  Each streamed
 array goes through one writer, ``_array_items``: a granular set is written one
 level per chunk, a simulation report by whole rounds, and every other array in
-about ``_BATCH`` items per chunk.  Any other document is built whole and
-rendered by one ``dumps_canonical`` call.  Canonical JSON has its keys sorted
-and no insignificant whitespace; blocks and objects are ordered by the
-partition's universe order (or lexicographically where no universe context
-exists), integral reals up to 2**53 in magnitude are rendered as integers and
-all other reals in shortest round-trip form, and the empty fused result is
-rendered as ``null``.
+about ``_BATCH`` items per chunk.  Every other kind has a builder ``X_doc`` of
+plain JSON data, rendered by ``dumps_canonical``, the only encoder.  Canonical
+JSON has its keys sorted and no insignificant whitespace; blocks and objects
+are ordered by the partition's universe order (or lexicographically where no
+universe context exists), integral reals up to 2**53 in magnitude are rendered
+as integers and all other reals in shortest round-trip form, and the empty
+fused result is rendered as ``null``.
 """
 
 from __future__ import annotations
@@ -87,26 +85,24 @@ def _real(x: float):
     return x
 
 
-class _RepeatedKeys(dict):
-    """A decoded JSON object that repeats a key: the dict `json.loads` gives, holding the last
-    value of each key, with every (key, value) pair of the text in `pairs`."""
+class _RepeatedKeys(tuple):
+    """A decoded JSON object that repeats a key, as its (key, value) pairs: neither a dict nor a
+    list, so every shape check rejects it, shown as the dict that keeps each key's last value."""
 
-    pairs: list
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
-def _keep_repeats(pairs: list) -> dict:
-    """The ``object_pairs_hook`` that keeps the pairs of an object with a repeated key.  It
+def _object(pairs: list):
+    """The one ``object_pairs_hook``: an object's dict, or `_RepeatedKeys` where a key repeats.  It
     raises nothing, so a syntax error later in the text is still the one reported."""
     data = dict(pairs)
-    if len(data) < len(pairs):
-        data = _RepeatedKeys(data)
-        data.pairs = pairs
-    return data
+    return data if len(data) == len(pairs) else _RepeatedKeys(pairs)
 
 
-def _load_json(text: str, object_pairs_hook=None):
+def _load_json(text: str):
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: invalid JSON: {exc.msg}") from None
     except RecursionError:
@@ -240,15 +236,9 @@ def parse_fusion_result(text: str) -> FusionResult:
     return _fusion_result_from(_load_json(text), "value")
 
 
-def graded_intervals_doc(graded: GradedIntervals) -> dict:
-    return {
-        "f_min": graded.f_min,
-        "levels": [fusion_result_doc(level) for level in graded.levels],
-    }
-
-
 def graded_intervals_chunks(graded: GradedIntervals) -> Iterator[str]:
-    """``graded_intervals_doc`` as canonical JSON text, a batch of levels per chunk."""
+    """The graded intervals' ``f_min`` and fused ``levels`` as canonical JSON
+    text, a batch of levels per chunk."""
     yield '{"f_min":' + dumps_canonical(graded.f_min) + ',"levels":['
     yield from _array_items(map(fusion_result_doc, graded.levels))
     yield "]}"
@@ -277,12 +267,13 @@ def fault_distribution_doc(dist: FaultDistribution) -> dict:
 
 
 def parse_fault_distribution(text: str) -> FaultDistribution:
-    data = _load_json(text, _keep_repeats)
-    if not isinstance(data, dict) or not data:
+    data = _load_json(text)
+    # every pair, so FaultDistribution meets a repeated key as a duplicate count
+    pairs = data if isinstance(data, _RepeatedKeys) else data.items() if isinstance(data, dict) else ()
+    if not pairs:
         raise ParseError("expected a nonempty object mapping fault counts to probabilities")
     support = []
-    # every pair, so FaultDistribution meets a repeated key as a duplicate count
-    for key, value in data.pairs if isinstance(data, _RepeatedKeys) else data.items():
+    for key, value in pairs:
         if not (key.isascii() and key.isdigit()):
             raise ParseError(f"fault count {key!r} is not a nonnegative integer")
         try:
@@ -291,16 +282,12 @@ def parse_fault_distribution(text: str) -> FaultDistribution:
             # past the interpreter's digit limit for integer conversion
             raise ParseError(f"fault count has too many digits ({len(key)})") from None
         support.append((count, _number(value, f"fault count {key}")))
-    del data  # the decoded object goes before the support is sorted
+    del data, pairs  # the decoded object goes before the support is sorted
     return FaultDistribution(support)
 
 
 def _atom_doc(result: FusionResult, p: float) -> dict:
     return {"p": _real(p), "result": fusion_result_doc(result)}
-
-
-def interval_distribution_doc(dist: IntervalDistribution) -> dict:
-    return {"atoms": list(starmap(_atom_doc, dist.atoms))}
 
 
 def parse_interval_distribution(text: str) -> IntervalDistribution:
@@ -319,7 +306,7 @@ def parse_interval_distribution(text: str) -> IntervalDistribution:
 def interval_distribution_chunks(
     dist: IntervalDistribution, draws: Iterable[FusionResult] | None = None
 ) -> Iterator[str]:
-    """``interval_distribution_doc`` as canonical JSON text, a batch of atoms per
+    """The atoms' masses and results as canonical JSON text, a batch of atoms per
     chunk, then the `draws`, atoms of `dist`, if given, under ``"samples"``
     (which sorts last), a batch of draws per chunk.  Each draw is rendered as
     it is written, so memory does not grow with the draws."""
@@ -437,13 +424,8 @@ def parse_partition(text: str) -> Partition:
     return _partition_from(_load_json(text), "value")
 
 
-def granular_set_doc(granular: GranularSet) -> dict:
-    _names(list(granular.universe), "partition block")
-    return {"granular": True, "levels": [_level_doc(level) for level in granular.levels]}
-
-
 def granular_set_chunks(granular: GranularSet) -> Iterator[str]:
-    """``granular_set_doc`` as canonical JSON text, one level per chunk.
+    """The marked granular set's levels as canonical JSON text, one level per chunk.
 
     The names are checked once on the universe.  Each level's blocks are
     grouped, rendered and dropped before the next level is grouped, so only

@@ -40,13 +40,15 @@ class Partition:
     duplicate universe element, then per block a foreign element, an
     element of an earlier block or an empty block, then an uncovered one.
     An element repeated in one block is accepted; a set block is walked
-    least repr first.  Compute, equality and hashing read the labels alone,
+    least repr first, and of a set universe the least uncovered element by
+    repr is named.  Compute, equality and hashing read the labels alone,
     and the documents and `blocks` group them with `_groups`.  Only
     `block_of` keeps an element index (one frozenset per block), built on
     first use.
     """
 
     def __init__(self, universe: Iterable[Hashable], blocks: Iterable[Iterable[Hashable]]):
+        unordered = isinstance(universe, (set, frozenset))
         universe = tuple(universe)
         # block index per universe element, -1 while unassigned
         index = dict.fromkeys(universe, -1)
@@ -72,7 +74,9 @@ class Partition:
             if covered == first:
                 raise DomainError("empty block")
         if covered != len(universe):
-            missing = next(x for x, j in index.items() if j < 0)
+            unassigned = [x for x, j in index.items() if j < 0]
+            # a set universe iterates in hash-seed order; name its least by repr
+            missing = min(unassigned, key=repr) if unordered else unassigned[0]
             raise DomainError(f"blocks do not cover the universe: {missing!r} unassigned")
         self.universe = universe
         self._labels = _dense(index.values(), range(len(universe)))

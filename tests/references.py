@@ -2,7 +2,9 @@
 
 Written from the definitions, they import nothing from gsets and read values
 by duck typing: an interval's ``.lo`` and ``.hi``, a partition's ``.blocks``
-and ``.universe``, a table's ``.objects`` and ``.value``.
+and ``.universe``, a table's ``.objects`` and ``.value``.  The reference
+documents are plain JSON data, for the streamed writers' text to equal their
+canonical encoding; they apply the canonical number rule themselves.
 """
 
 
@@ -85,3 +87,61 @@ def atom_at(atoms, x):
         if x < acc:
             return result
     return atoms[-1][0]
+
+
+def canonical_real(x):
+    """A real as a canonical document holds it: an int where it is integral and at most 2**53 in magnitude."""
+    x = float(x)
+    return int(x) if x.is_integer() and abs(x) <= 2**53 else x
+
+
+def result_document(result):
+    """An interval or fused result as [lo, hi], or None for the empty result."""
+    return None if result is None else [canonical_real(result.lo), canonical_real(result.hi)]
+
+
+def graded_intervals_document(graded):
+    """The least budget and every level's fused result."""
+    return {"f_min": graded.f_min, "levels": [result_document(level) for level in graded.levels]}
+
+
+def interval_distribution_document(dist, samples=None):
+    """Each (result, mass) atom in order, and the drawn results under "samples" where given."""
+    doc = {"atoms": [{"p": canonical_real(p), "result": result_document(result)} for result, p in dist.atoms]}
+    if samples is not None:
+        doc["samples"] = [result_document(result) for result in samples]
+    return doc
+
+
+def granular_set_document(granular):
+    """The marked levels, each a partition's blocks: names by universe position, blocks by their first name's."""
+    levels = []
+    for level in granular.levels:
+        position = {x: i for i, x in enumerate(level.universe)}
+        blocks = [sorted(block, key=position.__getitem__) for block in level.blocks]
+        levels.append({"blocks": sorted(blocks, key=lambda block: position[block[0]])})
+    return {"granular": True, "levels": levels}
+
+
+def simulation_report(config, outcomes):
+    """The simulator's configuration and, per outcome, its measurements, faulty indices, fused chain and containment."""
+    return {
+        "config": {
+            "sensors": config.num_sensors,
+            "truth": canonical_real(config.truth),
+            "halfwidth": canonical_real(config.correct_halfwidth_max),
+            "faulty": config.num_faulty,
+            "offset": canonical_real(config.fault_offset_min),
+            "seed": config.seed,
+        },
+        "rounds": [
+            {
+                "round": i,
+                "faulty": sorted(out.faulty_indices),
+                "intervals": [result_document(iv) for iv in out.intervals],
+                "fused": graded_intervals_document(out.fused),
+                "contains_truth": list(out.truth_containment),
+            }
+            for i, out in enumerate(outcomes)
+        ],
+    }

@@ -862,6 +862,13 @@ HASH_SEED_CASES = {
                "except DomainError as exc:\n    print(exc)"],
         0, "block element 'x1' is not in the universe\n", "",
     ),
+    # a set universe names its least uncovered element by repr
+    "partition-set-universe-uncovered": (
+        ["-c", "from gsets import DomainError, Partition\ntry:\n"
+               "    Partition({{'x1', 'x2', 'x3', 'x4'}}, [['x1']])\n"
+               "except DomainError as exc:\n    print(exc)"],
+        0, "blocks do not cover the universe: 'x2' unassigned\n", "",
+    ),
     "object-set-missing-identifier": (
         ["-c", "from gsets import ApproximationPair, ParseError\nfrom gsets.formats import approximation_pair_doc\n"
                "try:\n    approximation_pair_doc(ApproximationPair(set(), {{'x1', 'x2', 'x3'}}), order=['a'])\n"

@@ -77,11 +77,16 @@ def test_the_public_names_are_exactly_the_listed_ones():
 
 
 def test_each_document_builder_has_its_parser():
-    # one X_doc and one parse_X per kind; the table is only read
+    # one writer per kind, X_doc for a document rendered whole or X_chunks for one that streams, and one
+    # parse_X; the table is only read, and the simulation report only written
     public = [name for name in vars(formats) if not name.startswith("_")]
-    builders = {name.removesuffix("_doc") for name in public if name.endswith("_doc")}
+    built = {name.removesuffix("_doc") for name in public if name.endswith("_doc")}
+    streamed = {name.removesuffix("_chunks") for name in public if name.endswith("_chunks")}
     parsers = {name.removeprefix("parse_") for name in public if name.startswith("parse_")}
-    assert parsers - builders == {"table"} and builders <= parsers
+    writers = built | streamed
+    assert not built & streamed
+    assert parsers - writers == {"table"}
+    assert writers - parsers == {"simulation"}
 
 
 def test_the_names_the_traced_replay_patches_exist():

@@ -30,19 +30,15 @@ from gsets import (
 )
 from gsets import formats, simulate
 from gsets.formats import (
-    _real,
     _token,
     approximation_pair_doc,
     dumps_canonical,
     fault_distribution_doc,
     fusion_result_doc,
     graded_family_doc,
-    graded_intervals_doc,
     granular_set_chunks,
-    granular_set_doc,
     graded_intervals_chunks,
     interval_distribution_chunks,
-    interval_distribution_doc,
     intervals_doc,
     parse_approximation_pair,
     parse_fault_distribution,
@@ -58,6 +54,12 @@ from gsets.formats import (
     partition_doc,
     sensitivity_profile_doc,
     simulation_chunks,
+)
+from references import (
+    graded_intervals_document,
+    granular_set_document,
+    interval_distribution_document,
+    simulation_report,
 )
 from strategies import block_labelings, grid_values, intervals, table_with_attr_chain, tables
 
@@ -376,11 +378,11 @@ class TestCanonicalForm:
 
     def test_empty_level_renders_as_null(self):
         g = graded_fusion([Interval(0, 1), Interval(5, 6)], 0, 1)
-        assert dumps_canonical(graded_intervals_doc(g)) == '{"f_min":0,"levels":[null,[0,6]]}'
+        assert "".join(graded_intervals_chunks(g)) == '{"f_min":0,"levels":[null,[0,6]]}'
 
     def test_distribution_atoms_sorted_by_endpoints(self):
         d = random_graded(FIX, FaultDistribution({0: 0.5, 1: 0.3, 2: 0.2}.items()))
-        text = dumps_canonical(interval_distribution_doc(d))
+        text = "".join(interval_distribution_chunks(d))
         assert text.index("[0,12]") < text.index("[2,10]") < text.index("[4,8]")
 
     def test_integral_reals_render_as_integers(self):
@@ -417,9 +419,6 @@ class TestCanonicalForm:
         assert str(info.value) == "partition block: expected an array of name strings"
         # a universe that mixes a name string with a number, over two levels
         g = GranularSet([Partition(["a", 1], [["a"], [1]]), Partition(["a", 1], [["a", 1]])])
-        with pytest.raises(ParseError) as info:
-            granular_set_doc(g)
-        assert str(info.value) == "partition block: expected an array of name strings"
         # granulate's text, before its first chunk
         with pytest.raises(ParseError) as info:
             next(granular_set_chunks(g))
@@ -432,10 +431,9 @@ class TestCanonicalForm:
         calls = []
         monkeypatch.setattr(formats, "_names", lambda value, where: calls.append(where) or value)
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
-        granular_set_doc(g)
         partition_doc(g.levels[0])
         list(granular_set_chunks(g))
-        assert calls == ["partition block"] * 3
+        assert calls == ["partition block"] * 2
 
     def test_one_position_map_per_document(self):
         class Order(tuple):
@@ -455,7 +453,7 @@ class TestCanonicalForm:
 
     def test_no_insignificant_whitespace_and_sorted_keys(self):
         g = graded_fusion(FIX, 0, 1)
-        text = dumps_canonical(graded_intervals_doc(g))
+        text = "".join(graded_intervals_chunks(g))
         assert " " not in text
         doc = json.loads(text)
         assert list(doc) == sorted(doc)
@@ -468,11 +466,11 @@ class TestRoundTrips:
 
     def test_graded_intervals(self):
         g = graded_fusion(FIX, 0, 2)
-        assert parse_graded_intervals(dumps_canonical(graded_intervals_doc(g))) == g
+        assert parse_graded_intervals("".join(graded_intervals_chunks(g))) == g
 
     def test_interval_distribution(self):
         d = random_graded(FIX, FaultDistribution({0: 0.25, 2: 0.75}.items()))
-        assert parse_interval_distribution(dumps_canonical(interval_distribution_doc(d))) == d
+        assert parse_interval_distribution("".join(interval_distribution_chunks(d))) == d
 
     def test_fault_distribution(self):
         d = FaultDistribution({0: 0.5, 3: 0.5}.items())
@@ -484,13 +482,13 @@ class TestRoundTrips:
 
     def test_granular_set(self, sample_table, sample_chain_levels):
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
-        assert parse_granular_set(dumps_canonical(granular_set_doc(g))) == g
+        assert parse_granular_set("".join(granular_set_chunks(g))) == g
 
     def test_granular_set_parse_builds_no_element_index(self, sample_table, sample_chain_levels):
         # each parsed level has its own universe order, so the refinement
         # check reads coarser labels by element; it builds no frozenset per block
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
-        parsed = parse_granular_set(dumps_canonical(granular_set_doc(g)))
+        parsed = parse_granular_set("".join(granular_set_chunks(g)))
         assert len({level.universe for level in parsed.levels}) > 1
         assert all("_index" not in level.__dict__ for level in parsed.levels)
 
@@ -514,14 +512,14 @@ class TestRoundTrips:
 
     def test_serialized_bytes_are_stable_under_reparse(self, sample_table, sample_chain_levels):
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
-        text = dumps_canonical(granular_set_doc(g))
-        assert dumps_canonical(granular_set_doc(parse_granular_set(text))) == text
+        text = "".join(granular_set_chunks(g))
+        assert "".join(granular_set_chunks(parse_granular_set(text))) == text
 
     @given(intervals())
     @settings(max_examples=100)
     def test_random_graded_chains(self, items):
         g = graded_fusion(items, 0, len(items) - 1)
-        assert parse_graded_intervals(dumps_canonical(graded_intervals_doc(g))) == g
+        assert parse_graded_intervals("".join(graded_intervals_chunks(g))) == g
 
     @given(tables())
     @settings(max_examples=100)
@@ -536,7 +534,7 @@ class TestRoundTrips:
     def test_random_granular_sets(self, case):
         table, chain_levels = case
         g = granular_from_chain(table, GradedFamily(chain_levels))
-        assert parse_granular_set(dumps_canonical(granular_set_doc(g))) == g
+        assert parse_granular_set("".join(granular_set_chunks(g))) == g
 
 
 class TestParseRejections:
@@ -672,33 +670,45 @@ class TestParseRejections:
             parse(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (
+                parse_approximation_pair, '{"lower":["a"],"upper":["a"],"upper":["a","b"]}',
+                "expected an object with keys 'lower' and 'upper'",
+            ),
+            (
+                parse_graded_intervals, '{"f_min":0,"levels":[null],"f_min":1}',
+                "expected an object with keys 'f_min' and 'levels'",
+            ),
+            (
+                parse_interval_distribution, '{"atoms":[{"p":0.5,"p":1,"result":[0,1]}]}',
+                "atom 1: expected an object with keys 'p' and 'result'",
+            ),
+            (parse_partition, '{"blocks":[["a"]],"blocks":[["b"]]}', "value: expected an object with a 'blocks' array"),
+            (
+                parse_granular_set, '{"granular":true,"levels":[{"blocks":[["a"]]}],"granular":true}',
+                GRANULAR_SHAPE,
+            ),
+            (
+                parse_sensitivity_profile,
+                '[{"accuracy":1,"attribute_count":1,"boundary_size":0,"level_index":0,"lower_size":2,"upper_size":2,'
+                '"lower_size":1}]',
+                "record 1: expected keys accuracy, attribute_count, boundary_size, level_index, lower_size, upper_size",
+            ),
+        ],
+        ids=["approximation-pair", "graded-intervals", "interval-distribution", "partition", "granular-set",
+             "sensitivity-profile"],
+    )
+    def test_a_repeated_key_is_rejected(self, parse, text, message):
+        # json.loads alone keeps the last of two equal keys without a word
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_invalid_lower_upper_pair_is_domain_error(self):
         with pytest.raises(DomainError, match="inside the upper"):
             parse_approximation_pair('{"lower":["a"],"upper":["b"]}')
-
-
-def _reference_report(config: SimConfig, outcomes) -> dict:
-    """The simulation report as one document, built by the value kinds' own doc builders."""
-    return {
-        "config": {
-            "sensors": config.num_sensors,
-            "truth": _real(config.truth),
-            "halfwidth": _real(config.correct_halfwidth_max),
-            "faulty": config.num_faulty,
-            "offset": _real(config.fault_offset_min),
-            "seed": config.seed,
-        },
-        "rounds": [
-            {
-                "round": i,
-                "faulty": sorted(out.faulty_indices),
-                "intervals": intervals_doc(out.intervals),
-                "fused": graded_intervals_doc(out.fused),
-                "contains_truth": list(out.truth_containment),
-            }
-            for i, out in enumerate(outcomes)
-        ],
-    }
 
 
 class TestGranularSetChunks:
@@ -708,7 +718,7 @@ class TestGranularSetChunks:
         table, chain_levels = case
         g = granular_from_chain(table, GradedFamily(chain_levels))
         chunks = list(granular_set_chunks(g))
-        assert "".join(chunks) == dumps_canonical(granular_set_doc(g))
+        assert "".join(chunks) == dumps_canonical(granular_set_document(g))
         # the opening, one chunk per level, the close
         assert len(chunks) == len(g.levels) + 2
 
@@ -718,7 +728,7 @@ class TestGranularSetChunks:
         universe, blocks = case
         order = data.draw(st.permutations(universe))
         g = GranularSet([Partition(order, blocks), Partition(order, [universe])])
-        assert "".join(granular_set_chunks(g)) == dumps_canonical(granular_set_doc(g))
+        assert "".join(granular_set_chunks(g)) == dumps_canonical(granular_set_document(g))
 
     def test_one_level_is_grouped_at_a_time(self, monkeypatch, sample_table, sample_chain_levels):
         g = granular_from_chain(sample_table, GradedFamily(sample_chain_levels))
@@ -730,7 +740,7 @@ class TestGranularSetChunks:
         text = "".join(granular_set_chunks(g))
         assert events == ["group", "render"] * len(g.levels)
         monkeypatch.undo()
-        assert text == dumps_canonical(granular_set_doc(g))
+        assert text == dumps_canonical(granular_set_document(g))
 
 
 # -0.0 and its twin 0.0, integral reals on both sides of 2**53, and an empty result
@@ -752,8 +762,7 @@ class TestIntervalDistributionChunks:
         # a draw equal to an atom is written as the atom is, -0.0 as 0
         draws = data.draw(st.lists(st.sampled_from(atoms + results), min_size=count, max_size=count))
         chunks = list(interval_distribution_chunks(d, draws))
-        reference = {**interval_distribution_doc(d), "samples": [fusion_result_doc(r) for r in draws]}
-        assert "".join(chunks) == dumps_canonical(reference)
+        assert "".join(chunks) == dumps_canonical(interval_distribution_document(d, draws))
         # the opening, the atoms, the samples' opening, the draws (a batch of up to 256), the close
         assert len(chunks) == 4 + (count > 0)
 
@@ -764,9 +773,9 @@ class TestIntervalDistributionChunks:
         d = IntervalDistribution([(r, 1 / len(results)) for r in results])
         drawn = results[:draws]
         with patch.object(formats, "_BATCH", batch):
-            assert "".join(interval_distribution_chunks(d)) == dumps_canonical(interval_distribution_doc(d))
-            reference = {**interval_distribution_doc(d), "samples": [fusion_result_doc(r) for r in drawn]}
-            assert "".join(interval_distribution_chunks(d, drawn)) == dumps_canonical(reference)
+            assert "".join(interval_distribution_chunks(d)) == dumps_canonical(interval_distribution_document(d))
+            text = "".join(interval_distribution_chunks(d, drawn))
+            assert text == dumps_canonical(interval_distribution_document(d, drawn))
 
 
 class TestGradedIntervalsChunks:
@@ -778,7 +787,7 @@ class TestGradedIntervalsChunks:
         g = graded_fusion(items, f_min, data.draw(st.integers(f_min, len(items) - 1)))
         with patch.object(formats, "_BATCH", batch):
             chunks = list(graded_intervals_chunks(g))
-        assert "".join(chunks) == dumps_canonical(graded_intervals_doc(g))
+        assert "".join(chunks) == dumps_canonical(graded_intervals_document(g))
         # the opening, one chunk per batch of levels, the close
         assert len(chunks) == -(-len(g.levels) // batch) + 2
 
@@ -820,7 +829,7 @@ class TestSimulationChunks:
     @pytest.mark.parametrize("truth, rendered", [(0.1, 0.1), (3.0, 3), (-1e6, -1000000)])
     def test_chunks_join_to_the_canonical_report(self, rounds, truth, rendered):
         config = SimConfig(5, truth, 1.5, 2, 2.5, 9)
-        report = _reference_report(config, simulate_rounds(config, rounds))
+        report = simulation_report(config, simulate_rounds(config, rounds))
         assert report["config"] == {
             "sensors": 5, "truth": rendered, "halfwidth": 1.5, "faulty": 2, "offset": 2.5, "seed": 9,
         }
@@ -842,7 +851,7 @@ class TestSimulationChunks:
         rounds = rounds(batch)
         with patch.object(formats, "_BATCH", numbers):
             chunks = list(simulation_chunks(config, _drawn(config, rounds)))
-        assert "".join(chunks) == dumps_canonical(_reference_report(config, simulate_rounds(config, rounds)))
+        assert "".join(chunks) == dumps_canonical(simulation_report(config, simulate_rounds(config, rounds)))
         # the configuration, one chunk per batch, each after its separator, the close
         assert len(chunks) == 2 + -(-rounds // batch)
         assert all(chunk.startswith(',{"contains_truth":') for chunk in chunks[2:-1])
@@ -852,7 +861,7 @@ class TestSimulationChunks:
     def test_a_round_of_many_numbers_is_a_chunk_of_its_own(self, sensors, faulty):
         config = SimConfig(sensors, 0.0, 1.0, faulty, 2.5, 3)
         chunks = list(simulation_chunks(config, _drawn(config, 3)))
-        assert "".join(chunks) == dumps_canonical(_reference_report(config, simulate_rounds(config, 3)))
+        assert "".join(chunks) == dumps_canonical(simulation_report(config, simulate_rounds(config, 3)))
         # the configuration, one chunk per round, the close
         assert len(chunks) == 2 + 3
 
@@ -882,7 +891,7 @@ class TestSimulationChunks:
         # one batch holds rounds of other sizes than the configuration's, re-rendered or not
         assert len(chunks) == 3
         text = "".join(chunks)
-        assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
+        assert text == dumps_canonical(simulation_report(config, [outcome for _, outcome in rounds]))
         assert '"fused":{"f_min":0,"levels":[null,' in text and "[0,9007199254740994.0]" in text
         assert '"intervals":[[0.25,0.75],[-1.5,0.5],[2.5e-300,0.25]]' in text
         assert '"intervals":[[0.25,0.5],[0.5,2]]' in text and '"intervals":[[0.25,2],[0.5,2.5]]' in text
@@ -894,7 +903,7 @@ class TestSimulationChunks:
         drawn, outcome = _float_round((Interval(0.25, 0.5), Interval(0.5, 2.0)), set(), 1.0)
         config = SimConfig(2, 1.0, 1.0, 0, 2.5, 0)
         text = "".join(simulation_chunks(config, [drawn]))
-        assert text == dumps_canonical(_reference_report(config, [outcome]))
+        assert text == dumps_canonical(simulation_report(config, [outcome]))
         assert '"intervals":[[0.25,0.5],[0.5,2]]' in text
 
     @settings(max_examples=200)
@@ -904,7 +913,7 @@ class TestSimulationChunks:
         rounds = [_float_round(items, set(range(0, len(items), 2)), truth) for items in rounds]
         config = SimConfig(8, truth, 1.0, 0, 2.5, 0)
         text = "".join(simulation_chunks(config, [drawn for drawn, _ in rounds]))
-        assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
+        assert text == dumps_canonical(simulation_report(config, [outcome for _, outcome in rounds]))
 
     @settings(max_examples=200)
     @given(st.lists(st.lists(_tied_intervals, min_size=1, max_size=8), min_size=1, max_size=4),
@@ -918,7 +927,7 @@ class TestSimulationChunks:
                     for (los, his, faulty, lo_order, hi_order, missing, empty), _ in rounds]
         config = SimConfig(8, truth, 1.0, 0, 2.5, 0)
         text = "".join(simulation_chunks(config, permuted))
-        assert text == dumps_canonical(_reference_report(config, [outcome for _, outcome in rounds]))
+        assert text == dumps_canonical(simulation_report(config, [outcome for _, outcome in rounds]))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -933,4 +942,4 @@ class TestSimulationChunks:
             float(halfwidth + data.draw(st.integers(1, 10))), data.draw(st.integers(0, 2**64 - 1)),
         )
         text = "".join(simulation_chunks(config, _drawn(config, 3)))
-        assert text == dumps_canonical(_reference_report(config, simulate_rounds(config, 3)))
+        assert text == dumps_canonical(simulation_report(config, simulate_rounds(config, 3)))

@@ -19,8 +19,8 @@ from gsets import (
     refines,
     sensitivity_profile,
 )
-from gsets.formats import dumps_canonical, granular_set_chunks, granular_set_doc, parse_granular_set, parse_table
-from references import approximations, refines_by_definition, signature_blocks
+from gsets.formats import dumps_canonical, granular_set_chunks, parse_granular_set, parse_table
+from references import approximations, granular_set_document, refines_by_definition, signature_blocks
 from strategies import table_with_attr_chain, table_with_target_chain, tables
 
 ALL = [f"O{i}" for i in range(1, 11)]
@@ -529,14 +529,14 @@ class TestLargeTableInvariants:
     def test_granular_set_document_round_trips(self, large_granular):
         # parsing rebuilds all 12 levels from blocks, 12 x 10^4 elements
         g = large_granular
-        text = dumps_canonical(granular_set_doc(g))
-        parsed = parse_granular_set(text)
+        parsed = parse_granular_set("".join(granular_set_chunks(g)))
         assert parsed == g
         # the same normalised blocks, so the same document bytes
         assert [p.blocks for p in parsed.levels] == [p.blocks for p in g.levels]
+        assert "".join(granular_set_chunks(parsed)) == dumps_canonical(granular_set_document(g))
 
     def test_granulate_text_is_the_marked_document(self, large_granular):
         # the level-at-a-time text of granulate, 12 levels of 10^4 objects
         g = large_granular
         text = "".join(granular_set_chunks(g))
-        assert text == dumps_canonical(granular_set_doc(g))
+        assert text == dumps_canonical(granular_set_document(g))

@@ -137,6 +137,16 @@ class TestRefines:
         q = Partition(universe, list(q_blocks.values()))
         assert refines(p, q) == refines_by_definition(p, q)
 
+    @pytest.mark.parametrize("order", [tuple, lambda universe: universe[::-1]], ids=["equal-universe", "permuted-universe"])
+    def test_a_violation_at_the_last_element_alone_is_seen(self, order):
+        # 10^4 elements in pairs, inside blocks of four but for the last element, split off alone
+        universe = [f"x{i}" for i in range(10**4)]
+        finer = Partition(universe, [universe[i:i + 2] for i in range(0, len(universe), 2)])
+        quads = [universe[i:i + 4] for i in range(0, len(universe), 4)]
+        coarser = Partition(order(universe), quads[:-1] + [universe[-4:-1], universe[-1:]])
+        assert not refines(finer, coarser) and not refines_by_definition(finer, coarser)
+        assert refines(finer, Partition(order(universe), quads))
+
     @given(block_labelings())
     def test_reflexive_and_transitive_on_random_partitions(self, labeled):
         universe, blocks = labeled
