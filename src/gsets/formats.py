@@ -158,6 +158,11 @@ def _csv_real(field: str, where: str) -> float:
     return value
 
 
+def _got(text: str) -> str:
+    """The header text read, as its repr cut to 40 characters, so a byte-order mark shows."""
+    return f", got {repr(text)[:40]}"
+
+
 def _names(value, where: str) -> list[str]:
     """The one name-string-array check, for graded levels, partition blocks,
     approximation sets, object sets and the universe of a partition document."""
@@ -191,8 +196,9 @@ def parse_intervals(text: str, fmt: str = "csv") -> list[Interval]:
     """Read interval measurements from CSV (header ``lo,hi``) or JSON."""
     if fmt == "csv":
         lines = _lines(text)
-        if next(lines, None) != "lo,hi":
-            raise ParseError("line 1: header must be 'lo,hi'")
+        header = next(lines, None)
+        if header != "lo,hi":
+            raise ParseError("line 1: header must be 'lo,hi'" + ("" if header is None else _got(header)))
         out = []
         for n, line in enumerate(lines, start=2):
             fields = line.split(",")
@@ -334,7 +340,7 @@ def parse_table(text: str) -> InformationTable:
         raise ParseError("line 1: missing header")
     header = [_token(field, "line 1") for field in first.split(",")]
     if header[0] != "object":
-        raise ParseError("line 1: first header field must be 'object'")
+        raise ParseError("line 1: first header field must be 'object'" + _got(header[0]))
     if len(header) == 1:
         raise ParseError("line 1: no attributes")
     attr_pos: dict[str, int] = {}

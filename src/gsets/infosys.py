@@ -169,8 +169,6 @@ def _refine(table: InformationTable, labels: tuple[int, ...] | None, attrs: Iter
     columns = _positions(attrs, table._attr_pos, "attribute")
     if not columns:
         return (0,) * len(table.objects) if labels is None else labels
-    if labels and labels[-1] == len(labels) - 1:
-        return labels  # dense labels ending at n - 1 are all distinct, and one object cannot split
     keys = labels
     for j in columns:
         codes, card = table._codes[j], len(table._values[j])

@@ -120,10 +120,9 @@ class GradedIntervals(Value):
             raise DomainError("f_min must be nonnegative")
         if not levels:
             raise DomainError("graded intervals need at least one level")
-        # an empty level (None) lies inside every level, and a nonempty one inside no empty level
-        for i, (inner, outer) in enumerate(zip(levels, levels[1:])):
-            if inner is not None and (outer is None or not (outer.lo <= inner.lo and inner.hi <= outer.hi)):
-                raise DomainError(f"levels {i} and {i + 1} are not nested")
+        if not all(map(fused_subset, levels, levels[1:])):
+            i = [*map(fused_subset, levels, levels[1:])].index(False)
+            raise DomainError(f"levels {i} and {i + 1} are not nested")
 
     @property
     def f_max(self) -> int:

@@ -6,7 +6,7 @@ the lot for every fault budget and records which budgets recover the truth.
 One kernel, ``_draw_rounds``, draws rounds in plain floats and orders each round's sensors through
 the fusion kernel, ``intervals._order_statistics``.  The library builds a round's levels through
 those orders with ``intervals._graded_levels``, and ``formats.simulation_chunks`` writes their text
-off the round's rendered measurements.  Each call draws from one generator, reseeded for each round
+off the round's rendered measurements.  Each call builds one generator and reseeds it for each round
 from the seed and the round index alone, so any round is reproducible alone.
 
 The kernel checks nothing: one checker, ``_check_round``, names a round's first unsound sensor.
@@ -126,30 +126,26 @@ def _draw_rounds(config: SimConfig, round_indices: Iterable[int]) -> Iterator[tu
     the empty levels never outnumber the missing ones.  Whether a round is sound is
     ``_check_round``'s to say; a config that ``_no_round_can_fail`` clears needs no check.
 
-    One generator serves the rounds: each round's seed is the first 8 bytes, read big-endian, of the
-    SHA-256 of ``"{seed}:{round}"``.  The generator is built from the first round's seed and reseeded
-    for each later round, so each round is reproducible alone: reseeding leaves the state that
-    ``random.Random`` of the same int starts in.  The faulty set and each faulty sensor's side are
-    read off ``getrandbits`` as ``random.sample(range(n), k)`` and ``random.choice((-1.0, 1.0))``
-    draw them on CPython 3.10-3.13, which a property in the tests checks: a draw below m takes
-    ``getrandbits(m.bit_length())`` until it is below m; ``sample`` runs a partial Fisher-Yates over
-    the indices while n is at most its set size, else redraws an index already taken; the side is a
-    draw below 2, and 0 is -1.0."""
+    One generator serves the rounds, reseeded for each: a round's seed is the first 8 bytes, read
+    big-endian, of the SHA-256 of ``"{seed}:{round}"``, and reseeding leaves the state that
+    ``random.Random`` of the same int starts in, so each round is reproducible alone.  Past
+    ``random.sample``'s set size the faulty set is ``sample(range(n), k)`` itself.  Up to it, and so at
+    every bench shape, the faulty set and each faulty sensor's side are read off ``getrandbits`` as
+    ``sample`` and ``random.choice((-1.0, 1.0))`` draw them on CPython 3.10-3.13, which a property in
+    the tests checks: a draw below m takes ``getrandbits(m.bit_length())`` until it is below m;
+    ``sample`` runs a partial Fisher-Yates over the indices; the side is a draw below 2, and 0 is
+    -1.0."""
     n, k = config.num_sensors, config.num_faulty
     truth, width, offset_min = config.truth, config.correct_halfwidth_max, config.fault_offset_min
-    rng = None  # built from the first round's seed, and reseeded for each later round
+    rng = Random(0)  # reseeded for each round
+    reseed, bits, uniform = rng.seed, rng.getrandbits, rng.random
     sha256, prefix = _sha256(), f"{config.seed}:"
     pooled = n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)  # sample's set size
-    n_bits, sensors = n.bit_length(), range(n)
+    sensors = range(n)
     for round_index in round_indices:
-        seed = int.from_bytes(sha256(f"{prefix}{round_index}".encode("ascii")).digest()[:8], "big")
-        if rng is None:
-            rng = Random(seed)
-            reseed, bits, uniform = rng.seed, rng.getrandbits, rng.random
-        else:
-            reseed(seed)
-        faulty = set()
+        reseed(int.from_bytes(sha256(f"{prefix}{round_index}".encode("ascii")).digest()[:8], "big"))
         if pooled:
+            faulty = set()
             pool = list(sensors)
             for m in range(n, n - k, -1):
                 m_bits = m.bit_length()
@@ -159,11 +155,7 @@ def _draw_rounds(config: SimConfig, round_indices: Iterable[int]) -> Iterator[tu
                 faulty.add(pool[j])
                 pool[j] = pool[m - 1]
         else:
-            for _ in range(k):
-                j = bits(n_bits)
-                while j >= n or j in faulty:
-                    j = bits(n_bits)
-                faulty.add(j)
+            faulty = set(rng.sample(sensors, k))
         los, his = [], []
         for i in sensors:
             # u, v uniform over (0, width]: 1 - random() lies in (0, 1]

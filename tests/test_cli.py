@@ -1095,6 +1095,8 @@ SIM = ["simulate", "--sensors", "5", "--faulty", "2", "--rounds", "3"]
     pytest.param(["fuse", "--input", "/dev/null", "--faults", "0"], 2, id="fuse-dev-null"),
     pytest.param(["fuse", "--input", "/proc/self/status", "--faults", "0"], 2, id="fuse-proc-self-status"),
     pytest.param(["fuse", "--input", "{directory}", "--faults", "0"], 2, id="fuse-directory"),
+    # the sample table as a spreadsheet exports it, after a UTF-8 byte-order mark
+    pytest.param(["partition", "--table", "{directory}/bom_table.csv", "--attrs", "P1"], 2, id="partition-bom-header"),
 ])
 def test_hostile_argv_keeps_the_exit_code_contract(fixtures_dir, argv, code):
     # 0 with one canonical document and nothing on stderr, or 1 or 2 with nothing on stdout and one error line

@@ -580,6 +580,26 @@ class TestParseRejections:
             parse(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            # a spreadsheet export's UTF-8 byte-order mark
+            (parse_intervals, "\ufefflo,hi\n0,1\n", "line 1: header must be 'lo,hi', got '\\ufefflo,hi'"),
+            (parse_intervals, "lo,hi," + "x" * 60 + "\n", "line 1: header must be 'lo,hi', got 'lo,hi," + "x" * 33),
+            (parse_intervals, "", "line 1: header must be 'lo,hi'"),
+            (
+                parse_table, "\ufeffobject,P1\nO1,0\n",
+                "line 1: first header field must be 'object', got '\\ufeffobject'",
+            ),
+            (parse_table, "o" * 60 + ",P1\nO1,0\n", "line 1: first header field must be 'object', got '" + "o" * 39),
+        ],
+        ids=["intervals-bom", "intervals-long", "intervals-empty", "table-bom", "table-long"],
+    )
+    def test_header_messages_show_what_was_read(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_graded_intervals_requires_exact_keys(self):
         with pytest.raises(ParseError, match="f_min"):
             parse_graded_intervals('{"levels":[]}')

@@ -540,3 +540,81 @@ class TestLargeTableInvariants:
         g = large_granular
         text = "".join(granular_set_chunks(g))
         assert text == dumps_canonical(granular_set_document(g))
+
+
+@st.composite
+def drawn_tables(draw):
+    """A seeded tie-heavy table of 2**4 to 2**11 rows by 1 to 12 attributes of 1 to 5 values, at times
+    with one column of 257 or more values, past the byte codes, from 512 rows on; a nested attribute
+    chain, an attribute set, a target X and a nested target chain inside it.  X is the objects of some
+    values of one column, with a drawn share of the objects flipped in or out, so that some classes
+    lie inside it, some meet it and some miss it."""
+    n, m = 2 ** draw(st.integers(4, 11), label="log2 rows"), draw(st.integers(1, 12), label="attributes")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    columns = [[str(rng.randrange(card)) for _ in range(n)] for card in (rng.randint(1, 5) for _ in range(m))]
+    wide = n >= 512 and draw(st.booleans(), label="wide")
+    if wide:
+        # every value of 0..width-1 appears and the rest repeat, in a shuffled order
+        width = rng.randint(257, n - 1)
+        column = [str(i % width) for i in range(n)]
+        rng.shuffle(column)
+        columns[rng.randrange(m)] = column
+    objects = tuple(f"o{i}" for i in range(n))
+    attributes = tuple(f"A{j}" for j in range(m))
+    table = InformationTable(objects, attributes, zip(*columns))
+    assert wide == any(isinstance(codes, tuple) for codes in table._codes)
+    order = rng.sample(attributes, m)
+    chain = [order[:k] for k in sorted(rng.choices(range(m + 1), k=rng.randint(1, 4)))]
+    attrs = order[: rng.randint(0, m)]
+    on, off = rng.randrange(m), rng.randrange(m)
+    chosen, flip = {v for v in sorted(set(columns[on])) if rng.random() < 0.5}, rng.choice((0.0, 0.01, 0.1, 0.5))
+    target = [o for o, v in zip(objects, columns[on]) if (v in chosen) != (rng.random() < flip)]
+    in_target = set(target)
+    # nested: X's objects whose value on another column is at most k, for a few k, then X itself
+    cuts = sorted(rng.sample(range(n), min(n, 3)))
+    targets = [[o for o, v in zip(objects, columns[off]) if o in in_target and int(v) <= k] for k in cuts]
+    return table, chain, attrs, target, targets + [target]
+
+
+class TestDuality:
+    """Pawlak's duality at drawn sizes, a relation between two runs that needs no reference: with U
+    the objects, lower(X) = U \\ upper(U \\ X) and upper(X) = U \\ lower(U \\ X)."""
+
+    @staticmethod
+    def _complement(table, names):
+        names = set(names)
+        return [o for o in table.objects if o not in names]
+
+    @given(drawn_tables())
+    @settings(max_examples=20)
+    def test_approximation_pair(self, case):
+        table, _, attrs, target, _ = case
+        universe = frozenset(table.objects)
+        pair = approximation_pair(table, attrs, target)
+        dual = approximation_pair(table, attrs, self._complement(table, target))
+        assert pair.lower == universe - dual.upper and pair.upper == universe - dual.lower
+
+    @given(drawn_tables())
+    @settings(max_examples=20)
+    def test_graded_approximations_against_the_reversed_complements(self, case):
+        table, _, attrs, _, targets = case
+        universe = frozenset(table.objects)
+        lowers, uppers = graded_approximations(table, attrs, GradedFamily(targets))
+        complements = GradedFamily([self._complement(table, level) for level in reversed(targets)])
+        dual_lowers, dual_uppers = graded_approximations(table, attrs, complements)
+        assert len(lowers.levels) == len(dual_lowers.levels) == len(targets)
+        for lower, upper, dual_lower, dual_upper in zip(
+            lowers.levels, uppers.levels, reversed(dual_lowers.levels), reversed(dual_uppers.levels)
+        ):
+            assert lower == universe - dual_upper and upper == universe - dual_lower
+
+    @given(drawn_tables())
+    @settings(max_examples=20)
+    def test_sensitivity_profile_sizes(self, case):
+        table, chain, _, target, _ = case
+        n = len(table.objects)
+        records = sensitivity_profile(table, GradedFamily(chain), target)
+        duals = sensitivity_profile(table, GradedFamily(chain), self._complement(table, target))
+        assert len(records) == len(duals) == len(chain)
+        for record, dual in zip(records, duals):
+            assert (record.lower_size, record.upper_size) == (n - dual.upper_size, n - dual.lower_size)

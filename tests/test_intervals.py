@@ -675,3 +675,34 @@ def test_minority_faults_stay_inside_the_correct_hull_at_scale(n):
                 levels = graded_fusion(items, k, (n - 1) // 2).levels
                 assert fuse(items, k) == levels[0]
                 _assert_minority_bound(truth, correct, levels)
+
+
+@st.composite
+def drawn_measurements(draw):
+    """2**4 to 2**12 seeded intervals whose ends tie often: on a grid of quarters of a drawn width,
+    scaled by a power of two, or anywhere in the range, with 0.0 and -0.0 among them.  Every end
+    lies within +-1e6 and none is subnormal, so negating and doubling it are exact."""
+    n = 2 ** draw(st.integers(4, 12), label="log2 intervals")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid, scale = rng.choice((2, 8, 64, 4000)), 2.0 ** rng.randint(-8, 9)
+
+    def end():
+        if rng.random() < 0.1:
+            return rng.uniform(-1e6, 1e6)
+        x = rng.randint(-grid, grid) / 4 * scale
+        return rng.choice((0.0, -0.0)) if x == 0 else x
+
+    return [Interval(*sorted((end(), end()))) for _ in range(n)]
+
+
+@settings(max_examples=30)
+@given(drawn_measurements())
+def test_negating_and_doubling_map_every_level(items):
+    # -[lo, hi] is [-hi, -lo] and 2[lo, hi] is [2lo, 2hi], exactly, so the (f+1)-th largest lower end
+    # of the negated intervals is minus the (f+1)-th smallest upper end, and doubling keeps every order
+    n = len(items)
+    levels = [ends(level) for level in graded_fusion(items, 0, n - 1).levels]
+    negated = graded_fusion([Interval(-iv.hi, -iv.lo) for iv in items], 0, n - 1).levels
+    doubled = graded_fusion([Interval(2 * iv.lo, 2 * iv.hi) for iv in items], 0, n - 1).levels
+    assert [ends(level) for level in negated] == [None if e is None else (-e[1], -e[0]) for e in levels]
+    assert [ends(level) for level in doubled] == [None if e is None else (2 * e[0], 2 * e[1]) for e in levels]
