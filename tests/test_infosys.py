@@ -571,7 +571,7 @@ def drawn_tables(draw):
     target = [o for o, v in zip(objects, columns[on]) if (v in chosen) != (rng.random() < flip)]
     in_target = set(target)
     # nested: X's objects whose value on another column is at most k, for a few k, then X itself
-    cuts = sorted(rng.sample(range(n), min(n, 3)))
+    cuts = sorted(rng.choices(range(max(map(int, columns[off])) + 1), k=3))
     targets = [[o for o, v in zip(objects, columns[off]) if o in in_target and int(v) <= k] for k in cuts]
     return table, chain, attrs, target, targets + [target]
 

@@ -679,8 +679,8 @@ def test_minority_faults_stay_inside_the_correct_hull_at_scale(n):
 
 @st.composite
 def drawn_measurements(draw):
-    """2**4 to 2**12 seeded intervals whose ends tie often: on a grid of quarters of a drawn width,
-    scaled by a power of two, or anywhere in the range, with 0.0 and -0.0 among them.  Every end
+    """2**4 to 2**12 seeded intervals whose ends tie often: quarters up to a drawn bound, scaled by a
+    power of two, or else anywhere in the range, with 0.0 and -0.0 among them.  Every end
     lies within +-1e6 and none is subnormal, so negating and doubling it are exact."""
     n = 2 ** draw(st.integers(4, 12), label="log2 intervals")
     rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
